@@ -17,8 +17,15 @@ workload's own numbers); the last stdout line is one JSON object with
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  With
 ``--trace 0`` the metrics are the ``end_to_end`` list of
 ``BENCHMARK.json``, measured with tracing off; with ``--trace 1`` they
-are its ``per_layer`` list, from an added instrumented pass (0 where a
+are its ``per_layer`` list, from added instrumented passes (0 where a
 workload does no work in that layer).
+
+The end-to-end times ``setup_s`` and ``pass_s`` are scaled to the host's
+quiet speed: each timed step is divided by the slowness of a fixed
+reference loop sampled next to it (see ``common.PassClock``), because
+the shared host this was tuned on runs everything 1.5-1.8x slower for
+minutes at a time.  The raw wall-clock figures print as ``*_wall_s``,
+and the per-layer timings are raw.
 
 The metric names and units are read from ``BENCHMARK.json`` so the file
 and the output cannot drift apart.
@@ -30,6 +37,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import sys
 import time
 from pathlib import Path
@@ -116,8 +124,12 @@ def main(argv=None) -> int:
         "pass_s": out.pass_s,
         "peak_rss_mb": peak_rss_mb(),
     }
-    layers = dict(out.layers, **{"engine.kernel_warmup_s": out.warmup_s})
+    out.report["setup_wall_s"] = out.warmup_wall_s + median(out.setup_wall_s)
+    layers = dict(out.layers, **{"engine.kernel_warmup_s": out.warmup_wall_s})
     print(f"{args.workload}: setup samples s = {[round(v, 3) for v in out.setup_s]}")
+    print(f"{args.workload}: setup samples wall s = {[round(v, 3) for v in out.setup_wall_s]}")
+    # The oracles ran in children (left out of peak_rss_mb); their peak:
+    print(f"{args.workload}: oracle_peak_rss_mb = {peak_rss_mb(resource.RUSAGE_CHILDREN):.6g}")
     for name, value in sorted(out.report.items()):
         print(f"{args.workload}: {name} = {value:.6g}")
     for name, value in end_to_end.items():

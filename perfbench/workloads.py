@@ -3,12 +3,20 @@
 Each function sets up several times (for a ``setup_s`` median), runs
 closed-loop timed passes until ``seconds`` have elapsed and at least
 :data:`MIN_PASSES` ran, and checks every pass's answers.  Every pass
-repeats identical work step for step, so ``pass_s`` sums each step's
-best time over the passes (see :func:`common.best_of_steps`); latency
-percentiles pool the samples of every pass.  With ``trace`` a workload
-adds one instrumented pass (a ``MetricsRegistry`` plus
-:class:`~common.Probe` timers around public layer calls) and a batch
-layer breakdown over its chain.
+repeats identical work step for step.  Step times are scaled to the
+host's quiet speed (:class:`common.PassClock`), and ``pass_s`` sums each
+step's median over the passes (:func:`common.median_of_steps`); the
+``pass_wall_s`` report line does the same with raw times.  Latency
+percentiles pool the raw samples of every pass.  With ``trace`` a live
+workload adds MIN_PASSES instrumented passes (a ``MetricsRegistry`` plus
+:class:`~common.Probe` timers around public layer calls), alternating
+with the first bare ones: the first gives the per-layer figures, and
+their scaled per-step medians against the bare passes' give
+``obs.overhead_pct``.  Every traced run also breaks one batch pass over
+its chain down by layer.
+
+The legacy oracle of every correctness gate runs in a forked child
+(:func:`common.in_child`), so ``peak_rss_mb`` leaves it out.
 
 Load comes from this one process: the main thread drives ticks and
 queries, and each pass opens at most one TCP connection.
@@ -20,25 +28,29 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TypeVar
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from common import (
     FAST_ENGINES,
+    PassClock,
     Probe,
     answer_of,
     batch_layers,
     batch_pass,
     batch_times,
-    best_of_steps,
+    median_of_steps,
     build_world,
     engine_mismatches,
     freeze_world,
+    in_child,
     kernel_warmup,
+    legacy_answer,
     legacy_oracle,
     median,
     percentile,
     release_worlds,
     settle,
+    timed,
 )
 from repro.obs import MetricsRegistry
 from repro.serve import ServeService, serving_parity_mismatches
@@ -52,10 +64,12 @@ BATCH_SCALE = 5
 #: reports their median.
 BATCH_SETUP_REPS = 2
 LIVE_SETUP_REPS = 3
-#: Timed passes per run, at least; a step's best of three is robust.
+#: Timed passes per run, at least; ``pass_s`` takes each step's median.
 MIN_PASSES = 3
-#: ``replay`` catch-up tick width, in blocks.
+#: ``replay`` catch-up tick width, in blocks, and ticks between host
+#: speed marks (10 ticks are 0.1-0.5 s of work; a mark is ~2 ms).
 REPLAY_STEP = 25
+MARK_EVERY_TICKS = 10
 #: ``follow``: blocks held back and mined in during the pass, tick
 #: width range, ticks between reorgs, reorg depth range, and reads made
 #: after every tick in process and over the wire.
@@ -63,6 +77,15 @@ FOLLOW_BLOCKS = 400
 FOLLOW_WIDTH = (2, 8)
 FOLLOW_REORG_EVERY = 10
 FOLLOW_REORG_DEPTH = (1, 8)
+#: The read counts are set so that each part of ``pass_s`` is a visible
+#: share of it, and a 2x change in any one part moves ``pass_s`` past
+#: its 0.25 bound.  Measured on a 2-vCPU x86 VM with these counts: ticks
+#: 0.20-0.27 of ``pass_s``, in-process reads 0.40-0.47, wire reads
+#: 0.30-0.37 (every run prints its own ``*_share`` figures).  The cache
+#: then hits 0.67 of aggregate lookups.  A 0.82 hit ratio (18,454 hits /
+#: 4,064 misses, from a run with readers beside ingest) takes about 70
+#: reads per tick (0.72 at 20+6, 0.80 at 60+18), where ticks shrink to
+#: 0.14 of ``pass_s`` and a write-side regression would hide.
 FOLLOW_LOCAL_READS = 10
 FOLLOW_WIRE_READS = 3
 QUERY_VERBS = (
@@ -89,8 +112,14 @@ class Options:
 
 @dataclass
 class Outcome:
+    """What a workload measured.  ``*_s`` figures are scaled to the
+    quiet host speed (see :class:`common.PassClock`); ``*_wall_s`` ones
+    are as measured."""
+
     setup_s: List[float] = field(default_factory=list)
+    setup_wall_s: List[float] = field(default_factory=list)
     warmup_s: float = 0.0
+    warmup_wall_s: float = 0.0
     pass_s: float = 0.0
     attempted: int = 0
     failures: List[str] = field(default_factory=list)
@@ -102,22 +131,41 @@ class Outcome:
         self.attempted += attempted
         self.failures.extend(problems)
 
-    def batch_breakdown(self, world, oracle) -> None:
-        """Traced runs only: one checked batch pass over the workload's
-        chain, broken down by layer."""
+    def batch_breakdown(self, world, expected: tuple) -> None:
+        """Traced runs only: one batch pass over the workload's chain,
+        checked against the oracle's ``expected`` answer and broken down
+        by layer."""
         settle()
         done = batch_pass(world)
-        self.check(engine_mismatches(done, answer_of(oracle)), attempted=len(FAST_ENGINES))
+        self.check(engine_mismatches(done, expected), attempted=len(FAST_ENGINES))
         self.layers.update(batch_layers(done))
 
 
-def _timed_passes(opts: Options, run_pass: Callable[[], T], passes=()) -> List[T]:
-    """Run passes until ``seconds`` elapsed and MIN_PASSES ran in all."""
-    passes = list(passes)
+def _outcome() -> Outcome:
+    out = Outcome()
+    out.warmup_s, out.warmup_wall_s = kernel_warmup()
+    return out
+
+
+def _timed_passes(
+    opts: Options,
+    run_pass: Callable[[], T],
+    passes=(),
+    traced_pass: Optional[Callable[[], T]] = None,
+) -> Tuple[List[T], List[T]]:
+    """Run passes until ``seconds`` elapsed and MIN_PASSES ran in all.
+
+    With ``traced_pass``, MIN_PASSES traced passes alternate with the
+    first bare ones, so both kinds sample the same stretch of host
+    speed.  Returns ``(bare passes, traced passes)``.
+    """
+    passes, traced = list(passes), []
     deadline = time.perf_counter() + opts.seconds
     while len(passes) < MIN_PASSES or time.perf_counter() < deadline:
         passes.append(run_pass())
-    return passes
+        if traced_pass is not None and len(traced) < MIN_PASSES:
+            traced.append(traced_pass())
+    return passes, traced
 
 
 # -- batch ----------------------------------------------------------------
@@ -126,66 +174,73 @@ def _timed_passes(opts: Options, run_pass: Callable[[], T], passes=()) -> List[T
 def batch(opts: Options) -> Outcome:
     """Chain -> build_dataset -> store -> refinement -> detectors ->
     repeated-SCC on the 5x world, once per non-legacy engine per pass."""
-    out = Outcome(warmup_s=kernel_warmup())
+    out = _outcome()
     world = expected = None
-    oracle_s = 0.0
-    builds: List[float] = []
-    steps: List[List[float]] = []
+    builds: List[PassClock] = []
+    oracle = (0.0, 0.0)
+    passes: List[dict] = []
 
-    def one_pass() -> dict:
+    def one_pass(keep: bool = False) -> dict:
         settle()
         done = batch_pass(world)
         out.check(engine_mismatches(done, expected), attempted=len(FAST_ENGINES))
-        return done
+        if keep:
+            return done
+        # Drop the pass's dataset and results before the next one.
+        return {key: done[key] for key in ("steps", "raw", "slowness")}
 
     # Set-ups alternate with timed passes, so the passes sample the
     # host's speed across the whole run rather than one stretch of it.
     for _ in range(BATCH_SETUP_REPS):
         world = None
         release_worlds()
-        world, build_s = build_world(BATCH_SCALE, opts.world_seed)
-        builds.append(build_s)
+        clock = PassClock()
+        world = clock.time("build", build_world, BATCH_SCALE, opts.world_seed)
+        clock.mark()
         if expected is None:
-            started = time.perf_counter()
-            dataset, oracle = legacy_oracle(world)
-            oracle_s = time.perf_counter() - started
-            expected = answer_of(oracle)
+            expected, tokens, activities = clock.time(
+                "oracle", in_child, lambda: legacy_answer(world)
+            )
+            oracle = (clock.scaled("oracle")[0], clock.raw("oracle")[0])
             facts = {
                 "transactions": world.chain.transaction_count(),
-                "tokens": dataset.nft_count,
-                "activities": oracle.activity_count,
+                "tokens": tokens,
+                "activities": activities,
             }
-            dataset = oracle = None
+        clock.mark()
+        builds.append(clock)
         freeze_world()
-        steps.append(one_pass()["steps"])
-    out.setup_s = [build_s + oracle_s for build_s in builds]
-    steps = _timed_passes(opts, lambda: one_pass()["steps"], steps)
-    out.pass_s, all_engines_s = batch_times(steps)
+        passes.append(one_pass())
+    out.setup_s = [clock.scaled("build")[0] + oracle[0] for clock in builds]
+    out.setup_wall_s = [clock.raw("build")[0] + oracle[1] for clock in builds]
+    passes, _ = _timed_passes(opts, one_pass, passes)
+    out.pass_s, all_engines_s = batch_times(median_of_steps([p["steps"] for p in passes]))
+    raw = [p["raw"] for p in passes]
     out.report.update(
         {
             **facts,
             "batch_s": out.pass_s,
+            "pass_wall_s": batch_times(median_of_steps(raw))[0],
             "all_engines_s": all_engines_s,
-            "passes": len(steps),
-            "dataset_median_s": median([s[0] for s in steps]),
+            "host_slowness": median([p["slowness"] for p in passes]),
+            "passes": len(passes),
+            "dataset_median_wall_s": median([s[0] for s in raw]),
             **{
-                f"{engine}_median_s": median([s[1 + i] for s in steps])
+                f"{engine}_median_wall_s": median([s[1 + i] for s in raw])
                 for i, engine in enumerate(FAST_ENGINES)
             },
         }
     )
     out.layers.update(
         {
-            "simulation.build_world_s": median(builds),
+            "simulation.build_world_s": median([c.raw("build")[0] for c in builds]),
             "simulation.transactions": facts["transactions"],
             "simulation.tokens": facts["tokens"],
         }
     )
     if opts.trace:
-        traced = one_pass()
-        out.layers.update(batch_layers(traced))
-        bare = median([sum(s) for s in steps])
-        out.layers["obs.overhead_pct"] = 100.0 * (sum(traced["steps"]) / bare - 1.0)
+        # The batch path has no tracing to switch on, so no obs overhead.
+        out.layers.update(batch_layers(one_pass(keep=True)))
     return out
 
 
@@ -316,16 +371,16 @@ def _replay_pass(world, probe: Probe) -> dict:
     receiver = threading.Thread(target=receive, name="bench-subscriber")
     receiver.start()
     tick_started: Dict[str, float] = {}
-    tick_s: List[float] = []
+    clock = PassClock()
     head = world.node.block_number
     try:
-        started = time.perf_counter()
         while monitor.cursor.next_block <= head:
             upper = min(monitor.cursor.next_block + REPLAY_STEP - 1, head)
-            tick_started[monitor.predict_trace()] = begun = time.perf_counter()
-            service.advance(upper)
-            tick_s.append(time.perf_counter() - begun)
-        wall_s = time.perf_counter() - started
+            tick_started[monitor.predict_trace()] = time.perf_counter()
+            clock.time("tick", service.advance, upper)
+            if len(tick_started) % MARK_EVERY_TICKS == 0:
+                clock.mark()
+        clock.mark()
         expected = len(monitor.alerts)
         waited = time.perf_counter() + DELIVERY_TIMEOUT_S
         while len(received) < expected and time.perf_counter() < waited:
@@ -336,9 +391,10 @@ def _replay_pass(world, probe: Probe) -> dict:
         stream.close()
         service.shutdown(timeout=10.0)
     done = {
-        "wall_s": wall_s,
         "blocks": head + 1,
-        "tick_s": tick_s,
+        "tick_s": clock.raw("tick"),
+        "steps": clock.scaled("tick"),
+        "slowness": clock.slowness(),
         "alert_ms": [1e3 * (at - tick_started[trace]) for _, at, trace in received],
         "alerts": expected,
         "delivered": sorted(seq for seq, _, _ in received),
@@ -361,21 +417,23 @@ def _replay_pass(world, probe: Probe) -> dict:
 
 def replay(opts: Options) -> Outcome:
     """Write-only full-chain catch-up of the default world."""
-    out = Outcome(warmup_s=kernel_warmup())
+    out = _outcome()
     world = None
     for _ in range(LIVE_SETUP_REPS):
         world = None
         release_worlds()
-        world, build_s = build_world(1, opts.world_seed)
-        out.setup_s.append(build_s)
-    dataset, oracle = legacy_oracle(world)
-    out.layers["simulation.tokens"] = dataset.nft_count
+        world, scaled, raw = timed(lambda: build_world(1, opts.world_seed))
+        out.setup_s.append(scaled)
+        out.setup_wall_s.append(raw)
+    expected, out.layers["simulation.tokens"], _ = in_child(lambda: legacy_answer(world))
     freeze_world()
 
-    passes = _timed_passes(opts, lambda: _replay_pass(world, Probe(False)))
-    traced = _replay_pass(world, Probe(True)) if opts.trace else None
-    expected = answer_of(oracle)
-    for done in passes + ([traced] if traced else []):
+    passes, traced = _timed_passes(
+        opts,
+        lambda: _replay_pass(world, Probe(False)),
+        traced_pass=(lambda: _replay_pass(world, Probe(True))) if opts.trace else None,
+    )
+    for done in passes + traced:
         problems = []
         if done["answer"] != expected:
             problems.append("stream result disagrees with the batch oracle")
@@ -387,13 +445,14 @@ def replay(opts: Options) -> Outcome:
             problems.append(f"{done['subscriber_errors']} subscriber errors")
         out.check(problems, attempted=len(done["tick_s"]) + done["alerts"])
 
-    out.pass_s = sum(best_of_steps([p["tick_s"] for p in passes]))
+    out.pass_s = sum(median_of_steps([p["steps"] for p in passes]))
     alert_ms = [a for p in passes for a in p["alert_ms"]]
     out.report.update(_tick_report(passes))
     out.report.update(
         {
             "replay_blocks_per_s": passes[0]["blocks"] / out.pass_s,
-            "wall_median_s": median([p["wall_s"] for p in passes]),
+            "pass_wall_s": sum(median_of_steps([p["tick_s"] for p in passes])),
+            "host_slowness": median([p["slowness"] for p in passes]),
             "alert_p50_ms": percentile(alert_ms, 50),
             "alert_p95_ms": percentile(alert_ms, 95),
             "alerts": passes[0]["alerts"],
@@ -402,7 +461,7 @@ def replay(opts: Options) -> Outcome:
     )
     out.layers.update(
         {
-            "simulation.build_world_s": median(out.setup_s),
+            "simulation.build_world_s": median(out.setup_wall_s),
             "simulation.transactions": world.chain.transaction_count(),
             "stream.tick_p50_ms": out.report["tick_p50_ms"],
             "stream.tick_p95_ms": out.report["tick_p95_ms"],
@@ -411,11 +470,11 @@ def replay(opts: Options) -> Outcome:
             "wire.alert_p95_ms": out.report["alert_p95_ms"],
         }
     )
-    if traced is not None:
-        out.layers.update(traced["layers"])
-        out.batch_breakdown(world, oracle)
-        bare = median([sum(p["tick_s"]) for p in passes])
-        out.layers["obs.overhead_pct"] = 100.0 * (sum(traced["tick_s"]) / bare - 1.0)
+    if traced:
+        out.layers.update(traced[0]["layers"])
+        out.batch_breakdown(world, expected)
+        traced_s = sum(median_of_steps([p["steps"] for p in traced]))
+        out.layers["obs.overhead_pct"] = 100.0 * (traced_s / out.pass_s - 1.0)
     return out
 
 
@@ -429,14 +488,14 @@ class FollowRig:
 
     def __init__(self, seed: int, registry: Optional[MetricsRegistry]) -> None:
         started = time.perf_counter()
-        self.world, self.build_s = build_world(1, seed)
+        self.world = build_world(1, seed)
+        self.build_s = time.perf_counter() - started
         self.transactions = self.world.chain.transaction_count()
         self.held = self.world.chain.reorg(FOLLOW_BLOCKS, [])
         self.service = ServeService.for_world(self.world, registry=registry)
         self.service.advance()
         self.server = self.service.serve_wire()
         self.remote = RemoteQueryService(*self.server.address)
-        self.setup_s = time.perf_counter() - started
 
     def mine(self, blocks) -> None:
         """Append held blocks at the head (re-installing the head block
@@ -449,6 +508,21 @@ class FollowRig:
         self.service.shutdown(timeout=10.0)
 
 
+def _tick_widths(rng: random.Random) -> List[int]:
+    """FOLLOW_BLOCKS cut into ticks of FOLLOW_WIDTH blocks, in seeded
+    order.  The multiset of widths is fixed (each width equally often,
+    topped up with mean-width ticks), so every seed runs the same
+    number of ticks, reads and reorgs."""
+    low, high = FOLLOW_WIDTH
+    cycle = list(range(low, high + 1))
+    widths = cycle * (FOLLOW_BLOCKS // sum(cycle))
+    mean = (low + high) // 2
+    rest = FOLLOW_BLOCKS - sum(widths)
+    widths += [mean] * (rest // mean) + ([rest % mean] if rest % mean else [])
+    rng.shuffle(widths)
+    return widths
+
+
 def _follow_pass(rig: FollowRig, opts: Options, probe: Probe) -> dict:
     service, remote = rig.service, rig.remote
     live = LiveTrace(service, probe) if probe.enabled else None
@@ -458,38 +532,31 @@ def _follow_pass(rig: FollowRig, opts: Options, probe: Probe) -> dict:
     local = LoadGenerator(service.query, seed=opts.query_seed, stop=threading.Event())
     wire = LoadGenerator(remote, seed=opts.query_seed + 1, stop=threading.Event())
     rng = random.Random(opts.reorg_seed)
-    tick_s: List[float] = []
-    local_s: List[float] = []
-    wire_s: List[float] = []
     reorgs = 0
-    clock = time.perf_counter
     settle()
+    clock = PassClock()
     position = 0
-    while position < len(rig.held):
-        width = rng.randint(*FOLLOW_WIDTH)
+    for tick, width in enumerate(_tick_widths(rng), 1):
         rig.mine(rig.held[position : position + width])
         position += width
-        begun = clock()
-        service.advance()
-        tick_s.append(clock() - begun)
+        clock.time("tick", service.advance)
         for _ in range(FOLLOW_LOCAL_READS):
-            begun = clock()
-            local.step()
-            local_s.append(clock() - begun)
+            clock.time("local", local.step)
         for _ in range(FOLLOW_WIRE_READS):
-            begun = clock()
-            wire.step()
-            wire_s.append(clock() - begun)
-        if len(tick_s) % FOLLOW_REORG_EVERY == 0:
+            clock.time("wire", wire.step)
+        clock.mark()
+        if tick % FOLLOW_REORG_EVERY == 0:
             apply_random_reorg(rig.world.chain, rng.randint(*FOLLOW_REORG_DEPTH), rng)
             reorgs += 1
-    begun = clock()
-    service.advance()  # settle a trailing reorg
-    tick_s.append(clock() - begun)
+    clock.time("tick", service.advance)  # settle a trailing reorg
+    clock.mark()
     done = {
-        "tick_s": tick_s,
-        "local_s": local_s,
-        "wire_s": wire_s,
+        "tick_s": clock.raw("tick"),
+        "local_s": clock.raw("local"),
+        "wire_s": clock.raw("wire"),
+        # Ticks, then in-process reads, then wire reads (see tick_share).
+        "steps": clock.scaled("tick") + clock.scaled("local") + clock.scaled("wire"),
+        "slowness": clock.slowness(),
         "reorgs": reorgs,
         "read_errors": local.errors + wire.errors,
     }
@@ -507,15 +574,24 @@ def _follow_pass(rig: FollowRig, opts: Options, probe: Probe) -> dict:
     return done
 
 
-def _follow_gate(out: Outcome, rig: FollowRig, done: dict):
+def _serving_check(rig: FollowRig):
+    """Serving parity against a batch run (legacy oracle) over the chain
+    up to the settled head: ``(problems, tokens, oracle answer)``."""
+    world = rig.world
+    dataset, oracle = legacy_oracle(world, to_block=world.node.block_number)
+    problems = serving_parity_mismatches(rig.service.query, oracle)
+    return problems, dataset.nft_count, answer_of(oracle)
+
+
+def _follow_gate(out: Outcome, rig: FollowRig, done: dict) -> tuple:
     """Reads raised no invariant errors, and at the settled head the
     served and wire answers match a batch run over the same chain;
-    returns that batch (legacy oracle) result."""
+    returns that batch run's answer.  The batch run and the serving
+    comparison happen in a child process (see :func:`common.in_child`);
+    the wire comparison needs this process's connection."""
     service = rig.service
-    dataset, oracle = legacy_oracle(rig.world, to_block=rig.world.node.block_number)
-    out.layers["simulation.tokens"] = dataset.nft_count
-    problems = list(done["read_errors"])
-    problems += serving_parity_mismatches(service.query, oracle)
+    served, out.layers["simulation.tokens"], expected = in_child(lambda: _serving_check(rig))
+    problems = list(done["read_errors"]) + served
     problems += wire_parity_mismatches(rig.remote.client, service.query, rig.server.lookup_version)
     if service.monitor.subscriber_errors.total:
         problems.append(f"{service.monitor.subscriber_errors.total} subscriber errors")
@@ -523,7 +599,7 @@ def _follow_gate(out: Outcome, rig: FollowRig, done: dict):
         problems,
         attempted=len(done["tick_s"]) + len(done["local_s"]) + len(done["wire_s"]),
     )
-    return oracle
+    return expected
 
 
 def follow(opts: Options) -> Outcome:
@@ -532,44 +608,57 @@ def follow(opts: Options) -> Outcome:
     Reorgs rewrite the chain, so every pass sets up a fresh world; each
     pass's set-up is one ``setup_s`` sample.
     """
-    out = Outcome(warmup_s=kernel_warmup())
+    out = _outcome()
     builds: List[float] = []
     transactions = 0
 
     def one_pass(traced: bool = False) -> dict:
-        nonlocal transactions
+        nonlocal transactions, breakdowns
         release_worlds()
-        rig = FollowRig(opts.world_seed, MetricsRegistry() if traced else None)
+        registry = MetricsRegistry() if traced else None
+        rig, scaled, raw = timed(lambda: FollowRig(opts.world_seed, registry))
         freeze_world()
         if not traced:
-            out.setup_s.append(rig.setup_s)
+            out.setup_s.append(scaled)
+            out.setup_wall_s.append(raw)
             builds.append(rig.build_s)
         transactions = rig.transactions
         try:
             done = _follow_pass(rig, opts, Probe(traced))
-            oracle = _follow_gate(out, rig, done)
-            if traced:
-                out.batch_breakdown(rig.world, oracle)
+            expected = _follow_gate(out, rig, done)
+            if traced and not breakdowns:
+                out.batch_breakdown(rig.world, expected)
+                breakdowns += 1
         finally:
             rig.close()
         return done
 
-    passes = _timed_passes(opts, one_pass)
-    traced = one_pass(traced=True) if opts.trace else None
+    breakdowns = 0
+    passes, traced = _timed_passes(
+        opts, one_pass, traced_pass=(lambda: one_pass(traced=True)) if opts.trace else None
+    )
 
-    steps = [p["tick_s"] + p["local_s"] + p["wire_s"] for p in passes]
-    out.pass_s = sum(best_of_steps(steps))
+    best = median_of_steps([p["steps"] for p in passes])
+    out.pass_s = sum(best)
+    ticks, local = len(passes[0]["tick_s"]), len(passes[0]["local_s"])
     local_s = [t for p in passes for t in p["local_s"]]
     wire_s = [t for p in passes for t in p["wire_s"]]
+    raw = [p["tick_s"] + p["local_s"] + p["wire_s"] for p in passes]
     out.report.update(_tick_report(passes))
     out.report.update(
         {
+            "pass_wall_s": sum(median_of_steps(raw)),
+            "host_slowness": median([p["slowness"] for p in passes]),
             "query_p50_us": 1e6 * percentile(local_s, 50),
             "query_p95_us": 1e6 * percentile(local_s, 95),
             "query_per_s": len(local_s) / sum(local_s),
             "wire_query_p50_ms": 1e3 * percentile(wire_s, 50),
             "wire_query_p95_ms": 1e3 * percentile(wire_s, 95),
             "reorgs": passes[0]["reorgs"],
+            # Where pass_s goes: ticks, in-process reads, wire reads.
+            "tick_share": sum(best[:ticks]) / out.pass_s,
+            "local_read_share": sum(best[ticks : ticks + local]) / out.pass_s,
+            "wire_read_share": sum(best[ticks + local :]) / out.pass_s,
         }
     )
     out.layers.update(
@@ -586,11 +675,10 @@ def follow(opts: Options) -> Outcome:
             "wire.query_p95_ms": out.report["wire_query_p95_ms"],
         }
     )
-    if traced is not None:
-        out.layers.update(traced["layers"])
-        bare = median([sum(s) for s in steps])
-        traced_s = sum(traced["tick_s"] + traced["local_s"] + traced["wire_s"])
-        out.layers["obs.overhead_pct"] = 100.0 * (traced_s / bare - 1.0)
+    if traced:
+        out.layers.update(traced[0]["layers"])
+        traced_s = sum(median_of_steps([p["steps"] for p in traced]))
+        out.layers["obs.overhead_pct"] = 100.0 * (traced_s / out.pass_s - 1.0)
     return out
 
 
