@@ -638,8 +638,8 @@ def follow(opts: Options) -> Outcome:
         opts, one_pass, traced_pass=(lambda: one_pass(traced=True)) if opts.trace else None
     )
 
-    best = median_of_steps([p["steps"] for p in passes])
-    out.pass_s = sum(best)
+    step_s = median_of_steps([p["steps"] for p in passes])
+    out.pass_s = sum(step_s)
     ticks, local = len(passes[0]["tick_s"]), len(passes[0]["local_s"])
     local_s = [t for p in passes for t in p["local_s"]]
     wire_s = [t for p in passes for t in p["wire_s"]]
@@ -656,9 +656,9 @@ def follow(opts: Options) -> Outcome:
             "wire_query_p95_ms": 1e3 * percentile(wire_s, 95),
             "reorgs": passes[0]["reorgs"],
             # Where pass_s goes: ticks, in-process reads, wire reads.
-            "tick_share": sum(best[:ticks]) / out.pass_s,
-            "local_read_share": sum(best[ticks : ticks + local]) / out.pass_s,
-            "wire_read_share": sum(best[ticks + local :]) / out.pass_s,
+            "tick_share": sum(step_s[:ticks]) / out.pass_s,
+            "local_read_share": sum(step_s[ticks : ticks + local]) / out.pass_s,
+            "wire_read_share": sum(step_s[ticks + local :]) / out.pass_s,
         }
     )
     out.layers.update(
