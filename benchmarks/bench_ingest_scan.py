@@ -3,13 +3,10 @@
 The backend-parametrized case compares the ingest cost of the two
 detection paths: the legacy path consumes the dataset as-is, while the
 engine path additionally builds the interned columnar transfer store
-(``--backends legacy,engine`` to compare; ``engine-mp`` is skipped here
-because store construction does not depend on the worker count).
+(``--backends legacy,engine`` to compare).
 """
 
 from __future__ import annotations
-
-import pytest
 
 from benchmarks.conftest import print_rows
 from repro.engine.store import ColumnarTransferStore
@@ -43,9 +40,6 @@ def test_ingest_scan(benchmark, paper_world):
 
 def test_ingest_for_backend(benchmark, paper_world, backend):
     """Ingest cost per backend: dataset alone vs. dataset + columnar store."""
-    if backend == "engine-mp":
-        pytest.skip("store construction is identical across worker counts")
-
     def ingest():
         dataset = build_dataset(paper_world.node, paper_world.marketplace_addresses)
         if backend == "engine":

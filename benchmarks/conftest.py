@@ -15,15 +15,13 @@ from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
 
 #: Detection backends the backend-parametrized benchmarks can compare.
-#: "legacy" is the networkx reference path, "engine" the serial columnar
-#: engine, "engine-mp" the columnar engine on a 4-worker process pool,
-#: "kernel" the numpy/CSR tier (compiled Tarjan when available).
-ALL_BACKENDS = ("legacy", "engine", "engine-mp", "kernel")
+#: "legacy" is the networkx reference path, "engine" the columnar
+#: engine, "kernel" the numpy/CSR tier (compiled Tarjan when available).
+ALL_BACKENDS = ("legacy", "engine", "kernel")
 
 BACKEND_PIPELINE_KWARGS = {
     "legacy": {"engine": "legacy"},
     "engine": {"engine": "columnar"},
-    "engine-mp": {"engine": "columnar", "workers": 4},
     "kernel": {"engine": "kernel"},
 }
 

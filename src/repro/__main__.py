@@ -56,8 +56,18 @@ PRESETS = {
     "default": SimulationConfig,
 }
 
-#: Recognized subcommands; a bare flag list falls through to ``run``.
-COMMANDS = ("run", "monitor", "serve", "query", "probe", "top", "scenario")
+#: Recognized subcommands with their one-line summaries (the ``--help``
+#: epilog); a bare flag list falls through to ``run``.
+COMMAND_SUMMARIES = (
+    ("run", "batch reproduction: build a world, print the paper report (default)"),
+    ("monitor", "follow the chain through the streaming monitor, printing alerts"),
+    ("serve", "streaming monitor plus a threaded query front end and wire server"),
+    ("query", "query a running wire server; answers print as JSON"),
+    ("probe", "health-check a running wire server; exit 0/1/2"),
+    ("top", "live dashboard over a running wire server"),
+    ("scenario", "replay an adversarial scenario against the full live stack"),
+)
+COMMANDS = tuple(name for name, _ in COMMAND_SUMMARIES)
 
 
 def parse_endpoint(value: str) -> Tuple[str, int]:
@@ -189,9 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
-            "Reproduce 'A Game of NFTs: Characterizing NFT Wash Trading in the "
+            "Reproduce 'A Game of NFTs: Characterizing NFT Wash Trading in the\n"
             "Ethereum Blockchain' on a synthetic world."
         ),
+        epilog="commands (see 'repro COMMAND --help'):\n"
+        + "\n".join(f"  {name:<10}{summary}" for name, summary in COMMAND_SUMMARIES),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     _add_world_arguments(parser)
     parser.add_argument(
@@ -211,18 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="legacy",
         help=(
             "detection backend: 'legacy' runs the networkx reference "
-            "implementation, 'columnar' the sharded mask-based engine, "
+            "implementation, 'columnar' the mask-based engine, "
             "'kernel' the numpy/CSR tier with the optional compiled "
             "Tarjan (default: legacy)"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "worker processes for the columnar engine; 0 or 1 runs the "
-            "deterministic serial path (default: 0)"
         ),
     )
     return parser
@@ -274,15 +278,6 @@ def build_monitor_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "worker processes for per-tick dirty-token refinement; 0 or 1 "
-            "runs the deterministic serial path (default: 0)"
-        ),
-    )
-    parser.add_argument(
         "--quiet",
         action="store_true",
         help="print only the final summary line, not the alert stream",
@@ -322,15 +317,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_REORG_DEPTH,
         metavar="BLOCKS",
         help="rollback journal window passed to the monitor",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "worker processes for per-tick dirty-token refinement; 0 or 1 "
-            "runs the deterministic serial path (default: 0)"
-        ),
     )
     parser.add_argument(
         "--shards",
@@ -628,12 +614,6 @@ def build_scenario_parser() -> argparse.ArgumentParser:
         help="number of serve-index shards (default: 1)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="refinement worker threads, 0 = inline (default: 0)",
-    )
-    parser.add_argument(
         "--no-wire",
         action="store_true",
         help="skip the wire tier (no server, no wire parity check)",
@@ -699,7 +679,6 @@ def run_scenario_command(argv: Sequence[str]) -> int:
         speed=args.speed,
         seed=args.seed,
         shards=args.shards,
-        workers=args.workers,
         wire=not args.no_wire,
         evaluate_slos=not args.no_slo,
         verify_parity=not args.no_verify,
@@ -890,7 +869,6 @@ def run_batch(argv: Sequence[str]) -> int:
     report = PaperReport(
         world,
         engine=args.engine,
-        workers=args.workers,
         enabled_methods=_enabled_methods(args),
     )
     text = report.render_text()
@@ -934,7 +912,6 @@ def run_monitor(argv: Sequence[str]) -> int:
         retain_scan_matches=not args.bounded_memory,
         enabled_methods=_enabled_methods(args),
         registry=obs.registry,
-        workers=args.workers,
     )
 
     if not args.quiet:
@@ -967,7 +944,6 @@ def run_monitor(argv: Sequence[str]) -> int:
     started = time.time()
     snapshots = monitor.run(step_blocks=args.step_blocks)
     elapsed = time.time() - started
-    monitor.close()
     obs.finish()
 
     result = monitor.result()
@@ -1021,7 +997,6 @@ def run_serve(argv: Sequence[str]) -> int:
             retain_scan_matches=not args.bounded_memory,
             enabled_methods=_enabled_methods(args),
             registry=obs.registry,
-            workers=args.workers,
         )
         service = ServeService(
             monitor,

@@ -52,8 +52,6 @@ class PaperReport:
     detection_config: Optional[DetectionConfig] = None
     #: Detection backend: "legacy" (networkx reference) or "columnar".
     engine: str = "legacy"
-    #: Worker processes for the columnar engine (0/1 = in-process serial).
-    workers: int = 0
     #: Detection methods to run; None keeps the pipeline's paper set.
     enabled_methods: Optional[frozenset] = None
     _dataset: Optional[NFTDataset] = field(default=None, repr=False)
@@ -78,7 +76,6 @@ class PaperReport:
                 is_contract=self.world.is_contract,
                 config=self.detection_config,
                 engine=self.engine,
-                workers=self.workers,
                 enabled_methods=self.enabled_methods,
             )
             self._result = pipeline.run(self.dataset)

@@ -134,8 +134,9 @@ class PipelineResult:
 def build_detectors(enabled_methods: Iterable[DetectionMethod]) -> List[Detector]:
     """The per-component detectors for a method set, in canonical order.
 
-    Shared by the legacy pipeline and the engine's shard workers so both
-    paths apply the confirmation techniques identically.
+    Shared by the legacy pipeline, the columnar engine and the streaming
+    scheduler so every path applies the confirmation techniques
+    identically.
     """
     enabled = set(enabled_methods)
     detectors: List[Detector] = []
@@ -152,15 +153,29 @@ def build_detectors(enabled_methods: Iterable[DetectionMethod]) -> List[Detector
     return detectors
 
 
+def collect_evidence(
+    detectors: Sequence[Detector],
+    component: CandidateComponent,
+    context: DetectionContext,
+) -> List[DetectionEvidence]:
+    """Run every detector on one component; an empty list = unconfirmed."""
+    evidence: List[DetectionEvidence] = []
+    for detector in detectors:
+        found = detector.detect(component, context)
+        if found is not None:
+            evidence.append(found)
+    return evidence
+
+
 class WashTradingPipeline:
     """End-to-end wash trading detection over an :class:`NFTDataset`.
 
     ``engine`` selects the execution backend: ``"legacy"`` (the default)
     runs the original networkx reference implementation; ``"columnar"``
-    runs the mask-based engine in :mod:`repro.engine`, optionally
-    sharded across ``workers`` processes; ``"kernel"`` is the columnar
-    engine with the numpy/CSR refinement and (when a C compiler is
-    around) compiled Tarjan kernels of :mod:`repro.engine.kernels`.
+    runs the mask-based engine in :mod:`repro.engine`; ``"kernel"`` is
+    the columnar engine with the numpy/CSR refinement and (when a C
+    compiler is around) compiled Tarjan kernels of
+    :mod:`repro.engine.kernels`.
     All backends produce the same :class:`PipelineResult` (see
     ``tests/engine/test_parity.py`` and
     ``tests/engine/test_kernel_parity.py``).
@@ -176,8 +191,6 @@ class WashTradingPipeline:
         enabled_methods: Optional[Iterable[DetectionMethod]] = None,
         funnel: Optional[RefinementFunnel] = None,
         engine: str = "legacy",
-        workers: int = 0,
-        shards: Optional[int] = None,
     ) -> None:
         if engine not in self.ENGINES:
             raise ValueError(
@@ -206,8 +219,6 @@ class WashTradingPipeline:
         )
         self.funnel = funnel or RefinementFunnel(labels=labels, is_contract=is_contract)
         self.engine = engine
-        self.workers = workers
-        self.shards = shards
 
     def _detectors(self) -> List[Detector]:
         return build_detectors(self.enabled_methods)
@@ -222,8 +233,6 @@ class WashTradingPipeline:
             is_contract=self.is_contract,
             config=self.config,
             enabled_methods=self.enabled_methods,
-            workers=self.workers,
-            shards=self.shards,
             skip_service_removal=self.funnel.skip_service_removal,
             skip_contract_removal=self.funnel.skip_contract_removal,
             skip_zero_volume_removal=self.funnel.skip_zero_volume_removal,
@@ -249,11 +258,7 @@ class WashTradingPipeline:
         activities: List[WashTradingActivity] = []
         unconfirmed: List[CandidateComponent] = []
         for component in refinement.candidates:
-            evidence: List[DetectionEvidence] = []
-            for detector in detectors:
-                found = detector.detect(component, context)
-                if found is not None:
-                    evidence.append(found)
+            evidence = collect_evidence(detectors, component, context)
             if evidence:
                 activities.append(
                     WashTradingActivity(component=component, evidence=evidence)

@@ -8,8 +8,8 @@ layered as:
 * :mod:`repro.engine.refine` -- mask-based candidate search and
   refinement; exclusion stages are integer-set masks over the columns
   instead of graph rebuilds.
-* :mod:`repro.engine.executor` -- contiguous token shards executed
-  serially or on a process pool, merged deterministically.
+* :mod:`repro.engine.executor` -- one serial pass: refine every token,
+  confirm each candidate, then apply the repeated-SCC rule.
 
 The legacy networkx implementation in :mod:`repro.core` remains the
 reference; ``WashTradingPipeline(engine="columnar")`` selects this one,
@@ -19,9 +19,6 @@ output.
 
 from repro.engine.executor import (
     AccountSetPredicate,
-    SharedPayload,
-    ShardResult,
-    partition_tokens,
     run_columnar_pipeline,
 )
 from repro.engine.refine import (
@@ -38,13 +35,10 @@ __all__ = [
     "AccountSetPredicate",
     "ColumnarTransferStore",
     "STAGE_NAMES",
-    "SharedPayload",
     "ShardRefinement",
-    "ShardResult",
     "StageAccumulator",
     "TokenColumns",
     "TokenComponent",
-    "partition_tokens",
     "refine_tokens",
     "run_columnar_pipeline",
     "token_components",

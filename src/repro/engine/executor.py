@@ -1,49 +1,37 @@
-"""Sharded execution of the columnar detection engine.
+"""Serial execution of the columnar detection engine.
 
-The executor partitions the store's tokens into contiguous shards and
-runs refinement plus the four per-component confirmation techniques
-independently per shard, either serially (the deterministic fallback and
-the default) or on a ``ProcessPoolExecutor``.  Shard results are merged
-in shard order, so the final candidate and activity lists line up with a
-serial run regardless of worker count; the repeated-SCC rule needs the
-global pool of confirmed account sets and therefore always runs once in
-the parent, after the merge -- exactly where the legacy pipeline applies
-it.
-
-Everything a worker needs travels in a :class:`SharedPayload` handed to
-the pool initializer: the interned account table, the exclusion masks,
-the label registry, the detection config and the per-account transaction
-index.  Callables that may not pickle (``is_contract`` is usually a
-bound method of a live world) are reduced to frozen address sets before
-any fork.
+The executor refines every token of the store in one pass, runs the
+per-component confirmation techniques over the refined candidates in
+token order, then applies the repeated-SCC rule, which needs the global
+pool of confirmed account sets -- exactly where the legacy pipeline
+applies it.  The detectors see the dataset through the same narrow
+surface the streaming scheduler uses: a :class:`TransactionView` over
+the per-account transaction index and an :class:`AccountSetPredicate`
+over the interned contract addresses.
 """
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.chain.types import NFTKey
 from repro.core.activity import (
     CandidateComponent,
-    DetectionEvidence,
     DetectionMethod,
     WashTradingActivity,
 )
 from repro.core.detectors.base import DetectionConfig, DetectionContext
+from repro.core.detectors.pipeline import build_detectors, collect_evidence
 from repro.core.detectors.repeated_scc import confirm_repeated_components
 from repro.core.refine import RefinementResult
-from repro.engine.refine import STAGE_NAMES, StageAccumulator, refine_tokens
-from repro.engine.store import ColumnarTransferStore, TokenColumns
+from repro.engine.refine import refine_tokens
+from repro.engine.store import ColumnarTransferStore
 
 
 class AccountSetPredicate:
-    """A picklable account predicate: membership in a frozen address set.
+    """An account predicate frozen into membership of an address set.
 
-    Stands in for live callables (``world.is_contract`` and friends) when
-    shard tasks cross a process boundary.
+    Stands in for live callables (``world.is_contract`` and friends) so
+    a detection context answers from a fixed snapshot of the store.
     """
 
     def __init__(self, members: Iterable[str]) -> None:
@@ -64,276 +52,25 @@ class TransactionView:
         return self.account_transactions.get(account, [])
 
 
-@dataclass
-class SharedPayload:
-    """Read-only state shared by every shard worker.
-
-    ``contract_addresses`` deliberately covers only interned accounts
-    (transfer endpoints): it backs the worker-side ``is_contract`` of
-    the :class:`DetectionContext`, which no current detector consults.
-    A future detector needing bytecode checks on arbitrary counterparty
-    addresses must widen this set rather than rely on it.
-    """
-
-    accounts: List[str]
-    service_ids: FrozenSet[int]
-    contract_ids: FrozenSet[int]
-    contract_addresses: FrozenSet[str]
-    labels: object
-    config: DetectionConfig
-    enabled_methods: FrozenSet[DetectionMethod]
-    account_transactions: Dict[str, list]
-    skip_service_removal: bool = False
-    skip_contract_removal: bool = False
-    skip_zero_volume_removal: bool = False
-    #: Route refinement through the numpy/CSR kernels of
-    #: :mod:`repro.engine.kernels` and cache detector money flows
-    #: (the ``engine="kernel"`` tier).
-    use_kernels: bool = False
-
-
-@dataclass
-class ShardResult:
-    """Everything one shard produces, mergeable in shard order."""
-
-    candidates: List[CandidateComponent]
-    activities: List[WashTradingActivity]
-    unconfirmed: List[CandidateComponent]
-    stages: List[StageAccumulator]
-
-
-def partition_tokens(nfts: Sequence[NFTKey], shard_count: int) -> List[List[NFTKey]]:
-    """Split token keys into at most ``shard_count`` contiguous chunks.
-
-    Contiguity in store order is what makes the merged results identical
-    to a serial run: concatenating the shards restores the original
-    token order.
-    """
-    if not nfts:
-        return []
-    shard_count = max(1, min(shard_count, len(nfts)))
-    base, extra = divmod(len(nfts), shard_count)
-    shards: List[List[NFTKey]] = []
-    start = 0
-    for position in range(shard_count):
-        size = base + (1 if position < extra else 0)
-        shards.append(list(nfts[start : start + size]))
-        start += size
-    return shards
-
-
-def _run_shard(tokens: Sequence[TokenColumns], payload: SharedPayload) -> ShardResult:
-    """Refine one shard's tokens and run the per-component detectors."""
-    if payload.use_kernels:
-        from repro.engine.kernels import refine_tokens_kernel
-
-        refine = refine_tokens_kernel
-    else:
-        refine = refine_tokens
-    refinement = refine(
-        payload.accounts,
-        tokens,
-        service_ids=payload.service_ids,
-        contract_ids=payload.contract_ids,
-        skip_service_removal=payload.skip_service_removal,
-        skip_contract_removal=payload.skip_contract_removal,
-        skip_zero_volume_removal=payload.skip_zero_volume_removal,
-    )
-    from repro.core.detectors.pipeline import build_detectors
-
-    detectors = build_detectors(payload.enabled_methods)
-    context = DetectionContext(
-        dataset=TransactionView(payload.account_transactions),
-        labels=payload.labels,
-        is_contract=AccountSetPredicate(payload.contract_addresses),
-        config=payload.config,
-    )
-    if payload.use_kernels:
-        from repro.engine.kernels.context import CachingDetectionContext
-
-        context = CachingDetectionContext(context)
-    activities: List[WashTradingActivity] = []
-    unconfirmed: List[CandidateComponent] = []
-    for component in refinement.candidates:
-        evidence: List[DetectionEvidence] = []
-        for detector in detectors:
-            found = detector.detect(component, context)
-            if found is not None:
-                evidence.append(found)
-        if evidence:
-            activities.append(
-                WashTradingActivity(component=component, evidence=evidence)
-            )
-        else:
-            unconfirmed.append(component)
-    return ShardResult(
-        candidates=refinement.candidates,
-        activities=activities,
-        unconfirmed=unconfirmed,
-        stages=refinement.stages,
-    )
-
-
-def run_token_state_shard(
-    tokens: Sequence[TokenColumns], payload: SharedPayload
-) -> List[Tuple[List[StageAccumulator], List[CandidateComponent], List[List[DetectionEvidence]]]]:
-    """One *scheduler* shard: per-token refinement plus detector evidence.
-
-    Unlike :func:`_run_shard` (which merges a whole shard into one
-    result), the streaming scheduler keeps per-token state, so element
-    ``i`` is ``tokens[i]``'s ``(stages, candidates, evidence)`` triple --
-    exactly what ``DirtyTokenScheduler._detect_state`` computes serially
-    for that token.  Batching is output-invariant in both refinement
-    tiers, so concatenating shard results in shard order is positionally
-    identical to a serial pass over the same tokens.
-    """
-    tokens = list(tokens)
-    if payload.use_kernels:
-        from repro.engine.kernels import refine_token_states
-
-        refinements = refine_token_states(
-            payload.accounts,
-            tokens,
-            service_ids=payload.service_ids,
-            contract_ids=payload.contract_ids,
-            skip_service_removal=payload.skip_service_removal,
-            skip_contract_removal=payload.skip_contract_removal,
-            skip_zero_volume_removal=payload.skip_zero_volume_removal,
-        )
-    else:
-        refinements = [
-            refine_tokens(
-                payload.accounts,
-                [columns],
-                service_ids=payload.service_ids,
-                contract_ids=payload.contract_ids,
-                skip_service_removal=payload.skip_service_removal,
-                skip_contract_removal=payload.skip_contract_removal,
-                skip_zero_volume_removal=payload.skip_zero_volume_removal,
-            )
-            for columns in tokens
-        ]
-    from repro.core.detectors.pipeline import build_detectors
-
-    detectors = build_detectors(payload.enabled_methods)
-    context = DetectionContext(
-        dataset=TransactionView(payload.account_transactions),
-        labels=payload.labels,
-        is_contract=AccountSetPredicate(payload.contract_addresses),
-        config=payload.config,
-    )
-    if payload.use_kernels:
-        from repro.engine.kernels.context import CachingDetectionContext
-
-        context = CachingDetectionContext(context)
-    results = []
-    for refinement in refinements:
-        evidence_lists: List[List[DetectionEvidence]] = []
-        for component in refinement.candidates:
-            evidence: List[DetectionEvidence] = []
-            for detector in detectors:
-                found = detector.detect(component, context)
-                if found is not None:
-                    evidence.append(found)
-            evidence_lists.append(evidence)
-        results.append((refinement.stages, refinement.candidates, evidence_lists))
-    return results
-
-
-def _run_token_states_in_worker(
-    task: Tuple[Sequence[TokenColumns], SharedPayload]
-):
-    tokens, payload = task
-    return run_token_state_shard(tokens, payload)
-
-
-class SchedulerPool:
-    """A persistent process pool for per-tick scheduler fan-out.
-
-    The batch executor builds a fresh pool per run because a run happens
-    once; the streaming scheduler ticks thousands of times, so workers
-    are forked lazily on first use and reused for the monitor's
-    lifetime.  The account table and transaction index grow between
-    ticks, so every tick ships its own :class:`SharedPayload` with each
-    shard task instead of relying on initializer-time state.
-
-    A pool that fails once (pickling, broken worker, interpreter
-    without working multiprocessing) is closed and marked ``failed``;
-    every later tick then takes the deterministic serial path without
-    re-warning.
-    """
-
-    def __init__(self, workers: int) -> None:
-        self.workers = max(2, int(workers))
-        self.failed = False
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def map_shards(self, shard_tokens, payload: SharedPayload):
-        """Per-shard token-state rows, or ``None`` to request serial."""
-        if self.failed:
-            return None
-        try:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            return list(
-                self._pool.map(
-                    _run_token_states_in_worker,
-                    [(tokens, payload) for tokens in shard_tokens],
-                )
-            )
-        except Exception as error:  # pool or pickling failure -> serial
-            warnings.warn(
-                f"scheduler process pool failed ({error!r}); "
-                "falling back to serial tick execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.failed = True
-            self.close()
-            return None
-
-    def close(self) -> None:
-        """Shut the workers down; the next tick runs serially."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-
-#: Worker-process state, populated once by the pool initializer.
-_WORKER_PAYLOAD: List[SharedPayload] = []
-
-
-def _init_worker(payload: SharedPayload) -> None:
-    _WORKER_PAYLOAD.clear()
-    _WORKER_PAYLOAD.append(payload)
-
-
-def _run_shard_in_worker(tokens: Sequence[TokenColumns]) -> ShardResult:
-    return _run_shard(tokens, _WORKER_PAYLOAD[0])
-
-
 def run_columnar_pipeline(
     dataset,
     labels,
     is_contract: Callable[[str], bool],
     config: Optional[DetectionConfig] = None,
     enabled_methods: Optional[Iterable[DetectionMethod]] = None,
-    workers: int = 0,
-    shards: Optional[int] = None,
     skip_service_removal: bool = False,
     skip_contract_removal: bool = False,
     skip_zero_volume_removal: bool = False,
     store: Optional[ColumnarTransferStore] = None,
     use_kernels: bool = False,
 ) -> Tuple[RefinementResult, List[WashTradingActivity], List[CandidateComponent]]:
-    """Run the full engine pipeline and return the merged pieces.
+    """Run the full engine pipeline and return its pieces.
 
     Returns ``(refinement, activities, unconfirmed)``; the caller (the
     ``WashTradingPipeline`` engine branch) wraps them into the regular
-    :class:`PipelineResult`.  ``workers <= 1`` runs the deterministic
-    serial path; larger values fan shards out to a process pool and fall
-    back to serial execution if the pool cannot be used (e.g. payload
-    pickling fails on an exotic dataset).
+    :class:`PipelineResult`.  ``use_kernels`` routes refinement through
+    the numpy/CSR kernels of :mod:`repro.engine.kernels` and caches
+    detector money flows (the ``engine="kernel"`` tier).
     """
     if store is None:
         store = dataset.columnar_store()
@@ -352,62 +89,54 @@ def run_columnar_pipeline(
     contract_ids = (
         frozenset() if skip_contract_removal else store.ids_matching(is_contract)
     )
-    payload = SharedPayload(
-        accounts=store.accounts,
+
+    if use_kernels:
+        from repro.engine.kernels import refine_tokens_kernel
+
+        refine = refine_tokens_kernel
+    else:
+        refine = refine_tokens
+    refined = refine(
+        store.accounts,
+        [store.tokens[nft] for nft in store.nfts()],
         service_ids=service_ids,
         contract_ids=contract_ids,
-        contract_addresses=store.addresses_of(contract_ids),
-        labels=labels,
-        config=config or DetectionConfig(),
-        enabled_methods=methods,
-        account_transactions=dataset.account_transactions,
         skip_service_removal=skip_service_removal,
         skip_contract_removal=skip_contract_removal,
         skip_zero_volume_removal=skip_zero_volume_removal,
-        use_kernels=use_kernels,
     )
 
-    shard_count = shards if shards is not None else (workers * 4 if workers > 1 else 1)
-    shard_keys = partition_tokens(store.nfts(), shard_count)
-    shard_tokens = [
-        [store.tokens[nft] for nft in keys] for keys in shard_keys
-    ]
+    # ``is_contract`` covers only interned accounts (transfer endpoints);
+    # no current detector consults it.  A detector needing bytecode
+    # checks on arbitrary counterparties must widen this set.
+    context = DetectionContext(
+        dataset=TransactionView(dataset.account_transactions),
+        labels=labels,
+        is_contract=AccountSetPredicate(store.addresses_of(contract_ids)),
+        config=config or DetectionConfig(),
+    )
+    if use_kernels:
+        from repro.engine.kernels.context import CachingDetectionContext
 
-    results: Optional[List[ShardResult]] = None
-    if workers > 1 and len(shard_tokens) > 1:
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(payload,)
-            ) as pool:
-                results = list(pool.map(_run_shard_in_worker, shard_tokens))
-        except Exception as error:  # pool or pickling failure -> serial fallback
-            warnings.warn(
-                f"columnar engine process pool failed ({error!r}); "
-                "falling back to serial shard execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            results = None
-    if results is None:
-        results = [_run_shard(tokens, payload) for tokens in shard_tokens]
-
-    merged_stages = [StageAccumulator(name=name) for name in STAGE_NAMES]
-    candidates: List[CandidateComponent] = []
+        context = CachingDetectionContext(context)
+    detectors = build_detectors(methods)
     activities: List[WashTradingActivity] = []
     unconfirmed: List[CandidateComponent] = []
-    for result in results:
-        for merged, stage in zip(merged_stages, result.stages):
-            merged.merge(stage)
-        candidates.extend(result.candidates)
-        activities.extend(result.activities)
-        unconfirmed.extend(result.unconfirmed)
+    for component in refined.candidates:
+        evidence = collect_evidence(detectors, component, context)
+        if evidence:
+            activities.append(
+                WashTradingActivity(component=component, evidence=evidence)
+            )
+        else:
+            unconfirmed.append(component)
 
     if DetectionMethod.REPEATED_SCC in methods:
         repeated, unconfirmed = confirm_repeated_components(unconfirmed, activities)
         activities.extend(repeated)
 
     refinement = RefinementResult(
-        candidates=candidates,
-        stages=[accumulator.to_stage() for accumulator in merged_stages],
+        candidates=refined.candidates,
+        stages=[accumulator.to_stage() for accumulator in refined.stages],
     )
     return refinement, activities, unconfirmed

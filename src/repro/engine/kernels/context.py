@@ -6,7 +6,7 @@ re-walk the account's full transaction list to extract money flows
 (re-running the moves-an-NFT log scan each time), and zero-risk
 re-filters transaction lists per activity window.  Wash-trading
 accounts by construction appear in *many* components, so the kernel
-tier wraps the shard's :class:`DetectionContext` in a caching layer.
+tier wraps the run's :class:`DetectionContext` in a caching layer.
 
 The caching is exactly output-preserving:
 
@@ -23,7 +23,7 @@ The caching is exactly output-preserving:
   and final ``(block_number, hash)`` sort then behave identically.
 
 The wrapper must only live as long as the underlying data stands still:
-the batch executor builds one per shard run, and the streaming
+the batch executor builds one per run, and the streaming
 scheduler wraps fresh on every tick (account transaction lists grow
 between ticks).
 """

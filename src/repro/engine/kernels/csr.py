@@ -1,6 +1,6 @@
 """Batched CSR construction and per-token SCC extraction.
 
-One call packs *every* token of a shard into a single flat CSR graph
+One call packs *every* token of a batch into a single flat CSR graph
 and runs one Tarjan pass over it, instead of building a Python
 adjacency dict per token.  Exact parity with the per-token path is the
 design constraint; the packing is arranged so it holds structurally:

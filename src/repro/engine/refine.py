@@ -48,7 +48,7 @@ def _sorted_union(left: array, right: array) -> array:
     """Union of two sorted distinct-id arrays as a sorted distinct array.
 
     ``sorted`` over the concatenation is effectively linear here --
-    timsort gallops across the two pre-sorted runs -- so folding shard
+    timsort gallops across the two pre-sorted runs -- so folding per-token
     statistics together never hashes an account id.  The inputs are
     treated as immutable and may be returned directly.
     """
@@ -71,13 +71,13 @@ class StageAccumulator:
     """Mergeable per-stage funnel statistics.
 
     Unlike :class:`FunnelStage` this keeps the raw account ids, so
-    statistics computed independently per shard can be merged without
-    double-counting accounts shared between shards.  Ids live in a
+    statistics computed independently per token can be merged without
+    double-counting accounts shared between tokens.  Ids live in a
     sorted, distinct ``array("q")``: :meth:`add` buffers one token's
     member ids in a small scratch set, and :meth:`merge` /
     :meth:`to_stage` fold the buffer in with a sorted-array union, so
-    cross-shard merges are linear array fusions instead of per-shard
-    hash-set churn.
+    merges are linear array fusions instead of per-token hash-set
+    churn.
     """
 
     name: str
@@ -110,7 +110,7 @@ class StageAccumulator:
         return set(self._normalized())
 
     def merge(self, other: "StageAccumulator") -> None:
-        """Fold another shard's statistics into this one."""
+        """Fold another accumulator's statistics into this one."""
         self.nft_count += other.nft_count
         self.component_count += other.component_count
         self._sorted_ids = _sorted_union(self._normalized(), other._normalized())
@@ -208,7 +208,7 @@ def token_components(
 
 @dataclass
 class ShardRefinement:
-    """Refinement output of one shard: candidates plus stage statistics."""
+    """Refinement output of a batch of tokens: candidates plus stage statistics."""
 
     candidates: List[CandidateComponent]
     stages: List[StageAccumulator]

@@ -84,10 +84,10 @@ class TokenColumns:
 class ColumnarTransferStore:
     """Every NFT's transfers in interned, columnar form.
 
-    Built once per dataset; the refinement funnel and the sharded
-    executor only ever read it.  Token insertion order matches the
-    dataset's ``transfers_by_nft`` iteration order so results merged from
-    shards line up with the legacy pipeline's candidate order.
+    Built once per dataset; the refinement funnel and the executor only
+    ever read it.  Token insertion order matches the dataset's
+    ``transfers_by_nft`` iteration order so the engine's candidates line
+    up with the legacy pipeline's candidate order.
     """
 
     def __init__(self) -> None:

@@ -385,10 +385,6 @@ class ServeService:
         if self.wire is not None:
             self.wire.close(timeout=wire_timeout)
         self.stop(timeout)
-        # Release the scheduler's worker pool (no-op when serial).
-        close = getattr(self.monitor, "close", None)
-        if close is not None:
-            close()
 
     # -- passthroughs ------------------------------------------------------
     def result(self) -> PipelineResult:

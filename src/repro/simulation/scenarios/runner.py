@@ -73,7 +73,6 @@ class RunOptions:
     speed: Optional[float] = None
     seed: Optional[int] = None
     shards: int = 1
-    workers: int = 0
     #: Serve the wire tier and check wire parity.
     wire: bool = True
     #: Arm per-phase SLO engines.  Disable for byte-identity studies:
@@ -346,14 +345,12 @@ def run_scenario(
         world,
         registry=registry,
         shards=options.shards,
-        workers=options.workers,
     )
     report = ScenarioReport(
         scenario=spec.name,
         seed=seed,
         speed=speed,
         shards=options.shards,
-        workers=options.workers,
         blocks=head,
     )
     run_started = time.monotonic()

@@ -289,7 +289,6 @@ class ScenarioReport:
     seed: int
     speed: float
     shards: int
-    workers: int
     blocks: int
     wall_seconds: float = 0.0
     phases: List[PhaseStats] = field(default_factory=list)
@@ -318,7 +317,7 @@ class ScenarioReport:
             f"scenario {self.scenario}: "
             f"{'PASS' if self.ok else 'FAIL'} "
             f"(seed {self.seed}, speed {self.speed:g}, "
-            f"{self.shards} shard(s), {self.workers} worker(s), "
+            f"{self.shards} shard(s), "
             f"{self.blocks} blocks, {self.wall_seconds:.1f}s wall)"
         ]
         for stats in self.phases:
@@ -340,7 +339,6 @@ class ScenarioReport:
             "seed": self.seed,
             "speed": self.speed,
             "shards": self.shards,
-            "workers": self.workers,
             "blocks": self.blocks,
             "wall_seconds": self.wall_seconds,
             "phases": [vars(stats) for stats in self.phases],

@@ -75,7 +75,6 @@ class StreamingMonitor:
         on_subscriber_error: Optional[Callable[[SubscriberError], None]] = None,
         use_kernels: Optional[bool] = None,
         registry: Optional[MetricsRegistry] = None,
-        workers: int = 0,
     ) -> None:
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.node = node
@@ -96,7 +95,6 @@ class StreamingMonitor:
             enabled_methods=enabled_methods,
             use_kernels=use_kernels,
             registry=self.registry,
-            workers=workers,
         )
         #: The detectors read the cursor's live account-transaction dict.
         self.context = DetectionContext(
@@ -223,14 +221,6 @@ class StreamingMonitor:
     def result(self) -> PipelineResult:
         """The batch-identical pipeline result as of the processed block."""
         return self.scheduler.result()
-
-    def close(self) -> None:
-        """Release held resources (the scheduler's worker pool, if any).
-
-        Idempotent; a closed monitor keeps answering queries and even
-        keeps ticking -- later ticks simply run on the serial path.
-        """
-        self.scheduler.close()
 
     # -- driving -----------------------------------------------------------
     def advance(self, to_block: Optional[int] = None) -> MonitorSnapshot:

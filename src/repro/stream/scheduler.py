@@ -35,13 +35,12 @@ from repro.core.activity import (
     WashTradingActivity,
 )
 from repro.core.detectors.base import DetectionConfig, DetectionContext
-from repro.core.detectors.pipeline import PipelineResult, build_detectors
-from repro.core.refine import RefinementResult
-from repro.engine.executor import (
-    SchedulerPool,
-    SharedPayload,
-    partition_tokens,
+from repro.core.detectors.pipeline import (
+    PipelineResult,
+    build_detectors,
+    collect_evidence,
 )
+from repro.core.refine import RefinementResult
 from repro.engine.refine import STAGE_NAMES, StageAccumulator, refine_tokens
 from repro.engine.store import ColumnarTransferStore
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
@@ -54,7 +53,7 @@ ActivityKey = Tuple[Tuple[str, ...], Tuple[str, ...]]
 class TokenState:
     """Everything the scheduler remembers about one token."""
 
-    #: Per-token funnel statistics (mergeable shard accumulators).
+    #: Per-token funnel statistics (mergeable accumulators).
     stages: List[StageAccumulator]
     #: Refined candidates, in engine order.
     candidates: List[CandidateComponent]
@@ -117,7 +116,6 @@ class DirtyTokenScheduler:
         skip_zero_volume_removal: bool = False,
         use_kernels: Optional[bool] = None,
         registry: Optional[MetricsRegistry] = None,
-        workers: int = 0,
     ) -> None:
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.store = store
@@ -146,14 +144,6 @@ class DirtyTokenScheduler:
                 use_kernels = False
         self.use_kernels = use_kernels
         self._repeat_enabled = DetectionMethod.REPEATED_SCC in self.methods
-        #: ``workers > 1`` fans each tick's refine+detect out to the
-        #: persistent scheduler process pool (:class:`SchedulerPool`);
-        #: per-shard results are concatenated in shard order, so the
-        #: installed states -- and therefore every downstream diff,
-        #: alert and served answer -- are bit-identical to the serial
-        #: path.  The pool is created lazily and survives across ticks.
-        self.workers = workers
-        self._pool: Optional[SchedulerPool] = None
 
         #: Exclusion masks, grown as new accounts are interned.
         self._service_ids: Set[int] = set()
@@ -269,18 +259,9 @@ class DirtyTokenScheduler:
             return report
         self._refresh_masks()
 
-        # The sharded backend computes refine+detect per token in worker
-        # processes (both land inside the "refine" span there); the pool
-        # deltas -- retire/install against the repeated-SCC state -- are
-        # always merged serially at the tick barrier below, which is
-        # what keeps the cross-token flip propagation exact.
-        fanned_states: Optional[List[TokenState]] = None
         with self.registry.span("refine", tokens=len(live)):
-            if live and self.workers > 1 and len(live) > 1:
-                fanned_states = self._fan_out_states(live, context)
-            if fanned_states is None:
-                refinements = self._refine_live(live) if live else []
-        if fanned_states is None and live and self.use_kernels:
+            refinements = self._refine_live(live) if live else []
+        if live and self.use_kernels:
             # Fresh per-tick wrap: account transaction lists grow between
             # ticks, so the cache must never outlive the tick.
             from repro.engine.kernels import CachingDetectionContext
@@ -298,10 +279,7 @@ class DirtyTokenScheduler:
                 old = self.states.get(nft)
                 if old is not None:
                     self._retire_state(nft, old, flipped_sets)
-                if fanned_states is not None:
-                    state = fanned_states[index]
-                else:
-                    state = self._detect_state(refinements[index], context)
+                state = self._detect_state(refinements[index], context)
                 self._install_state(nft, state, flipped_sets)
 
         with self.registry.span("diff"):
@@ -346,7 +324,7 @@ class DirtyTokenScheduler:
         Candidates come out in store (first-seen) order; activities list
         the base-confirmed components first and the repeated-SCC
         confirmations after them, each group in candidate order --
-        exactly how the columnar executor merges its shards and then
+        exactly how the columnar executor confirms candidates and then
         applies ``confirm_repeated_components``.
         """
         merged = [StageAccumulator(name=name) for name in STAGE_NAMES]
@@ -441,84 +419,15 @@ class DirtyTokenScheduler:
             for nft in live
         ]
 
-    def _fan_out_states(
-        self, live: List[NFTKey], context: DetectionContext
-    ) -> Optional[List[TokenState]]:
-        """Per-token states from the process-pool backend, in ``live`` order.
-
-        Ships the tick's dirty tokens to the persistent scheduler pool
-        in contiguous shards; the per-shard ``(stages, candidates,
-        evidence)`` rows concatenate in shard order, so the returned
-        list is positionally identical to the serial refine+detect
-        path.  The payload's transaction index is restricted to the
-        accounts appearing in the shipped tokens -- detector reads are
-        bounded by candidate component members, which are always token
-        transfer endpoints.  Returns ``None`` when the pool is unusable
-        so the caller falls back serially.
-        """
-        pool = self._pool
-        if pool is None:
-            pool = self._pool = SchedulerPool(self.workers)
-        if pool.failed:
-            return None
-        columns = [self.store.tokens[nft] for nft in live]
-        account_ids: Set[int] = set()
-        for column in columns:
-            account_ids.update(column.account_ids)
-        accounts = self.store.accounts
-        transactions: Dict[str, list] = {}
-        for account_id in account_ids:
-            address = accounts[account_id]
-            collected = context.dataset.transactions_of(address)
-            if collected:
-                transactions[address] = collected
-        payload = SharedPayload(
-            accounts=accounts,
-            service_ids=self._service_mask,
-            contract_ids=self._contract_mask,
-            contract_addresses=self.store.addresses_of(
-                self._contract_mask.intersection(account_ids)
-            ),
-            labels=self.labels,
-            config=self.config,
-            enabled_methods=self.methods,
-            account_transactions=transactions,
-            skip_service_removal=self.skip_service_removal,
-            skip_contract_removal=self.skip_contract_removal,
-            skip_zero_volume_removal=self.skip_zero_volume_removal,
-            use_kernels=self.use_kernels,
-        )
-        rows = pool.map_shards(partition_tokens(columns, self.workers), payload)
-        if rows is None:
-            return None
-        states: List[TokenState] = []
-        for shard_rows in rows:
-            for stages, candidates, evidence in shard_rows:
-                states.append(
-                    TokenState(stages=stages, candidates=candidates, evidence=evidence)
-                )
-        return states
-
-    def close(self) -> None:
-        """Release the worker pool, if any; serial processing still works."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
-
     def _detect_state(self, refinement, context: DetectionContext) -> TokenState:
         """Run the per-component detectors over one token's refinement."""
-        evidence_lists: List[List[DetectionEvidence]] = []
-        for component in refinement.candidates:
-            evidence: List[DetectionEvidence] = []
-            for detector in self.detectors:
-                found = detector.detect(component, context)
-                if found is not None:
-                    evidence.append(found)
-            evidence_lists.append(evidence)
         return TokenState(
             stages=refinement.stages,
             candidates=refinement.candidates,
-            evidence=evidence_lists,
+            evidence=[
+                collect_evidence(self.detectors, component, context)
+                for component in refinement.candidates
+            ],
         )
 
     def _retire_state(

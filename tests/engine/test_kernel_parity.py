@@ -141,15 +141,12 @@ def tiny_legacy(tiny_world, tiny_dataset):
 
 
 class TestKernelPipelineParity:
-    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "process-pool"])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_kernel_engine_matches_legacy(
-        self, tiny_world, tiny_dataset, tiny_legacy, workers, backend
+        self, tiny_world, tiny_dataset, tiny_legacy, backend
     ):
         with backend_context(backend):
-            kernel = run_backend(
-                tiny_world, tiny_dataset, engine="kernel", workers=workers
-            )
+            kernel = run_backend(tiny_world, tiny_dataset, engine="kernel")
         assert_full_parity(kernel, tiny_legacy)
 
     def test_kernel_engine_matches_columnar(self, tiny_world, tiny_dataset):

@@ -189,12 +189,9 @@ def activity_key(activity):
 
 
 class TestFullPipelineParity:
-    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "process-pool"])
-    def test_engine_matches_legacy_on_tiny_world(self, tiny_world, tiny_dataset, workers):
+    def test_engine_matches_legacy_on_tiny_world(self, tiny_world, tiny_dataset):
         legacy = run_backend(tiny_world, tiny_dataset)
-        engine = run_backend(
-            tiny_world, tiny_dataset, engine="columnar", workers=workers
-        )
+        engine = run_backend(tiny_world, tiny_dataset, engine="columnar")
 
         assert engine.refinement.stages == legacy.refinement.stages
         assert sorted(map(candidate_key, engine.refinement.candidates)) == sorted(
@@ -209,17 +206,6 @@ class TestFullPipelineParity:
         assert engine.funder_kind_counts() == legacy.funder_kind_counts()
         assert engine.exit_kind_counts() == legacy.exit_kind_counts()
         assert engine.washed_nfts() == legacy.washed_nfts()
-
-    def test_shard_count_does_not_change_results(self, tiny_world, tiny_dataset):
-        one = run_backend(tiny_world, tiny_dataset, engine="columnar", shards=1)
-        many = run_backend(tiny_world, tiny_dataset, engine="columnar", shards=7)
-        assert one.refinement.stages == many.refinement.stages
-        assert list(map(candidate_key, one.refinement.candidates)) == list(
-            map(candidate_key, many.refinement.candidates)
-        )
-        assert sorted(map(activity_key, one.activities)) == sorted(
-            map(activity_key, many.activities)
-        )
 
     def test_engine_respects_enabled_methods(self, tiny_world, tiny_dataset):
         from repro.core.activity import DetectionMethod

@@ -8,7 +8,7 @@ import pytest
 
 from repro.chain.types import NFTKey
 from repro.core.graph import build_transaction_graph
-from repro.engine.executor import AccountSetPredicate, partition_tokens
+from repro.engine.executor import AccountSetPredicate
 from repro.engine.refine import token_components
 from repro.engine.store import ColumnarTransferStore
 from repro.ingest.records import NFTTransfer
@@ -311,50 +311,10 @@ class TestTokenComponents:
 
 
 class TestSharding:
-    def test_partition_preserves_order_and_covers_all(self):
-        keys = [NFTKey(contract="0x" + "f" * 40, token_id=i) for i in range(10)]
-        shards = partition_tokens(keys, 3)
-        assert [key for shard in shards for key in shard] == keys
-        assert len(shards) == 3
-        assert max(len(s) for s in shards) - min(len(s) for s in shards) <= 1
-
-    def test_partition_clamps_shard_count(self):
-        keys = [NFTKey(contract="0x" + "f" * 40, token_id=i) for i in range(2)]
-        assert len(partition_tokens(keys, 16)) == 2
-        assert partition_tokens([], 4) == []
-        assert len(partition_tokens(keys, 0)) == 1
-
     def test_account_set_predicate_pickles(self):
         predicate = AccountSetPredicate({"A", "B"})
         clone = pickle.loads(pickle.dumps(predicate))
         assert clone("A") and not clone("Z")
-
-    def test_broken_pool_warns_and_falls_back_to_serial(self, tiny_world, monkeypatch):
-        from repro.core.detectors.pipeline import WashTradingPipeline
-        from repro.engine import executor
-        from repro.ingest.dataset import build_dataset
-
-        class BrokenPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no processes for you")
-
-        monkeypatch.setattr(executor, "ProcessPoolExecutor", BrokenPool)
-        dataset = build_dataset(tiny_world.node, tiny_world.marketplace_addresses)
-        pipeline = WashTradingPipeline(
-            labels=tiny_world.labels,
-            is_contract=tiny_world.is_contract,
-            engine="columnar",
-            workers=4,
-        )
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            result = pipeline.run(dataset)
-        serial = WashTradingPipeline(
-            labels=tiny_world.labels,
-            is_contract=tiny_world.is_contract,
-            engine="columnar",
-        ).run(dataset)
-        assert result.activity_count == serial.activity_count
-        assert result.refinement.stages == serial.refinement.stages
 
 
 class TestDatasetIntegration:

@@ -74,7 +74,6 @@ class TestTraceMinting:
         snapshot = monitor.advance(50)
         assert snapshot.trace == predicted
         assert monitor.current_trace == predicted
-        monitor.close()
 
     def test_traces_identical_with_and_without_registry(self):
         bare = StreamingMonitor.for_world(fresh_world())
@@ -88,8 +87,6 @@ class TestTraceMinting:
         assert [a.trace for a in bare.alerts] == [
             a.trace for a in instrumented.alerts
         ]
-        bare.close()
-        instrumented.close()
 
 
 class TestReorgStormPropagation:

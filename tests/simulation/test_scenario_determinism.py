@@ -1,7 +1,7 @@
 """Determinism audit: same seed, same bytes, twice in a row.
 
 A scenario run is a pile of moving parts -- world generation, day
-hooks, tick boundaries, reorg injection, sharded refinement, alert
+hooks, tick boundaries, reorg injection, sharded serving, alert
 sequencing -- and every one of them must draw from the seeded RNG
 lattice only.  These tests pin the whole composition: two runs with the
 same seed must produce byte-identical detection alert logs and funnel
@@ -58,7 +58,7 @@ def _funnel_without_version(report):
     """Funnel statistics minus the serve-index publish counter.
 
     ``version`` counts index publishes, which legitimately varies with
-    topology (sharded/worker refinement may coalesce or split ticks);
+    topology (a sharded index may coalesce or split publishes);
     every *detection* number in the funnel must still match exactly.
     """
     import json
@@ -80,10 +80,10 @@ def test_same_seed_runs_are_byte_identical():
     ]
 
 
-def test_determinism_survives_sharding_and_workers():
-    """Parallel refinement and a partitioned index must not reorder alerts."""
+def test_determinism_survives_sharding():
+    """A partitioned index must not reorder alerts."""
     baseline = run_scenario(STORM_SPEC, _digest_options())
-    sharded = run_scenario(STORM_SPEC, _digest_options(shards=4, workers=2))
+    sharded = run_scenario(STORM_SPEC, _digest_options(shards=4))
     assert baseline.alert_log == sharded.alert_log
     assert _funnel_without_version(baseline) == _funnel_without_version(sharded)
 

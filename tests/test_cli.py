@@ -68,7 +68,7 @@ class TestParser:
         args = build_scenario_parser().parse_args(["reorg-storm-rush"])
         assert args.name == "reorg-storm-rush"
         assert args.speed is None and args.seed is None
-        assert args.shards == 1 and args.workers == 0
+        assert args.shards == 1
         assert not args.no_wire and not args.no_verify and not args.no_slo
         assert not args.list_scenarios and not args.as_json and not args.quiet
 
@@ -77,13 +77,30 @@ class TestParser:
             [
                 "day-in-the-life",
                 "--speed", "500000", "--seed", "9",
-                "--shards", "4", "--workers", "2",
+                "--shards", "4",
                 "--no-wire", "--no-slo", "--json", "--quiet",
             ]
         )
         assert args.speed == 500000.0 and args.seed == 9
-        assert args.shards == 4 and args.workers == 2
+        assert args.shards == 4
         assert args.no_wire and args.no_slo and args.as_json and args.quiet
+
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        listed = out.split("commands (see 'repro COMMAND --help'):", 1)[1]
+        for name in ("run", "monitor", "serve", "query", "probe", "top", "scenario"):
+            assert f"\n  {name} " in listed
+
+    @pytest.mark.parametrize("command", ["run", "monitor", "serve", "scenario"])
+    def test_workers_flag_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestScenarioCommand:
