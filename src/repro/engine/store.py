@@ -100,6 +100,9 @@ class ColumnarTransferStore:
         #: longer correspond to append order, so rollback consumers must
         #: re-columnarize them instead of truncating by row count.
         self.rebuilt_tokens: Set[NFTKey] = set()
+        #: Running total of rows across every token, kept current by
+        #: each mutator so :attr:`transfer_count` is O(1).
+        self._row_total = 0
 
     # -- construction ------------------------------------------------------
     def intern(self, address: str) -> int:
@@ -136,7 +139,9 @@ class ColumnarTransferStore:
         token_ids = set(sender_ids)
         token_ids.update(recipient_ids)
         columns = self.tokens.get(nft)
+        self._row_total += len(ordered)
         if columns is not None:
+            self._row_total -= columns.row_count
             columns.transfers = ordered
             columns.timestamps = timestamps
             columns.senders = senders
@@ -213,6 +218,7 @@ class ColumnarTransferStore:
             new_ids.add(sender_id)
             new_ids.add(recipient_id)
         columns.transfers = columns.transfers + tuple(ordered)
+        self._row_total += len(ordered)
         columns.payment_flags = columns.payment_flags + bytes(new_flags)
         columns.account_ids = columns.account_ids | new_ids
         return columns
@@ -264,6 +270,7 @@ class ColumnarTransferStore:
             self.remove_token(nft)
             return removed
         columns.transfers = columns.transfers[:row_count]
+        self._row_total -= removed
         del columns.timestamps[row_count:]
         del columns.senders[row_count:]
         del columns.recipients[row_count:]
@@ -291,7 +298,9 @@ class ColumnarTransferStore:
 
     def remove_token(self, nft: NFTKey) -> None:
         """Forget a token entirely (all of its rows were rolled back)."""
-        self.tokens.pop(nft, None)
+        columns = self.tokens.pop(nft, None)
+        if columns is not None:
+            self._row_total -= columns.row_count
         self.rebuilt_tokens.discard(nft)
 
     # -- queries -----------------------------------------------------------
@@ -307,8 +316,8 @@ class ColumnarTransferStore:
 
     @property
     def transfer_count(self) -> int:
-        """Total rows across every token."""
-        return sum(columns.row_count for columns in self.tokens.values())
+        """Total rows across every token (a running count, O(1))."""
+        return self._row_total
 
     def account_id(self, address: str) -> int:
         """The id of an interned account (KeyError if unseen)."""

@@ -406,7 +406,7 @@ class ServeIndex:
                 seq, block = confirmation_info.get(
                     key, (-1, self.monitor.processed_block)
                 )
-            record = ActivityRecord.from_activity(activity, seq, block)
+            record = ActivityRecord.from_activity(activity, seq, block, key)
             fresh[key] = record
             if previous is None or record != previous:
                 changed_venues.add(record.venue)

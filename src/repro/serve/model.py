@@ -70,10 +70,9 @@ class ActivityRecord:
     #: The full activity object, for drill-down queries and parity
     #: checks (compared by identity key, not by value).
     activity: WashTradingActivity = field(compare=False, repr=False)
-
-    @property
-    def key(self) -> RecordKey:
-        return record_key(self.activity)
+    #: ``record_key(activity)``, computed once at construction: every
+    #: ``(seq, key)`` ordering of the read model reads it.
+    key: RecordKey = field(compare=False, repr=False)
 
     @property
     def venue(self) -> str:
@@ -82,8 +81,14 @@ class ActivityRecord:
 
     @classmethod
     def from_activity(
-        cls, activity: WashTradingActivity, seq: int, confirmed_at_block: int
+        cls,
+        activity: WashTradingActivity,
+        seq: int,
+        confirmed_at_block: int,
+        key: Optional[RecordKey] = None,
     ) -> "ActivityRecord":
+        """Build the record; ``key`` may pass in an already computed
+        ``record_key(activity)``."""
         component = activity.component
         return cls(
             nft=activity.nft,
@@ -97,6 +102,7 @@ class ActivityRecord:
             confirmed_at_block=confirmed_at_block,
             seq=seq,
             activity=activity,
+            key=record_key(activity) if key is None else key,
         )
 
 

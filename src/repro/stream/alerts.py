@@ -159,7 +159,8 @@ class MonitorSnapshot:
     new_transfer_count: int
     #: Tokens receiving new transfers this tick.
     touched_token_count: int
-    #: Tokens re-refined this tick (touched + account-activity dirty).
+    #: Tokens whose detection state may have moved this tick (see
+    #: ``dirty_nfts``).
     dirty_token_count: int
     #: Confirmed activities gained / lost this tick.
     newly_confirmed_count: int
@@ -176,11 +177,13 @@ class MonitorSnapshot:
     rolled_back_transfer_count: int = 0
     #: Alerts raised this tick.
     alerts: Tuple[Alert, ...] = field(default_factory=tuple)
-    #: Exactly the tokens the scheduler reprocessed this tick (touched,
-    #: rolled back, or flipped by the repeated-SCC pool), in
-    #: deterministic token order.  ``len(dirty_nfts) ==
-    #: dirty_token_count``; the serving layer keys its aggregate-cache
-    #: invalidation on this set.
+    #: Exactly the tokens whose detection state may have moved this
+    #: tick: re-refined (touched or rolled back), re-detected on a
+    #: member's history change *with changed evidence*, or flipped by
+    #: the repeated-SCC pool; in deterministic token order.  A
+    #: re-detection that left evidence unchanged is absent.
+    #: ``len(dirty_nfts) == dirty_token_count``; the serving layer keys
+    #: its record rebuilds and aggregate-cache invalidation on this set.
     dirty_nfts: Tuple[NFTKey, ...] = field(default_factory=tuple)
     #: The tick's deterministic trace id -- shared by every alert the
     #: tick raised and by the tick's spans ("" for snapshots built

@@ -22,15 +22,14 @@ Two properties distinguish the cursor from a naive follower:
 
 * **Reorg safety.**  A live head reorganizes.  The cursor keeps a
   bounded per-block journal (block hash, scan-match span, appended rows
-  per token, newly probed contracts, newly involved accounts and
-  account-to-token links) for the most recent ``max_reorg_depth``
-  blocks.  At the start of every tick it compares its journaled tail
-  hash against the node; on divergence it walks the journal back to the
-  fork point and rolls back everything past it -- scan matches, the
-  compliance report, transfer lists, store columns (row-count
-  watermarks; re-columnarization only for tokens that went through the
-  out-of-order rebuild fallback), account histories and the
-  account-to-token index -- then re-ingests the canonical branch.  A
+  per token, newly probed contracts and newly involved accounts) for
+  the most recent ``max_reorg_depth`` blocks.  At the start of every
+  tick it compares its journaled tail hash against the node; on
+  divergence it walks the journal back to the fork point and rolls back
+  everything past it -- scan matches, the compliance report, transfer
+  lists, store columns (row-count watermarks; re-columnarization only
+  for tokens that went through the out-of-order rebuild fallback) and
+  account histories -- then re-ingests the canonical branch.  A
   divergence reaching below the journaled window raises
   :class:`ReorgTooDeepError`.  Note the window is measured from the
   highest head the cursor has committed: rolling a block back deletes
@@ -121,8 +120,6 @@ class BlockJournalEntry:
     token_row_counts: Dict[NFTKey, int] = field(default_factory=dict)
     #: Accounts first involved (as a transfer endpoint) in this block.
     new_accounts: Tuple[str, ...] = ()
-    #: (account, token) links first created by this block's transfers.
-    new_links: Tuple[Tuple[str, NFTKey], ...] = ()
     #: Accounts whose collected transaction list holds a transaction of
     #: this block (rollback trims exactly these tails, instead of
     #: scanning every followed account).
@@ -318,8 +315,6 @@ class DatasetCursor:
         self.scan = TransferScanResult()
         self.store = ColumnarTransferStore()
         self._probed_contracts: Set[str] = set()
-        #: Involved account -> tokens it appears in (dirty propagation).
-        self._tokens_by_account: Dict[str, Set[NFTKey]] = {}
         #: Per-block undo journal, oldest first, contiguous, bounded to
         #: the last ``max_reorg_depth`` processed blocks.
         self._journal: List[BlockJournalEntry] = []
@@ -347,11 +342,26 @@ class DatasetCursor:
         return self._journal[0].number if self._journal else self.next_block
 
     def tokens_touching(self, accounts: Iterable[str]) -> Set[NFTKey]:
-        """Every known token one of ``accounts`` ever appeared in."""
-        touching: Set[NFTKey] = set()
+        """Every stored token one of ``accounts`` appears in.
+
+        A scan over every token's account ids -- O(store), so it is off
+        the tick's hot path (the scheduler finds the tokens a history
+        change can reach through its own candidate-member index).
+        """
+        store = self.store
+        ids: Set[int] = set()
         for account in accounts:
-            touching |= self._tokens_by_account.get(account, set())
-        return touching
+            try:
+                ids.add(store.account_id(account))
+            except KeyError:  # never an endpoint of a stored transfer
+                continue
+        if not ids:
+            return set()
+        return {
+            nft
+            for nft, columns in store.tokens.items()
+            if not columns.account_ids.isdisjoint(ids)
+        }
 
     def as_dataset(self) -> NFTDataset:
         """A live :class:`NFTDataset` view over the cursor's state.
@@ -481,9 +491,6 @@ class DatasetCursor:
             self.transfers_by_nft.setdefault(nft, []).extend(chunk)
             self.store.append_token_transfers(nft, chunk)
             new_transfer_count += len(chunk)
-            for transfer in chunk:
-                for endpoint in (transfer.sender, transfer.recipient):
-                    self._tokens_by_account.setdefault(endpoint, set()).add(nft)
 
         for account, transactions in pending.items():
             self.account_transactions[account].extend(transactions)
@@ -652,21 +659,11 @@ class DatasetCursor:
             else:
                 self.store.truncate_token(nft, kept_rows)
 
-        # Account-to-token links created by rolled-back blocks.
-        for entry in removed_entries:
-            for account, nft in entry.new_links:
-                tokens = self._tokens_by_account.get(account)
-                if tokens is not None:
-                    tokens.discard(nft)
-                    if not tokens:
-                        del self._tokens_by_account[account]
-
         # Accounts first involved in a rolled-back block vanish whole --
         # a batch build over the canonical prefix never saw them.
         for entry in removed_entries:
             for account in entry.new_accounts:
                 self.account_transactions.pop(account, None)
-                self._tokens_by_account.pop(account, None)
 
         # Surviving accounts lose every transaction past the fork.  The
         # journal names exactly the accounts holding transactions of the
@@ -751,9 +748,7 @@ class DatasetCursor:
 
         new_account_set = set(new_accounts)
         first_involved: Dict[str, int] = {}
-        first_linked: Dict[Tuple[str, NFTKey], int] = {}
         for nft, chunk in new_by_nft.items():
-            known_links = self._tokens_by_account
             for transfer in chunk:
                 if transfer.block_number >= floor:
                     entry = entries[transfer.block_number]
@@ -765,11 +760,6 @@ class DatasetCursor:
                         seen_at = first_involved.get(endpoint)
                         if seen_at is None or transfer.block_number < seen_at:
                             first_involved[endpoint] = transfer.block_number
-                    if nft not in known_links.get(endpoint, ()):  # a new link
-                        link = (endpoint, nft)
-                        seen_at = first_linked.get(link)
-                        if seen_at is None or transfer.block_number < seen_at:
-                            first_linked[link] = transfer.block_number
 
         accounts_by_block: Dict[int, List[str]] = {}
         for account, number in first_involved.items():
@@ -777,13 +767,6 @@ class DatasetCursor:
                 accounts_by_block.setdefault(number, []).append(account)
         for number, accounts in accounts_by_block.items():
             entries[number].new_accounts = tuple(sorted(accounts))
-
-        links_by_block: Dict[int, List[Tuple[str, NFTKey]]] = {}
-        for link, number in first_linked.items():
-            if number >= floor:
-                links_by_block.setdefault(number, []).append(link)
-        for number, links in links_by_block.items():
-            entries[number].new_links = tuple(sorted(links))
 
         # Which accounts hold a transaction of each journaled block: the
         # tick's per-block appends, plus the full (clamped) histories of

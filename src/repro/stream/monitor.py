@@ -226,9 +226,12 @@ class StreamingMonitor:
     def advance(self, to_block: Optional[int] = None) -> MonitorSnapshot:
         """Ingest blocks up to ``to_block`` (default: head) and re-detect.
 
-        If the cursor had to roll back a reorg first, the rolled-back
-        tokens (including tokens that vanished from the store entirely)
-        lead the dirty set, so the scheduler retracts their confirmed
+        Tokens whose own rows changed (new transfers, rollbacks) are
+        re-refined; tokens holding a candidate with a member whose
+        transaction history changed are only re-detected.  If the
+        cursor had to roll back a reorg first, the rolled-back tokens
+        (including tokens that vanished from the store entirely) lead
+        the dirty set, so the scheduler retracts their confirmed
         activities before the canonical branch's confirmations are
         diffed in.
         """
@@ -246,13 +249,8 @@ class StreamingMonitor:
                 dirty.extend(
                     nft for nft in tick.touched_nfts if nft not in rolled_back
                 )
-                if tick.touched_accounts:
-                    covered = rolled_back | set(tick.touched_nfts)
-                    extra = (
-                        self.cursor.tokens_touching(tick.touched_accounts) - covered
-                    )
-                    dirty.extend(sorted(extra, key=self.scheduler.order_of))
-                report = self.scheduler.process(dirty, self.context)
+                redetect = self.scheduler.tokens_with_members(tick.touched_accounts)
+                report = self.scheduler.process(dirty, self.context, redetect)
 
                 self.tick_count += 1
                 alerts = self._alerts_for(tick, report, trace)

@@ -3,13 +3,21 @@
 The batch engine refines and confirms every token on every run.  The
 scheduler instead keeps one :class:`TokenState` per token (its funnel
 stage statistics, refined candidates and per-candidate detector
-evidence) and recomputes only the tokens a tick marked *dirty*: tokens
-with new transfers, plus tokens containing an account whose collected
-transaction list changed (the detectors read those lists, so their
-verdicts may move even without a new transfer of the token).
+evidence) and splits each tick's work by what actually changed:
+
+* **Re-refine + re-detect** the *dirty* tokens -- tokens whose own rows
+  changed (new transfers or a rollback).  A token's refinement reads
+  only its own rows and the exclusion masks, and an account's mask
+  membership is fixed when it is interned, so nothing else can move it.
+* **Re-detect only** the tokens holding a candidate with a member whose
+  collected transaction list changed (the detectors read exactly the
+  members' histories).  The held stages and candidates are reused; an
+  inverted member-account -> tokens index finds these tokens.  A token
+  whose re-run evidence equals its old evidence is left untouched and
+  is *not* reported downstream.
 
 The global repeated-SCC rule (Sec. IV-C v) is maintained incrementally:
-a multiset of base-confirmed account sets is updated as dirty tokens are
+a multiset of base-confirmed account sets is updated as tokens are
 reprocessed, and an inverted index from account set to the tokens
 holding an unconfirmed candidate with that set pinpoints exactly which
 other tokens flip when a set enters or leaves the confirmed pool.
@@ -65,10 +73,14 @@ class TokenState:
 class TickReport:
     """Detection-state changes caused by one scheduler pass."""
 
-    #: Tokens actually reprocessed (dirty + repeated-SCC flips).
+    #: Tokens whose detection state may have moved: re-refined tokens,
+    #: history-only re-detections whose evidence changed, and
+    #: repeated-SCC flips.
     dirty_token_count: int = 0
     #: The same tokens by key, in deterministic (first-seen) order --
-    #: the precise invalidation set for downstream result caches.
+    #: the precise invalidation set for downstream result caches.  A
+    #: history-only re-detection with unchanged evidence is absent: its
+    #: records, funnel stats and rollups are provably unchanged.
     dirty_nfts: Tuple[NFTKey, ...] = ()
     #: Activities confirmed this tick, in deterministic token order.
     newly_confirmed: List[WashTradingActivity] = field(default_factory=list)
@@ -163,13 +175,22 @@ class DirtyTokenScheduler:
         #: Account set -> tokens holding a base-unconfirmed candidate
         #: with exactly that set (repeated-SCC flip propagation).
         self._unconfirmed_index: Dict[FrozenSet[str], Set[NFTKey]] = {}
+        #: Candidate member account -> tokens holding a candidate with
+        #: that member (history-only re-detection).
+        self._member_index: Dict[str, Set[NFTKey]] = {}
         #: Currently confirmed activities per token, keyed for diffing.
         self._confirmed: Dict[NFTKey, Dict[ActivityKey, WashTradingActivity]] = {}
         self.confirmed_activity_count = 0
 
         self._metric_dirty = self.registry.counter(
             "scheduler_dirty_tokens_total",
-            "Tokens reprocessed across all ticks (dirty + repeated-SCC flips).",
+            "Tokens passed downstream across all ticks (re-refined, "
+            "evidence changed, repeated-SCC flips).",
+        )
+        self._metric_redetected = self.registry.counter(
+            "scheduler_redetected_tokens_total",
+            "History-only re-detections across all ticks (evidence "
+            "changed or not).",
         )
         self._metric_confirmations = self.registry.counter(
             "scheduler_confirmations_total",
@@ -230,11 +251,30 @@ class DirtyTokenScheduler:
         """
         return dict(self._confirmed.get(nft, ()))
 
+    def tokens_with_members(self, accounts: Iterable[str]) -> Set[NFTKey]:
+        """Tokens holding a candidate with one of ``accounts`` as member."""
+        tokens: Set[NFTKey] = set()
+        index = self._member_index
+        for account in accounts:
+            holders = index.get(account)
+            if holders:
+                tokens |= holders
+        return tokens
+
     # -- tick processing ---------------------------------------------------
     def process(
-        self, dirty_tokens: Iterable[NFTKey], context: DetectionContext
+        self,
+        dirty_tokens: Iterable[NFTKey],
+        context: DetectionContext,
+        redetect: Iterable[NFTKey] = (),
     ) -> TickReport:
-        """Re-refine and re-detect the dirty tokens; diff the outcome.
+        """Re-refine and re-detect the dirty tokens, re-detect the
+        ``redetect`` tokens on their held candidates; diff the outcome.
+
+        ``redetect`` names tokens whose rows did not change but a
+        candidate member's transaction history did (see
+        :meth:`tokens_with_members`); entries also in ``dirty_tokens``
+        or without held state are ignored.
 
         Dirty tokens no longer present in the store -- every one of
         their transfers was rolled back by a chain reorg -- are *fully
@@ -254,14 +294,18 @@ class DirtyTokenScheduler:
                 live.append(nft)
             elif nft in self.states:
                 vanished.append(nft)
+        history = sorted(
+            {nft for nft in redetect if nft not in seen and nft in self.states},
+            key=self._token_order.__getitem__,
+        )
         report = TickReport()
-        if not live and not vanished:
+        if not live and not vanished and not history:
             return report
         self._refresh_masks()
 
         with self.registry.span("refine", tokens=len(live)):
             refinements = self._refine_live(live) if live else []
-        if live and self.use_kernels:
+        if (live or history) and self.use_kernels:
             # Fresh per-tick wrap: account transaction lists grow between
             # ticks, so the cache must never outlive the tick.
             from repro.engine.kernels import CachingDetectionContext
@@ -269,7 +313,8 @@ class DirtyTokenScheduler:
             context = CachingDetectionContext(context)
 
         flipped_sets: Set[FrozenSet[str]] = set()
-        with self.registry.span("detect", tokens=len(live)):
+        changed: List[NFTKey] = []
+        with self.registry.span("detect", tokens=len(live), redetected=len(history)):
             for nft in vanished:
                 self._retire_state(nft, self.states.pop(nft), flipped_sets)
             for index, nft in enumerate(live):
@@ -281,9 +326,25 @@ class DirtyTokenScheduler:
                     self._retire_state(nft, old, flipped_sets)
                 state = self._detect_state(refinements[index], context)
                 self._install_state(nft, state, flipped_sets)
+            for nft in history:
+                old = self.states[nft]
+                evidence = self._collect(old.candidates, context)
+                if evidence == old.evidence:
+                    continue
+                # A fresh state object: published serve versions share
+                # the old one, which must never change under them.
+                self._retire_state(nft, old, flipped_sets)
+                self._install_state(
+                    nft,
+                    TokenState(
+                        stages=old.stages, candidates=old.candidates, evidence=evidence
+                    ),
+                    flipped_sets,
+                )
+                changed.append(nft)
 
         with self.registry.span("diff"):
-            affected = set(live) | set(vanished)
+            affected = set(live) | set(vanished) | set(changed)
             if self._repeat_enabled:
                 for account_set in flipped_sets:
                     affected |= self._unconfirmed_index.get(account_set, set())
@@ -311,6 +372,7 @@ class DirtyTokenScheduler:
                 self._token_order.pop(nft, None)
 
         self._metric_dirty.inc(report.dirty_token_count)
+        self._metric_redetected.inc(len(history))
         self._metric_confirmations.inc(len(report.newly_confirmed))
         self._metric_retractions.inc(len(report.retracted))
         self._metric_tracked.set(len(self.states))
@@ -419,23 +481,35 @@ class DirtyTokenScheduler:
             for nft in live
         ]
 
+    def _collect(
+        self, candidates: List[CandidateComponent], context: DetectionContext
+    ) -> List[List[DetectionEvidence]]:
+        """Run the per-component detectors over a token's candidates."""
+        return [
+            collect_evidence(self.detectors, component, context)
+            for component in candidates
+        ]
+
     def _detect_state(self, refinement, context: DetectionContext) -> TokenState:
         """Run the per-component detectors over one token's refinement."""
         return TokenState(
             stages=refinement.stages,
             candidates=refinement.candidates,
-            evidence=[
-                collect_evidence(self.detectors, component, context)
-                for component in refinement.candidates
-            ],
+            evidence=self._collect(refinement.candidates, context),
         )
 
     def _retire_state(
         self, nft: NFTKey, state: TokenState, flipped_sets: Set[FrozenSet[str]]
     ) -> None:
-        """Undo a token's contribution to the cross-token repeated state."""
+        """Undo a token's contribution to the cross-token indexes."""
         for component, evidence in zip(state.candidates, state.evidence):
             accounts = component.accounts
+            for account in accounts:
+                holders = self._member_index.get(account)
+                if holders is not None:
+                    holders.discard(nft)
+                    if not holders:
+                        del self._member_index[account]
             if evidence:
                 self._confirmed_pool[accounts] -= 1
                 if self._confirmed_pool[accounts] <= 0:
@@ -451,10 +525,12 @@ class DirtyTokenScheduler:
     def _install_state(
         self, nft: NFTKey, state: TokenState, flipped_sets: Set[FrozenSet[str]]
     ) -> None:
-        """Record a token's fresh contribution to the repeated state."""
+        """Record a token's fresh contribution to the cross-token indexes."""
         self.states[nft] = state
         for component, evidence in zip(state.candidates, state.evidence):
             accounts = component.accounts
+            for account in accounts:
+                self._member_index.setdefault(account, set()).add(nft)
             if evidence:
                 if self._confirmed_pool[accounts] == 0:
                     flipped_sets.add(accounts)

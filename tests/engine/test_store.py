@@ -262,6 +262,55 @@ class TestRollback:
         store.remove_token(NFT)  # idempotent
 
 
+class TestRunningTransferCount:
+    """``transfer_count`` is a running total; it must equal the row sum
+    after every mutator, including the in-place and fallback paths."""
+
+    OTHER = NFTKey(contract="0x" + "e" * 40, token_id=1)
+
+    @staticmethod
+    def assert_consistent(store):
+        assert store.transfer_count == sum(columns.row_count for columns in store)
+
+    def test_count_tracks_every_mutator(self):
+        store = ColumnarTransferStore()
+        check = self.assert_consistent
+        store.add_token(NFT, [make_transfer("A", "B", 1), make_transfer("B", "A", 2)])
+        check(store)
+        store.add_token(self.OTHER, [make_transfer("C", "D", 1)])
+        check(store)
+        # In-place rewrite of an existing token.
+        store.add_token(NFT, [make_transfer("A", "B", 1)])
+        check(store)
+        assert store.transfer_count == 2
+        # In-order append, then the out-of-order rebuild fallback.
+        store.append_token_transfers(NFT, [make_transfer("B", "C", 5)])
+        check(store)
+        store.append_token_transfers(NFT, [make_transfer("C", "A", 3)])
+        check(store)
+        assert NFT in store.rebuilt_tokens
+        assert store.transfer_count == 4
+        store.extend({self.OTHER: [make_transfer("D", "C", 2)], NFT: []})
+        check(store)
+        # Rollback: re-columnarize the rebuilt token, truncate the other.
+        store.rebuild_token(NFT, [make_transfer("A", "B", 1)])
+        check(store)
+        assert store.truncate_token(self.OTHER, 1) == 1
+        check(store)
+        assert store.transfer_count == 2
+        # Whole-token removal through every path.
+        store.truncate_token(self.OTHER, 0)
+        check(store)
+        store.append_token_transfers(NFT, [make_transfer("B", "A", 0)])
+        assert store.rebuild_token(NFT, []) is None
+        check(store)
+        store.add_token(NFT, [make_transfer("A", "B", 1)])
+        store.remove_token(NFT)
+        store.remove_token(NFT)
+        check(store)
+        assert store.transfer_count == 0
+
+
 class TestTokenComponents:
     def build(self, transfers):
         store = ColumnarTransferStore.from_transfers({NFT: transfers})

@@ -206,12 +206,15 @@ class TestReporterShutdownRace:
     def _final_flush_count(self, signum, tmp_path):
         """Run serve with a never-firing stats interval; every ``stats:``
         line seen is therefore a final flush -- the exactly-once bar is
-        observable as exactly one such line."""
+        observable as exactly one such line.  The ``small`` preset keeps
+        ingest running well past the one-second mark (``tiny`` ingests in
+        about that long, so the signal could land after the handlers
+        were already restored)."""
         metrics_path = str(tmp_path / "metrics.prom")
         proc = spawn(
             "serve",
             "--preset",
-            "tiny",
+            "small",
             "--step-blocks",
             "2",
             "--query-threads",

@@ -77,14 +77,15 @@ def serving():
 
 class TestGracefulShutdown:
     def test_sigint_mid_ingest_exits_zero_without_traceback(self):
-        # Slow, tiny ticks so the interrupt almost certainly lands
-        # mid-ingest; a post-ingest interrupt must behave the same.
+        # Small ticks over the small world so the interrupt almost
+        # certainly lands mid-ingest (the tiny world ingests in under a
+        # second); a post-ingest interrupt must behave the same.
         # --verify rides along: against a partial prefix it must be
         # skipped (with a note), never reported as a parity failure.
         proc = spawn(
             "serve",
             "--preset",
-            "tiny",
+            "small",
             "--step-blocks",
             "2",
             "--query-threads",

@@ -59,6 +59,28 @@ def batch_over(world):
     return dataset, result
 
 
+def member_index_of(scheduler):
+    """The candidate-member index rebuilt from the held token states."""
+    index = {}
+    for nft, state in scheduler.states.items():
+        for component in state.candidates:
+            for account in component.accounts:
+                index.setdefault(account, set()).add(nft)
+    return index
+
+
+def track_member_index(monitor):
+    """After every tick, record whether the scheduler's member index
+    equals one rebuilt from its states (subscriber failures are
+    isolated, so the check is recorded rather than asserted)."""
+    scheduler = monitor.scheduler
+    matches = []
+    monitor.subscribe_snapshots(
+        lambda _: matches.append(member_index_of(scheduler) == scheduler._member_index)
+    )
+    return matches
+
+
 def assert_dataset_parity(cursor, dataset):
     """The cursor's ingested state equals the batch-built dataset."""
     assert cursor.transfers_by_nft == dataset.transfers_by_nft
@@ -78,6 +100,7 @@ class TestReorgParity:
         """Follow to the head, reorg the tail, follow again: batch parity."""
         world = fresh_world()
         monitor = StreamingMonitor.for_world(world, max_reorg_depth=64)
+        index_matches = track_member_index(monitor)
         monitor.run(step_blocks=29)
         apply_random_reorg(
             world.chain,
@@ -87,6 +110,7 @@ class TestReorgParity:
             delay_probability=0.3,
         )
         monitor.advance()
+        assert index_matches and all(index_matches)
         dataset, batch = batch_over(world)
         assert_results_match(monitor.result(), batch, ordered=True)
         assert_dataset_parity(monitor.cursor, dataset)
@@ -115,6 +139,7 @@ class TestReorgParity:
         monitor = StreamingMonitor.for_world(world, max_reorg_depth=64)
         snapshots = []
         monitor.subscribe_snapshots(snapshots.append)
+        index_matches = track_member_index(monitor)
         storm = ReorgStorm(
             world,
             random.Random(seed),
@@ -127,6 +152,7 @@ class TestReorgParity:
         )
         summaries = storm.run(monitor)
         assert summaries, "the storm must actually reorg"
+        assert len(index_matches) == len(snapshots) and all(index_matches)
 
         dataset, batch = batch_over(world)
         assert_results_match(monitor.result(), batch, ordered=True)
@@ -165,6 +191,7 @@ class TestRevisionSemantics:
         chain = world.chain
         head = world.node.block_number
         monitor = StreamingMonitor.for_world(world, max_reorg_depth=head + 2)
+        index_matches = track_member_index(monitor)
         monitor.run(step_blocks=29)
         _, original_batch = batch_over(world)
 
@@ -209,6 +236,7 @@ class TestRevisionSemantics:
         }
         assert target_key in confirmed_keys
         assert_results_match(monitor.result(), original_batch, ordered=True)
+        assert index_matches and all(index_matches)
 
     def test_nft_is_reflagged_after_retraction(self):
         """An NFT emptied by a rollback is flagged again on re-confirmation."""
