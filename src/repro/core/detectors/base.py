@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Protocol, Set, Tuple
 
 from repro.chain.transaction import Transaction
-from repro.core.activity import CandidateComponent, DetectionEvidence
+from repro.core.activity import CandidateComponent, DetectionEvidence, DetectionMethod
 from repro.ingest.dataset import NFTDataset
 from repro.services.labels import LabelRegistry
 from repro.utils.hashing import ERC721_TRANSFER_SIGNATURE
@@ -71,11 +71,23 @@ class Detector(Protocol):
     """Interface implemented by every confirmation technique."""
 
     name: str
+    #: The method recorded on the evidence this detector returns.
+    method: DetectionMethod
 
     def detect(
         self, component: CandidateComponent, context: "DetectionContext"
     ) -> Optional[DetectionEvidence]:
         """Return evidence if the component is confirmed, else None."""
+
+    def history_may_change(self, component: CandidateComponent, since_ts: int) -> bool:
+        """Whether ``detect`` can answer differently once a member's
+        collected transactions change at timestamps ``>= since_ts``.
+
+        Each technique reads a fixed window of the members' histories
+        (or none at all), so a change entirely outside that window
+        leaves the answer unchanged; the live scheduler skips the
+        detector then and reuses its held evidence.
+        """
 
 
 class DetectionContext:
@@ -132,8 +144,21 @@ class DetectionContext:
         A "pure transfer" is the paper's funding transaction: it moves ETH
         or ERC-20 tokens without moving any NFT in the same transaction.
         """
+        return self._incoming_over(
+            account, self.transactions_of(account), before_ts, pure_transfers_only
+        )
+
+    def _incoming_over(
+        self,
+        account: str,
+        transactions: Iterable[Transaction],
+        before_ts: Optional[int],
+        pure_transfers_only: bool,
+    ) -> List[MoneyFlow]:
+        """:meth:`incoming_flows` over the given slice of the account's
+        transactions, in their order."""
         flows: List[MoneyFlow] = []
-        for tx in self.transactions_of(account):
+        for tx in transactions:
             if before_ts is not None and tx.timestamp >= before_ts:
                 continue
             if pure_transfers_only and self._tx_moves_an_nft(tx):
@@ -170,8 +195,21 @@ class DetectionContext:
         self, account: str, after_ts: Optional[int] = None, pure_transfers_only: bool = True
     ) -> List[MoneyFlow]:
         """Value sent by ``account``, optionally restricted to pure transfers."""
+        return self._outgoing_over(
+            account, self.transactions_of(account), after_ts, pure_transfers_only
+        )
+
+    def _outgoing_over(
+        self,
+        account: str,
+        transactions: Iterable[Transaction],
+        after_ts: Optional[int],
+        pure_transfers_only: bool,
+    ) -> List[MoneyFlow]:
+        """:meth:`outgoing_flows` over the given slice of the account's
+        transactions, in their order."""
         flows: List[MoneyFlow] = []
-        for tx in self.transactions_of(account):
+        for tx in transactions:
             if after_ts is not None and tx.timestamp <= after_ts:
                 continue
             if pure_transfers_only and self._tx_moves_an_nft(tx):

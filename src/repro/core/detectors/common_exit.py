@@ -21,6 +21,12 @@ class CommonExitDetector:
     """Confirms components whose members cash out to a common account."""
 
     name = "common-exit"
+    method = DetectionMethod.COMMON_EXIT
+
+    @staticmethod
+    def history_may_change(component: CandidateComponent, since_ts: int) -> bool:
+        """Exits count at any time after the last NFT move, with no end."""
+        return True
 
     def detect(
         self, component: CandidateComponent, context: DetectionContext

@@ -23,6 +23,12 @@ class CommonFunderDetector:
     """Confirms components funded from a common account."""
 
     name = "common-funder"
+    method = DetectionMethod.COMMON_FUNDER
+
+    @staticmethod
+    def history_may_change(component: CandidateComponent, since_ts: int) -> bool:
+        """Funding counts only strictly before the first NFT move."""
+        return since_ts < component.first_timestamp
 
     def detect(
         self, component: CandidateComponent, context: DetectionContext

@@ -17,6 +17,12 @@ class SelfTradeDetector:
     """Confirms components containing at least one self-transfer."""
 
     name = "self-trade"
+    method = DetectionMethod.SELF_TRADE
+
+    @staticmethod
+    def history_may_change(component: CandidateComponent, since_ts: int) -> bool:
+        """Reads only the component's own transfers."""
+        return False
 
     def detect(
         self, component: CandidateComponent, context: DetectionContext

@@ -33,6 +33,12 @@ class VolumeMatchDetector:
     """Confirms components with a volume-balanced trading window."""
 
     name = "volume-match"
+    method = DetectionMethod.VOLUME_MATCH
+
+    @staticmethod
+    def history_may_change(component: CandidateComponent, since_ts: int) -> bool:
+        """Reads only the component's own transfers."""
+        return False
 
     def detect(
         self, component: CandidateComponent, context: DetectionContext

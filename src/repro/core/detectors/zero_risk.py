@@ -25,6 +25,12 @@ class ZeroRiskDetector:
     """Confirms components whose aggregate ETH position is unchanged."""
 
     name = "zero-risk"
+    method = DetectionMethod.ZERO_RISK
+
+    @staticmethod
+    def history_may_change(component: CandidateComponent, since_ts: int) -> bool:
+        """The window spans the first through the last NFT move."""
+        return since_ts <= component.last_timestamp
 
     def detect(
         self, component: CandidateComponent, context: DetectionContext

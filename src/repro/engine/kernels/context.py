@@ -22,19 +22,40 @@ The caching is exactly output-preserving:
   falls back to the linear filter otherwise; the first-seen hash dedupe
   and final ``(block_number, hash)`` sort then behave identically.
 
-The wrapper must only live as long as the underlying data stands still:
-the batch executor builds one per run, and the streaming
-scheduler wraps fresh on every tick (account transaction lists grow
-between ticks).
+Each account's entry is a snapshot of its transaction list plus what
+was derived from it, so it stays exact only while the list stands
+still -- or is told how the list moved.  The batch executor builds one
+wrapper per run.  The streaming scheduler keeps one for its whole life
+and, before it detects again, calls :meth:`refresh` with every account
+whose list changed: a list that only grew has its new suffix folded
+into the entry (flows are extracted per transaction, so the extended
+lists equal a rebuild), any other change drops the entry.  Accounts
+leaving the scheduler's candidate-member index are dropped with
+:meth:`forget`, so the cache never outgrows that index.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.chain.transaction import Transaction
 from repro.core.detectors.base import DetectionContext, MoneyFlow
+
+
+class _AccountEntry:
+    """One account's cached view: a snapshot of its transaction list,
+    the snapshot's timestamps, and the money flows derived from it."""
+
+    __slots__ = ("transactions", "timestamps", "monotone", "flows")
+
+    def __init__(self) -> None:
+        self.transactions: List[Transaction] = []
+        self.timestamps: List[int] = []
+        #: Timestamps non-decreasing, so windows can bisect.
+        self.monotone = True
+        #: (direction, pure_transfers_only) -> unfiltered flows.
+        self.flows: Dict[Tuple[str, bool], List[MoneyFlow]] = {}
 
 
 class CachingDetectionContext(DetectionContext):
@@ -47,9 +68,65 @@ class CachingDetectionContext(DetectionContext):
             is_contract=base.is_contract,
             config=base.config,
         )
-        self._flow_cache: Dict[Tuple[str, str, bool], List[MoneyFlow]] = {}
-        self._window_cache: Dict[str, Tuple[List[Transaction], List[int], bool]] = {}
+        #: The wrapped context; a caller holding a wrapper across calls
+        #: checks it still wraps the context it was handed.
+        self.base = base
+        self._entries: Dict[str, _AccountEntry] = {}
         self._moves_nft_cache: Dict[str, bool] = {}
+
+    def refresh(self, changes: Mapping[str, Optional[int]]) -> None:
+        """Bring the entries of changed accounts up to date.
+
+        ``changes`` maps each account whose list changed to the earliest
+        timestamp of the change, or to ``None`` when the list may have
+        changed anywhere (it was truncated or replaced).  A timestamp
+        means the list only grew at its end: the new suffix is folded
+        into the entry.  ``None`` drops the entry.
+
+        The moves-an-NFT memo is keyed by transaction, not account, so
+        it is cleared whole: cached flows never need it again, and it
+        only has to serve the flows built from now on.
+        """
+        self._moves_nft_cache.clear()
+        for account, since in changes.items():
+            entry = self._entries.get(account)
+            if entry is None:
+                continue
+            if since is None:
+                del self._entries[account]
+            else:
+                live = self.transactions_of(account)
+                self._extend(account, entry, live[len(entry.transactions) :])
+
+    def forget(self, accounts: Iterable[str]) -> None:
+        """Drop the entries of ``accounts``."""
+        for account in accounts:
+            self._entries.pop(account, None)
+
+    def _entry(self, account: str) -> _AccountEntry:
+        entry = self._entries.get(account)
+        if entry is None:
+            entry = self._entries[account] = _AccountEntry()
+            self._extend(account, entry, self.transactions_of(account))
+        return entry
+
+    def _extend(
+        self, account: str, entry: _AccountEntry, suffix: Sequence[Transaction]
+    ) -> None:
+        """Append ``suffix`` to the entry's snapshot and derived data."""
+        if not suffix:
+            return
+        added = [tx.timestamp for tx in suffix]
+        timestamps = entry.timestamps
+        entry.monotone = (
+            entry.monotone
+            and (not timestamps or timestamps[-1] <= added[0])
+            and all(earlier <= later for earlier, later in zip(added, added[1:]))
+        )
+        entry.transactions.extend(suffix)
+        timestamps.extend(added)
+        for (direction, pure_transfers_only), flows in entry.flows.items():
+            flows.extend(self._flows_over(direction, account, suffix, pure_transfers_only))
 
     def _tx_moves_an_nft(self, tx: Transaction) -> bool:
         """Memoized per transaction: the same transaction sits in both of
@@ -62,17 +139,27 @@ class CachingDetectionContext(DetectionContext):
         return cached
 
     # -- money flows -------------------------------------------------------
+    def _flows_over(
+        self,
+        direction: str,
+        account: str,
+        transactions: Sequence[Transaction],
+        pure_transfers_only: bool,
+    ) -> List[MoneyFlow]:
+        if direction == "in":
+            return self._incoming_over(account, transactions, None, pure_transfers_only)
+        return self._outgoing_over(account, transactions, None, pure_transfers_only)
+
     def _full_flows(
         self, direction: str, account: str, pure_transfers_only: bool
     ) -> List[MoneyFlow]:
-        key = (direction, account, pure_transfers_only)
-        flows = self._flow_cache.get(key)
+        entry = self._entry(account)
+        key = (direction, pure_transfers_only)
+        flows = entry.flows.get(key)
         if flows is None:
-            if direction == "in":
-                flows = super().incoming_flows(account, None, pure_transfers_only)
-            else:
-                flows = super().outgoing_flows(account, None, pure_transfers_only)
-            self._flow_cache[key] = flows
+            flows = entry.flows[key] = self._flows_over(
+                direction, account, entry.transactions, pure_transfers_only
+            )
         return flows
 
     def incoming_flows(
@@ -92,31 +179,17 @@ class CachingDetectionContext(DetectionContext):
         return [flow for flow in flows if flow.timestamp > after_ts]
 
     # -- windowed transaction access ---------------------------------------
-    def _window_entry(
-        self, account: str
-    ) -> Tuple[List[Transaction], List[int], bool]:
-        entry = self._window_cache.get(account)
-        if entry is None:
-            transactions = self.transactions_of(account)
-            timestamps = [tx.timestamp for tx in transactions]
-            monotone = all(
-                earlier <= later
-                for earlier, later in zip(timestamps, timestamps[1:])
-            )
-            entry = (transactions, timestamps, monotone)
-            self._window_cache[account] = entry
-        return entry
-
     def _window_slice(
         self, account: str, start_ts: int, end_ts: int
     ) -> Sequence[Transaction]:
-        transactions, timestamps, monotone = self._window_entry(account)
-        if not monotone:
+        entry = self._entry(account)
+        transactions = entry.transactions
+        if not entry.monotone:
             return [
                 tx for tx in transactions if start_ts <= tx.timestamp <= end_ts
             ]
-        low = bisect_left(timestamps, start_ts)
-        high = bisect_right(timestamps, end_ts)
+        low = bisect_left(entry.timestamps, start_ts)
+        high = bisect_right(entry.timestamps, end_ts)
         return transactions[low:high]
 
     def transactions_in_window(

@@ -163,6 +163,27 @@ class _RollbackResult:
 _NO_ROLLBACK = _RollbackResult()
 
 
+def _history_changes(
+    appended: Mapping[str, List[Transaction]],
+    new_accounts: Iterable[str],
+    rolled_back: Iterable[str],
+) -> Dict[str, Optional[int]]:
+    """Per touched account, the earliest timestamp its list changed at.
+
+    Appends change a list from their earliest timestamp on; a list
+    fetched whole or truncated by a rollback may differ anywhere.
+    """
+    changes: Dict[str, Optional[int]] = {
+        account: min(tx.timestamp for tx in transactions)
+        for account, transactions in appended.items()
+    }
+    for account in new_accounts:
+        changes[account] = None
+    for account in rolled_back:
+        changes[account] = None
+    return changes
+
+
 @dataclass(frozen=True)
 class CursorTick:
     """What one :meth:`DatasetCursor.advance` call ingested."""
@@ -178,9 +199,11 @@ class CursorTick:
     new_transfer_count: int = 0
     #: Tokens that received new transfers, in first-touch (scan) order.
     touched_nfts: Tuple[NFTKey, ...] = ()
-    #: Accounts whose collected transaction list changed this tick
-    #: (including lists truncated by a rollback).
-    touched_accounts: FrozenSet[str] = frozenset()
+    #: Accounts whose collected transaction list changed this tick, each
+    #: mapped to the earliest timestamp of the transactions appended to
+    #: it -- or to ``None`` ("anywhere") for a list truncated by a
+    #: rollback or fetched whole for a newly involved account.
+    touched_since: Mapping[str, Optional[int]] = field(default_factory=dict)
     #: Accounts that became involved (first transfer endpoint) this tick.
     new_account_count: int = 0
     #: Blocks rolled back before scanning (0 when no reorg was seen).
@@ -437,7 +460,7 @@ class DatasetCursor:
             return CursorTick(
                 from_block=from_block,
                 to_block=from_block - 1,
-                touched_accounts=rollback.accounts,
+                touched_since=dict.fromkeys(rollback.accounts),
                 reorg_depth=rollback.depth,
                 fork_block=rollback.fork_block,
                 rolled_back_transfer_count=rollback.transfer_count,
@@ -514,9 +537,7 @@ class DatasetCursor:
             event_count=tick_scan.event_count,
             new_transfer_count=new_transfer_count,
             touched_nfts=tuple(new_by_nft),
-            touched_accounts=(
-                frozenset(pending) | frozenset(new_accounts) | rollback.accounts
-            ),
+            touched_since=_history_changes(pending, new_accounts, rollback.accounts),
             new_account_count=len(new_accounts),
             reorg_depth=rollback.depth,
             fork_block=rollback.fork_block,

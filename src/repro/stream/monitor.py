@@ -228,7 +228,8 @@ class StreamingMonitor:
 
         Tokens whose own rows changed (new transfers, rollbacks) are
         re-refined; tokens holding a candidate with a member whose
-        transaction history changed are only re-detected.  If the
+        transaction history changed are only re-detected, by the
+        detectors whose history window the change reaches.  If the
         cursor had to roll back a reorg first, the rolled-back tokens
         (including tokens that vanished from the store entirely) lead
         the dirty set, so the scheduler retracts their confirmed
@@ -249,8 +250,11 @@ class StreamingMonitor:
                 dirty.extend(
                     nft for nft in tick.touched_nfts if nft not in rolled_back
                 )
-                redetect = self.scheduler.tokens_with_members(tick.touched_accounts)
-                report = self.scheduler.process(dirty, self.context, redetect)
+                touched = tick.touched_since
+                redetect = self.scheduler.tokens_with_members(touched)
+                report = self.scheduler.process(
+                    dirty, self.context, redetect, touched=touched
+                )
 
                 self.tick_count += 1
                 alerts = self._alerts_for(tick, report, trace)

@@ -12,9 +12,20 @@ evidence) and splits each tick's work by what actually changed:
 * **Re-detect only** the tokens holding a candidate with a member whose
   collected transaction list changed (the detectors read exactly the
   members' histories).  The held stages and candidates are reused; an
-  inverted member-account -> tokens index finds these tokens.  A token
-  whose re-run evidence equals its old evidence is left untouched and
-  is *not* reported downstream.
+  inverted member-account -> tokens index finds these tokens.  Given
+  the earliest timestamp at which each member's list changed, only the
+  detectors whose history window reaches that timestamp run
+  (``Detector.history_may_change``); the others' held evidence is
+  reused.  A token whose evidence equals its old evidence is left
+  untouched and is *not* reported downstream.
+
+With the kernel tier, one money-flow cache
+(:class:`~repro.engine.kernels.CachingDetectionContext`) lives as long
+as the scheduler: each tick first folds the appended transactions of
+every changed account into its entry (and drops the entries of lists a
+rollback truncated), and an account leaves the cache when it leaves
+the member index, so a tick's detection work follows the new
+transactions, not the length of the histories.
 
 The global repeated-SCC rule (Sec. IV-C v) is maintained incrementally:
 a multiset of base-confirmed account sets is updated as tokens are
@@ -33,7 +44,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.chain.types import NFTKey
 from repro.core.activity import (
@@ -55,6 +66,14 @@ from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
 #: Key identifying one confirmed activity across recomputations.
 ActivityKey = Tuple[Tuple[str, ...], Tuple[str, ...]]
+
+#: Account -> earliest timestamp at which its collected transaction
+#: list changed; ``None`` when any part of it may have (a rollback
+#: truncated it, or it is new).
+HistoryChanges = Mapping[str, Optional[int]]
+
+#: ``_change_since`` for a candidate none of whose members changed.
+_UNCHANGED = object()
 
 
 @dataclass
@@ -111,6 +130,22 @@ def _activity_key(component: CandidateComponent) -> ActivityKey:
         tuple(sorted(component.accounts)),
         tuple(sorted(transfer.tx_hash for transfer in component.transfers)),
     )
+
+
+def _change_since(component: CandidateComponent, touched: HistoryChanges):
+    """The earliest history change among the component's members:
+    ``_UNCHANGED`` when none changed, ``None`` when one may have
+    changed anywhere."""
+    since = _UNCHANGED
+    for account in component.accounts:
+        if account not in touched:
+            continue
+        changed_at = touched[account]
+        if changed_at is None:
+            return None
+        if since is _UNCHANGED or changed_at < since:
+            since = changed_at
+    return since
 
 
 class DirtyTokenScheduler:
@@ -181,6 +216,10 @@ class DirtyTokenScheduler:
         #: Currently confirmed activities per token, keyed for diffing.
         self._confirmed: Dict[NFTKey, Dict[ActivityKey, WashTradingActivity]] = {}
         self.confirmed_activity_count = 0
+        #: The cross-tick detection cache (kernel tier only) and the
+        #: accounts that left the member index this tick.
+        self._cache = None
+        self._departed: Set[str] = set()
 
         self._metric_dirty = self.registry.counter(
             "scheduler_dirty_tokens_total",
@@ -191,6 +230,11 @@ class DirtyTokenScheduler:
             "scheduler_redetected_tokens_total",
             "History-only re-detections across all ticks (evidence "
             "changed or not).",
+        )
+        self._metric_detector_skips = self.registry.counter(
+            "scheduler_detector_skips_total",
+            "Detector runs a history-only re-detection skipped because "
+            "the change lay outside the detector's history window.",
         )
         self._metric_confirmations = self.registry.counter(
             "scheduler_confirmations_total",
@@ -267,6 +311,7 @@ class DirtyTokenScheduler:
         dirty_tokens: Iterable[NFTKey],
         context: DetectionContext,
         redetect: Iterable[NFTKey] = (),
+        touched: Optional[HistoryChanges] = None,
     ) -> TickReport:
         """Re-refine and re-detect the dirty tokens, re-detect the
         ``redetect`` tokens on their held candidates; diff the outcome.
@@ -275,6 +320,16 @@ class DirtyTokenScheduler:
         candidate member's transaction history did (see
         :meth:`tokens_with_members`); entries also in ``dirty_tokens``
         or without held state are ignored.
+
+        ``touched`` maps every account whose collected transaction list
+        changed since the previous call to the earliest timestamp of
+        the change (``None``: anywhere), as
+        :attr:`~repro.stream.cursor.CursorTick.touched_since` reports
+        it.  With it, the detection cache is kept across calls on the
+        same ``context`` (those accounts are refreshed first), and a
+        history-only re-detection runs only the detectors that can see
+        the change.  Without it, the call gets a fresh cache and every
+        detector runs.
 
         Dirty tokens no longer present in the store -- every one of
         their transfers was rolled back by a chain reorg -- are *fully
@@ -299,21 +354,19 @@ class DirtyTokenScheduler:
             key=self._token_order.__getitem__,
         )
         report = TickReport()
+        # Before anything else, even on a tick with nothing to re-detect:
+        # a later tick must not read a list this tick changed.
+        context = self._detection_context(context, touched)
         if not live and not vanished and not history:
             return report
         self._refresh_masks()
 
         with self.registry.span("refine", tokens=len(live)):
             refinements = self._refine_live(live) if live else []
-        if (live or history) and self.use_kernels:
-            # Fresh per-tick wrap: account transaction lists grow between
-            # ticks, so the cache must never outlive the tick.
-            from repro.engine.kernels import CachingDetectionContext
-
-            context = CachingDetectionContext(context)
 
         flipped_sets: Set[FrozenSet[str]] = set()
         changed: List[NFTKey] = []
+        skipped = 0
         with self.registry.span("detect", tokens=len(live), redetected=len(history)):
             for nft in vanished:
                 self._retire_state(nft, self.states.pop(nft), flipped_sets)
@@ -328,7 +381,11 @@ class DirtyTokenScheduler:
                 self._install_state(nft, state, flipped_sets)
             for nft in history:
                 old = self.states[nft]
-                evidence = self._collect(old.candidates, context)
+                if touched is None:
+                    evidence = self._collect(old.candidates, context)
+                else:
+                    evidence, token_skips = self._redetect(old, touched, context)
+                    skipped += token_skips
                 if evidence == old.evidence:
                     continue
                 # A fresh state object: published serve versions share
@@ -371,8 +428,17 @@ class DirtyTokenScheduler:
             for nft in vanished:
                 self._token_order.pop(nft, None)
 
+        if self._departed:
+            if self._cache is not None:
+                self._cache.forget(
+                    account
+                    for account in self._departed
+                    if account not in self._member_index
+                )
+            self._departed.clear()
         self._metric_dirty.inc(report.dirty_token_count)
         self._metric_redetected.inc(len(history))
+        self._metric_detector_skips.inc(skipped)
         self._metric_confirmations.inc(len(report.newly_confirmed))
         self._metric_retractions.inc(len(report.retracted))
         self._metric_tracked.set(len(self.states))
@@ -481,6 +547,29 @@ class DirtyTokenScheduler:
             for nft in live
         ]
 
+    def _detection_context(
+        self, base: DetectionContext, touched: Optional[HistoryChanges]
+    ) -> DetectionContext:
+        """The context this tick's detectors read.
+
+        The kernel tier adds a money-flow cache.  It is kept across
+        calls only while every call reports its history changes on the
+        same base context; otherwise the call gets a fresh one.
+        """
+        if not self.use_kernels:
+            return base
+        from repro.engine.kernels import CachingDetectionContext
+
+        if touched is None:
+            self._cache = None
+            return CachingDetectionContext(base)
+        cache = self._cache
+        if cache is None or cache.base is not base:
+            cache = self._cache = CachingDetectionContext(base)
+        else:
+            cache.refresh(touched)
+        return cache
+
     def _collect(
         self, candidates: List[CandidateComponent], context: DetectionContext
     ) -> List[List[DetectionEvidence]]:
@@ -489,6 +578,38 @@ class DirtyTokenScheduler:
             collect_evidence(self.detectors, component, context)
             for component in candidates
         ]
+
+    def _redetect(
+        self, state: TokenState, touched: HistoryChanges, context: DetectionContext
+    ) -> Tuple[List[List[DetectionEvidence]], int]:
+        """Re-run, per held candidate, the detectors that can see its
+        members' history changes; returns the evidence and how many
+        detector runs were skipped.
+
+        A skipped detector's held evidence is reused in its
+        ``build_detectors`` slot, so the list equals a full re-run.
+        """
+        detectors = self.detectors
+        evidence: List[List[DetectionEvidence]] = []
+        skipped = 0
+        for component, held in zip(state.candidates, state.evidence):
+            since = _change_since(component, touched)
+            if since is _UNCHANGED:
+                evidence.append(held)
+                skipped += len(detectors)
+                continue
+            held_by_method = {item.method: item for item in held}
+            found: List[DetectionEvidence] = []
+            for detector in detectors:
+                if since is None or detector.history_may_change(component, since):
+                    item = detector.detect(component, context)
+                else:
+                    item = held_by_method.get(detector.method)
+                    skipped += 1
+                if item is not None:
+                    found.append(item)
+            evidence.append(found)
+        return evidence, skipped
 
     def _detect_state(self, refinement, context: DetectionContext) -> TokenState:
         """Run the per-component detectors over one token's refinement."""
@@ -510,6 +631,7 @@ class DirtyTokenScheduler:
                     holders.discard(nft)
                     if not holders:
                         del self._member_index[account]
+                        self._departed.add(account)
             if evidence:
                 self._confirmed_pool[accounts] -= 1
                 if self._confirmed_pool[accounts] <= 0:

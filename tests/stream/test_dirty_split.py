@@ -2,12 +2,15 @@
 
 A tick re-refines only tokens whose own rows changed and re-detects --
 on held candidates -- only tokens with a candidate member whose
-transaction history changed.  History-only re-detections whose evidence
+transaction history changed, running only the detectors whose history
+window the change reaches.  History-only re-detections whose evidence
 did not move are not passed downstream.  These tests pin both halves of
 the split and that its results still reach every consumer.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.core.activity import DetectionMethod
 from repro.obs.registry import MetricsRegistry
@@ -30,21 +33,42 @@ def caught_up_service():
 
 
 def spy_scheduler(monkeypatch, scheduler):
-    """Record every refinement and detector run the scheduler does."""
+    """Count every refinement and detector run the scheduler does.
+
+    Detector runs are counted at the detectors themselves, so runs on
+    the re-refined path and on the history-only path both show.
+    """
     calls = {"refined": [], "detected": 0}
-    refine, collect = scheduler._refine_live, scheduler._collect
+    refine = scheduler._refine_live
 
     def refine_spy(live):
         calls["refined"].extend(live)
         return refine(live)
 
-    def collect_spy(candidates, context):
-        calls["detected"] += len(candidates)
-        return collect(candidates, context)
+    def count_run(name, component):
+        calls["detected"] += 1
 
     monkeypatch.setattr(scheduler, "_refine_live", refine_spy)
-    monkeypatch.setattr(scheduler, "_collect", collect_spy)
+    spy_detectors(monkeypatch, scheduler, count_run)
     return calls
+
+
+def spy_detectors(monkeypatch, scheduler, record):
+    """Call ``record(detector name, component)`` on every detector run."""
+    for detector in scheduler.detectors:
+
+        def detect(component, context, name=detector.name, run=detector.detect):
+            record(name, component)
+            return run(component, context)
+
+        monkeypatch.setattr(detector, "detect", detect)
+
+
+def detector_runs(monkeypatch, scheduler):
+    """Every detector run, as ``(detector name, component)`` pairs."""
+    runs = []
+    spy_detectors(monkeypatch, scheduler, lambda name, component: runs.append((name, component)))
+    return runs
 
 
 def mine(world, *transfers):
@@ -58,6 +82,19 @@ def mine(world, *transfers):
 
 def redetected(registry) -> int:
     return registry.snapshot()["counters"]["scheduler_redetected_tokens_total"]
+
+
+def detector_skips(registry) -> int:
+    return registry.snapshot()["counters"]["scheduler_detector_skips_total"]
+
+
+def plain_activity(world, monitor):
+    """A confirmed activity with no graph-excluded service member."""
+    return next(
+        activity
+        for activity in monitor.result().activities
+        if not any(world.labels.is_graph_excluded_service(a) for a in activity.accounts)
+    )
 
 
 def test_graph_excluded_service_transaction_dirties_nothing(monkeypatch):
@@ -163,3 +200,82 @@ def test_unchanged_evidence_is_not_passed_downstream(monkeypatch):
     assert activity.nft not in snapshot.dirty_nfts
     _, batch = batch_over(world)
     assert_results_match(monitor.result(), batch, ordered=True)
+
+
+def test_funding_after_last_trade_runs_only_common_exit(monkeypatch):
+    world, service, registry = caught_up_service()
+    monitor = service.monitor
+    activity = plain_activity(world, monitor)
+    member = sorted(activity.accounts)[0]
+    runs = detector_runs(monkeypatch, monitor.scheduler)
+    before = detector_skips(registry)
+
+    # Funding after the last trade lies past every held candidate's
+    # window: zero-risk and common-funder cannot see it, self-trade
+    # reads no history at all.
+    mine(world, (FRESH, member))
+    snapshot = monitor.advance()
+
+    assert snapshot.reorg_depth == 0
+    on_candidate = [name for name, component in runs if component is activity.component]
+    assert on_candidate == ["common-exit"]
+    assert {name for name, _ in runs} == {"common-exit"}
+    assert detector_skips(registry) > before
+    _, batch = batch_over(world)
+    assert_results_match(monitor.result(), batch, ordered=True)
+
+
+def test_rollback_truncating_member_history_runs_every_detector(monkeypatch):
+    world, service, registry = caught_up_service()
+    monitor = service.monitor
+    scheduler = monitor.scheduler
+    activity = plain_activity(world, monitor)
+    member = sorted(activity.accounts)[0]
+    mine(world, (FRESH, member))
+    monitor.advance()
+    calls = spy_scheduler(monkeypatch, scheduler)
+    runs = detector_runs(monkeypatch, scheduler)
+
+    # Orphan the block again: the member's list is truncated, which may
+    # have changed it anywhere, while no token's rows moved.
+    world.chain.reorg(1)
+    snapshot = monitor.advance()
+
+    assert snapshot.reorg_depth == 1
+    assert calls["refined"] == []
+    every = {detector.name for detector in scheduler.detectors}
+    held = [
+        component
+        for nft in scheduler.tokens_with_members([member])
+        for component in scheduler.states[nft].candidates
+        if member in component.accounts
+    ]
+    assert activity.component in held
+    for component in held:
+        assert {name for name, run_on in runs if run_on is component} == every
+    _, batch = batch_over(world)
+    assert_results_match(monitor.result(), batch, ordered=True)
+
+
+def test_account_leaving_the_member_index_leaves_the_cache():
+    world, service, _ = caught_up_service()
+    monitor = service.monitor
+    scheduler = monitor.scheduler
+    if not scheduler.use_kernels:
+        pytest.skip("the interpreted tier keeps no detection cache")
+    cache = scheduler._cache
+    index = scheduler._member_index
+    nft, member = next(
+        (next(iter(holders)), account)
+        for account, holders in index.items()
+        if len(holders) == 1 and account in cache._entries
+    )
+
+    # The token's rows vanish while no account's history changes: the
+    # member leaves the index without ever being reported as touched.
+    scheduler.store.remove_token(nft)
+    scheduler.process([nft], monitor.context, touched={})
+
+    assert member not in index
+    assert member not in cache._entries
+    assert set(cache._entries) <= set(index)

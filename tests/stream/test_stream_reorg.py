@@ -81,6 +81,38 @@ def track_member_index(monitor):
     return matches
 
 
+def detection_cache_state(monitor):
+    """Whether every entry of the scheduler's cross-tick detection cache
+    equals a fresh computation on the monitor's base context and only
+    covers member-index accounts, with the number of cached accounts."""
+    scheduler, base = monitor.scheduler, monitor.context
+    cache = scheduler._cache
+    if cache is None:
+        return True, 0
+    for account, entry in cache._entries.items():
+        fresh = base.transactions_of(account)
+        timestamps = [tx.timestamp for tx in fresh]
+        if entry.transactions != fresh or entry.timestamps != timestamps:
+            return False, 0
+        if entry.monotone != all(a <= b for a, b in zip(timestamps, timestamps[1:])):
+            return False, 0
+        for (direction, pure), cached in entry.flows.items():
+            if direction == "in":
+                fresh_flows = base.incoming_flows(account, None, pure)
+            else:
+                fresh_flows = base.outgoing_flows(account, None, pure)
+            if cached != fresh_flows:
+                return False, 0
+    return set(cache._entries) <= set(scheduler._member_index), len(cache._entries)
+
+
+def track_detection_cache(monitor):
+    """After every tick, record :func:`detection_cache_state`."""
+    states = []
+    monitor.subscribe_snapshots(lambda _: states.append(detection_cache_state(monitor)))
+    return states
+
+
 def assert_dataset_parity(cursor, dataset):
     """The cursor's ingested state equals the batch-built dataset."""
     assert cursor.transfers_by_nft == dataset.transfers_by_nft
@@ -140,6 +172,7 @@ class TestReorgParity:
         snapshots = []
         monitor.subscribe_snapshots(snapshots.append)
         index_matches = track_member_index(monitor)
+        cache_states = track_detection_cache(monitor)
         storm = ReorgStorm(
             world,
             random.Random(seed),
@@ -153,6 +186,10 @@ class TestReorgParity:
         summaries = storm.run(monitor)
         assert summaries, "the storm must actually reorg"
         assert len(index_matches) == len(snapshots) and all(index_matches)
+        assert len(cache_states) == len(snapshots)
+        assert all(exact for exact, _ in cache_states)
+        if monitor.scheduler.use_kernels:
+            assert any(size for _, size in cache_states), "the cache must be used"
 
         dataset, batch = batch_over(world)
         assert_results_match(monitor.result(), batch, ordered=True)
