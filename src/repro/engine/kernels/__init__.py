@@ -10,7 +10,7 @@ fallback, :func:`kernel_available` reports what loaded).
 
 from repro.engine.kernels.context import CachingDetectionContext
 from repro.engine.kernels.csr import batch_token_components
-from repro.engine.kernels.refine import refine_token_states, refine_tokens_kernel
+from repro.engine.kernels.refine import refine_tokens_kernel
 from repro.engine.kernels.tarjan import (
     active_backend,
     force_fallback,
@@ -24,7 +24,6 @@ __all__ = [
     "batch_token_components",
     "force_fallback",
     "kernel_available",
-    "refine_token_states",
     "refine_tokens_kernel",
     "tarjan_csr",
 ]

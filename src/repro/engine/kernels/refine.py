@@ -1,13 +1,14 @@
 """Kernel-tier refinement: the four-stage funnel over batched CSR.
 
-Drop-in counterparts of :func:`repro.engine.refine.refine_tokens` that
-route every SCC computation through
-:func:`repro.engine.kernels.csr.batch_token_components`: one batched
-CSR + Tarjan pass per funnel stage for the whole token slice, instead
-of a Python graph walk per token per stage.  Stage semantics (the
-conditional per-token recompute rules, the zero-volume filter, the
-stage statistics) are byte-for-byte those of the interpreted path --
-``tests/engine/test_kernel_parity.py`` pins the outputs equal.
+The batch kernel engine's counterpart of
+:func:`repro.engine.refine.refine_tokens`.  It routes every SCC
+computation through :func:`repro.engine.kernels.csr.batch_token_components`:
+one batched CSR + Tarjan pass per funnel stage for the whole token
+slice, instead of a Python graph walk per token per stage.  Stage
+semantics (the conditional per-token recompute rules, the zero-volume
+filter, the stage statistics) are byte-for-byte those of the
+interpreted path -- ``tests/engine/test_kernel_parity.py`` pins the
+outputs equal.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.engine.refine import (
     ShardRefinement,
     StageAccumulator,
     TokenComponent,
+    funnel_masks,
 )
 from repro.engine.store import TokenColumns
 
@@ -94,17 +96,6 @@ def _staged_components(
     return results
 
 
-def _masks(
-    service_ids: FrozenSet[int],
-    contract_ids: FrozenSet[int],
-    skip_service_removal: bool,
-    skip_contract_removal: bool,
-) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
-    service_mask = _EMPTY_MASK if skip_service_removal else service_ids
-    contract_mask = _EMPTY_MASK if skip_contract_removal else contract_ids
-    return service_mask, contract_mask, service_mask | contract_mask
-
-
 def _candidates_of(
     accounts: Sequence[str],
     columns: TokenColumns,
@@ -131,7 +122,7 @@ def refine_tokens_kernel(
 ) -> ShardRefinement:
     """Kernel-backed equivalent of :func:`repro.engine.refine.refine_tokens`."""
     tokens = list(tokens)
-    service_mask, contract_mask, combined_mask = _masks(
+    service_mask, contract_mask, combined_mask = funnel_masks(
         service_ids, contract_ids, skip_service_removal, skip_contract_removal
     )
     staged = _staged_components(
@@ -151,43 +142,3 @@ def refine_tokens_kernel(
             accumulator.add(components)
         candidates.extend(_candidates_of(accounts, columns, entry[3]))
     return ShardRefinement(candidates=candidates, stages=stages)
-
-
-def refine_token_states(
-    accounts: Sequence[str],
-    tokens: Sequence[TokenColumns],
-    service_ids: FrozenSet[int],
-    contract_ids: FrozenSet[int],
-    skip_service_removal: bool = False,
-    skip_contract_removal: bool = False,
-    skip_zero_volume_removal: bool = False,
-) -> List[ShardRefinement]:
-    """Per-token refinement results from one batched pass.
-
-    Element ``i`` equals ``refine_tokens(accounts, [tokens[i]], ...)``
-    (and ``refine_tokens_kernel`` over the single token).  This is the
-    streaming scheduler's entry point: a tick's dirty tokens are
-    refined together but keep separate per-token state.
-    """
-    tokens = list(tokens)
-    service_mask, contract_mask, combined_mask = _masks(
-        service_ids, contract_ids, skip_service_removal, skip_contract_removal
-    )
-    staged = _staged_components(
-        tokens,
-        service_mask,
-        contract_mask,
-        combined_mask,
-        skip_zero_volume_removal,
-        len(accounts),
-    )
-    results: List[ShardRefinement] = []
-    for columns, entry in zip(tokens, staged):
-        stages = [StageAccumulator(name=name) for name in STAGE_NAMES]
-        candidates: List[CandidateComponent] = []
-        if entry is not None:
-            for accumulator, components in zip(stages, entry):
-                accumulator.add(components)
-            candidates = _candidates_of(accounts, columns, entry[3])
-        results.append(ShardRefinement(candidates=candidates, stages=stages))
-    return results

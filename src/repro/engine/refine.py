@@ -16,9 +16,7 @@ parity proofs.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 from repro.core.activity import CandidateComponent
@@ -44,47 +42,50 @@ class TokenComponent(NamedTuple):
     rows: Tuple[int, ...]
 
 
-def _sorted_union(left: array, right: array) -> array:
-    """Union of two sorted distinct-id arrays as a sorted distinct array.
+class StageRecord(NamedTuple):
+    """One token's statistics at one funnel stage.
 
-    ``sorted`` over the concatenation is effectively linear here --
-    timsort gallops across the two pre-sorted runs -- so folding per-token
-    statistics together never hashes an account id.  The inputs are
-    treated as immutable and may be returned directly.
+    Immutable, so token states, published serve versions and funnel
+    partials can all share one record.  The raw account ids are kept so
+    records of different tokens fold together (:class:`StageAccumulator`)
+    without double-counting accounts shared between tokens.
     """
-    if not left:
-        return right
-    if not right:
-        return left
-    fused = sorted(chain(left, right))
-    out = array("q")
-    previous = None
-    for value in fused:
-        if value != previous:
-            out.append(value)
-            previous = value
-    return out
+
+    name: str
+    nft_count: int
+    component_count: int
+    account_ids: FrozenSet[int]
+
+    def to_stage(self) -> FunnelStage:
+        """The report-facing statistics record."""
+        return FunnelStage(
+            name=self.name,
+            nft_count=self.nft_count,
+            component_count=self.component_count,
+            account_count=len(self.account_ids),
+        )
+
+
+#: The stage records of every token without a stage-1 component (the
+#: common case), shared by all of them.
+EMPTY_STAGES: Tuple[StageRecord, ...] = tuple(
+    StageRecord(name, 0, 0, _EMPTY_MASK) for name in STAGE_NAMES
+)
 
 
 @dataclass
 class StageAccumulator:
-    """Mergeable per-stage funnel statistics.
+    """Per-stage funnel statistics summed over many tokens.
 
-    Unlike :class:`FunnelStage` this keeps the raw account ids, so
-    statistics computed independently per token can be merged without
-    double-counting accounts shared between tokens.  Ids live in a
-    sorted, distinct ``array("q")``: :meth:`add` buffers one token's
-    member ids in a small scratch set, and :meth:`merge` /
-    :meth:`to_stage` fold the buffer in with a sorted-array union, so
-    merges are linear array fusions instead of per-token hash-set
-    churn.
+    The merge target of per-token stage records (:meth:`fold`) and of
+    raw component lists (:meth:`add`); the distinct account ids are a
+    set union, so an account shared between tokens counts once.
     """
 
     name: str
     nft_count: int = 0
     component_count: int = 0
-    _sorted_ids: array = field(default_factory=lambda: array("q"))
-    _fresh_ids: Set[int] = field(default_factory=set)
+    account_ids: Set[int] = field(default_factory=set)
 
     def add(self, components: Sequence[TokenComponent]) -> None:
         """Record one token's surviving components at this stage."""
@@ -93,36 +94,26 @@ class StageAccumulator:
         self.nft_count += 1
         self.component_count += len(components)
         for component in components:
-            self._fresh_ids.update(component.member_ids)
+            self.account_ids.update(component.member_ids)
 
-    def _normalized(self) -> array:
-        """The distinct ids seen so far, as one sorted array."""
-        if self._fresh_ids:
-            self._sorted_ids = _sorted_union(
-                self._sorted_ids, array("q", sorted(self._fresh_ids))
-            )
-            self._fresh_ids = set()
-        return self._sorted_ids
+    def fold(self, record: StageRecord) -> None:
+        """Add one token's (or one partial's) record."""
+        self.nft_count += record.nft_count
+        self.component_count += record.component_count
+        self.account_ids |= record.account_ids
 
-    @property
-    def account_ids(self) -> Set[int]:
-        """Materialized view of the distinct account ids recorded."""
-        return set(self._normalized())
-
-    def merge(self, other: "StageAccumulator") -> None:
-        """Fold another accumulator's statistics into this one."""
-        self.nft_count += other.nft_count
-        self.component_count += other.component_count
-        self._sorted_ids = _sorted_union(self._normalized(), other._normalized())
+    def freeze(self) -> StageRecord:
+        """The totals so far as an immutable record."""
+        return StageRecord(
+            self.name,
+            self.nft_count,
+            self.component_count,
+            frozenset(self.account_ids),
+        )
 
     def to_stage(self) -> FunnelStage:
         """Freeze into the report-facing statistics record."""
-        return FunnelStage(
-            name=self.name,
-            nft_count=self.nft_count,
-            component_count=self.component_count,
-            account_count=len(self._normalized()),
-        )
+        return self.freeze().to_stage()
 
 
 def token_components(
@@ -206,6 +197,103 @@ def token_components(
     return components
 
 
+class FunnelMasks(NamedTuple):
+    """The exclusion masks of funnel stages two and three."""
+
+    service: FrozenSet[int]
+    contract: FrozenSet[int]
+    #: ``service | contract``: stage three excludes both.
+    combined: FrozenSet[int]
+
+
+def funnel_masks(
+    service_ids: FrozenSet[int],
+    contract_ids: FrozenSet[int],
+    skip_service_removal: bool = False,
+    skip_contract_removal: bool = False,
+) -> FunnelMasks:
+    """The masks a funnel run applies, honouring the skip switches."""
+    service = _EMPTY_MASK if skip_service_removal else service_ids
+    contract = _EMPTY_MASK if skip_contract_removal else contract_ids
+    return FunnelMasks(service, contract, service | contract)
+
+
+class TokenRefinement(NamedTuple):
+    """One token's funnel outcome: candidates plus one record per stage."""
+
+    candidates: List[CandidateComponent]
+    stages: Tuple[StageRecord, ...]
+
+
+def _stage_records(staged: Sequence[List[TokenComponent]]) -> Tuple[StageRecord, ...]:
+    """One record per stage; a stage that kept the previous stage's
+    component list shares its account-id set."""
+    records: List[StageRecord] = []
+    previous = None
+    ids = _EMPTY_MASK
+    for empty, components in zip(EMPTY_STAGES, staged):
+        if not components:
+            records.append(empty)
+            continue
+        if components is not previous:
+            previous = components
+            # A list, not a generator: one generator object per token is
+            # enough allocation churn to shift when the GC runs.
+            ids = frozenset().union(*[c.member_ids for c in components])
+        records.append(StageRecord(empty.name, 1, len(components), ids))
+    return tuple(records)
+
+
+def refine_token(
+    accounts: Sequence[str],
+    columns: TokenColumns,
+    masks: FunnelMasks,
+    skip_zero_volume_removal: bool = False,
+) -> TokenRefinement:
+    """Run the four funnel stages over one token.
+
+    ``accounts`` is the store's id -> address table.  A stage only
+    recomputes the token's components when its mask touches one of the
+    token's accounts; a token without a stage-1 component returns the
+    shared :data:`EMPTY_STAGES`.
+    """
+    components = token_components(columns, _EMPTY_MASK)
+    if not components:
+        return TokenRefinement([], EMPTY_STAGES)
+    staged = [components]
+
+    if masks.service and columns.touched_by(masks.service):
+        components = token_components(columns, masks.service)
+    staged.append(components)
+
+    if components and masks.contract and columns.touched_by(masks.contract):
+        components = token_components(columns, masks.combined)
+    staged.append(components)
+
+    if components and not skip_zero_volume_removal:
+        flags = columns.payment_flags
+        kept = [
+            component
+            for component in components
+            if any(flags[row] for row in component.rows)
+        ]
+        if len(kept) != len(components):
+            components = kept
+    staged.append(components)
+
+    return TokenRefinement(
+        candidates=[
+            CandidateComponent(
+                nft=columns.nft,
+                accounts=frozenset(accounts[member] for member in component.member_ids),
+                transfers=tuple(columns.transfers[row] for row in component.rows),
+            )
+            for component in components
+        ],
+        stages=_stage_records(staged),
+    )
+
+
 @dataclass
 class ShardRefinement:
     """Refinement output of a batch of tokens: candidates plus stage statistics."""
@@ -225,52 +313,21 @@ def refine_tokens(
 ) -> ShardRefinement:
     """Run the four funnel stages over a slice of the store's tokens.
 
-    ``accounts`` is the store's id -> address table; ``service_ids`` and
-    ``contract_ids`` are the precomputed exclusion masks of stages two
-    and three.  Candidates come out in token order, matching the order
-    the legacy funnel flattens its per-NFT component dictionary in.
+    ``service_ids`` and ``contract_ids`` are the precomputed exclusion
+    masks of stages two and three.  Candidates come out in token order,
+    matching the order the legacy funnel flattens its per-NFT component
+    dictionary in.
     """
+    masks = funnel_masks(
+        service_ids, contract_ids, skip_service_removal, skip_contract_removal
+    )
     stages = [StageAccumulator(name=name) for name in STAGE_NAMES]
     candidates: List[CandidateComponent] = []
-    # The per-stage masks are loop-invariant; build them once.
-    service_mask = _EMPTY_MASK if skip_service_removal else service_ids
-    contract_mask = _EMPTY_MASK if skip_contract_removal else contract_ids
-    combined_mask = service_mask | contract_mask
-
     for columns in tokens:
-        components = token_components(columns, _EMPTY_MASK)
-        if not components:
+        refined = refine_token(accounts, columns, masks, skip_zero_volume_removal)
+        if refined.stages is EMPTY_STAGES:
             continue
-        stages[0].add(components)
-
-        if service_mask and columns.touched_by(service_mask):
-            components = token_components(columns, service_mask)
-        stages[1].add(components)
-
-        if components and contract_mask and columns.touched_by(contract_mask):
-            components = token_components(columns, combined_mask)
-        stages[2].add(components)
-
-        if components and not skip_zero_volume_removal:
-            flags = columns.payment_flags
-            components = [
-                component
-                for component in components
-                if any(flags[row] for row in component.rows)
-            ]
-        stages[3].add(components)
-
-        for component in components:
-            candidates.append(
-                CandidateComponent(
-                    nft=columns.nft,
-                    accounts=frozenset(
-                        accounts[member] for member in component.member_ids
-                    ),
-                    transfers=tuple(
-                        columns.transfers[row] for row in component.rows
-                    ),
-                )
-            )
-
+        for accumulator, record in zip(stages, refined.stages):
+            accumulator.fold(record)
+        candidates.extend(refined.candidates)
     return ShardRefinement(candidates=candidates, stages=stages)

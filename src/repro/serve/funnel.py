@@ -1,7 +1,7 @@
 """Differentially maintained funnel statistics for the sharded live path.
 
 The monolithic :class:`~repro.serve.index.ServeIndex` answers
-``funnel_stats`` by folding every token state's per-stage accumulators
+``funnel_stats`` by folding every token state's per-stage records
 into one :class:`~repro.serve.model.FunnelSnapshot` -- O(world) per
 recompute, paid on every query that misses the cache.  The partitioned
 refactor makes a better contract possible: each shard's funnel
@@ -23,12 +23,11 @@ observed.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from repro.engine.refine import STAGE_NAMES, StageAccumulator
+from repro.engine.refine import STAGE_NAMES, StageRecord
 
 
 @dataclass(frozen=True)
@@ -36,9 +35,9 @@ class FunnelPartial:
     """One shard's contribution to the refinement funnel."""
 
     version: int
-    #: Pre-normalized accumulators (their lazy id buffers folded), so
-    #: cached partials are read-only under cross-thread merges.
-    stages: Tuple[StageAccumulator, ...]
+    #: One immutable record per stage, so cached partials are
+    #: read-only under cross-thread merges.
+    stages: Tuple[StageRecord, ...]
     candidate_count: int
     confirmed_count: int
 
@@ -55,7 +54,9 @@ class _StageCounts:
         #: the key set is exactly the stage's distinct account union.
         self.account_tokens: Counter = Counter()
 
-    def apply(self, stage: StageAccumulator, sign: int) -> None:
+    def apply(self, stage: StageRecord, sign: int) -> None:
+        if not stage.nft_count:
+            return
         self.nft_count += sign * stage.nft_count
         self.component_count += sign * stage.component_count
         counts = self.account_tokens
@@ -66,12 +67,12 @@ class _StageCounts:
             else:
                 del counts[account_id]
 
-    def materialize(self, name: str) -> StageAccumulator:
-        return StageAccumulator(
-            name=name,
-            nft_count=self.nft_count,
-            component_count=self.component_count,
-            _sorted_ids=array("q", sorted(self.account_tokens)),
+    def materialize(self, name: str) -> StageRecord:
+        return StageRecord(
+            name,
+            self.nft_count,
+            self.component_count,
+            frozenset(self.account_tokens),
         )
 
 

@@ -248,8 +248,8 @@ class QueryService:
         candidate_count = 0
         for state in version.token_states.values():
             candidate_count += len(state.candidates)
-            for accumulator, stage in zip(merged, state.stages):
-                accumulator.merge(stage)
+            for accumulator, record in zip(merged, state.stages):
+                accumulator.fold(record)
         return FunnelSnapshot(
             version=version.version,
             stages=tuple(accumulator.to_stage() for accumulator in merged),

@@ -104,13 +104,11 @@ def funnel_partial(
     candidate_count = 0
     for state in version.token_states.values():
         candidate_count += len(state.candidates)
-        for accumulator, stage in zip(merged, state.stages):
-            accumulator.merge(stage)
-    for accumulator in merged:
-        accumulator.to_stage()  # folds the lazy id buffer: read-only after
+        for accumulator, record in zip(merged, state.stages):
+            accumulator.fold(record)
     return FunnelPartial(
         version=version.version,
-        stages=tuple(merged),
+        stages=tuple(accumulator.freeze() for accumulator in merged),
         candidate_count=candidate_count,
         confirmed_count=version.confirmed_activity_count,
     )
@@ -173,8 +171,8 @@ def merge_funnel(partials: List[FunnelPartial]) -> FunnelSnapshot:
     """
     totals = [StageAccumulator(name=name) for name in STAGE_NAMES]
     for partial in partials:
-        for total, stage in zip(totals, partial.stages):
-            total.merge(stage)
+        for total, record in zip(totals, partial.stages):
+            total.fold(record)
     return FunnelSnapshot(
         version=max(partial.version for partial in partials),
         stages=tuple(total.to_stage() for total in totals),

@@ -60,7 +60,14 @@ from repro.core.detectors.pipeline import (
     collect_evidence,
 )
 from repro.core.refine import RefinementResult
-from repro.engine.refine import STAGE_NAMES, StageAccumulator, refine_tokens
+from repro.engine.refine import (
+    STAGE_NAMES,
+    StageAccumulator,
+    StageRecord,
+    TokenRefinement,
+    funnel_masks,
+    refine_token,
+)
 from repro.engine.store import ColumnarTransferStore
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
@@ -80,8 +87,10 @@ _UNCHANGED = object()
 class TokenState:
     """Everything the scheduler remembers about one token."""
 
-    #: Per-token funnel statistics (mergeable accumulators).
-    stages: List[StageAccumulator]
+    #: Per-token funnel statistics, one immutable record per stage
+    #: (:data:`~repro.engine.refine.EMPTY_STAGES` when the token has no
+    #: candidate component).
+    stages: Tuple[StageRecord, ...]
     #: Refined candidates, in engine order.
     candidates: List[CandidateComponent]
     #: Per-candidate detector evidence; an empty list = base-unconfirmed.
@@ -178,10 +187,10 @@ class DirtyTokenScheduler:
         self.skip_service_removal = skip_service_removal
         self.skip_contract_removal = skip_contract_removal
         self.skip_zero_volume_removal = skip_zero_volume_removal
-        # None = auto: batch each tick's dirty tokens through the
-        # numpy/CSR kernels when numpy is importable (kernel output is
-        # pinned identical to the interpreted path, so this is purely a
-        # speed decision).
+        # None = auto: keep the kernel tier's cross-tick money-flow
+        # cache (CachingDetectionContext) when numpy is importable.  The
+        # cache is pinned exact, so this is purely a speed decision;
+        # refinement is the same single-token funnel either way.
         if use_kernels is None:
             try:
                 import repro.engine.kernels  # noqa: F401
@@ -196,8 +205,7 @@ class DirtyTokenScheduler:
         self._service_ids: Set[int] = set()
         self._contract_ids: Set[int] = set()
         self._classified_accounts = 0
-        self._service_mask: FrozenSet[int] = frozenset()
-        self._contract_mask: FrozenSet[int] = frozenset()
+        self._masks = funnel_masks(frozenset(), frozenset())
 
         self.states: Dict[NFTKey, TokenState] = {}
         #: First-seen position of each token; mirrors store order.  A
@@ -251,23 +259,8 @@ class DirtyTokenScheduler:
             "scheduler_confirmed_activities",
             "Currently confirmed activities across all tokens.",
         )
-        self.registry.gauge(
-            "scheduler_backend_info",
-            "Detection backend in use (1 = active), labeled by backend.",
-            labels=("backend",),
-        ).labels(backend=self.backend_name).set(1)
 
     # -- queries -----------------------------------------------------------
-    @property
-    def backend_name(self) -> str:
-        """Which refinement tier ticks run on: ``kernel-compiled``,
-        ``kernel-fallback``, or ``interpreted``."""
-        if not self.use_kernels:
-            return "interpreted"
-        from repro.engine.kernels.tarjan import active_backend
-
-        return f"kernel-{active_backend()}"
-
     @property
     def flagged_nfts(self) -> Set[NFTKey]:
         """NFTs with at least one currently confirmed activity."""
@@ -464,8 +457,8 @@ class DirtyTokenScheduler:
             state = self.states.get(nft)
             if state is None:
                 continue
-            for accumulator, stage in zip(merged, state.stages):
-                accumulator.merge(stage)
+            for accumulator, record in zip(merged, state.stages):
+                accumulator.fold(record)
             for component, evidence in zip(state.candidates, state.evidence):
                 candidates.append(component)
                 if evidence:
@@ -511,38 +504,23 @@ class DirtyTokenScheduler:
             if not self.skip_contract_removal and self.is_contract(address):
                 self._contract_ids.add(account_id)
         self._classified_accounts = len(accounts)
-        self._service_mask = frozenset(self._service_ids)
-        self._contract_mask = frozenset(self._contract_ids)
+        self._masks = funnel_masks(
+            frozenset(self._service_ids), frozenset(self._contract_ids)
+        )
 
-    def _refine_live(self, live: List[NFTKey]):
-        """Refine the tick's live dirty tokens, one result per token.
+    def _refine_live(self, live: List[NFTKey]) -> List[TokenRefinement]:
+        """Refine the tick's live dirty tokens one by one, in ``live`` order.
 
-        The kernel path batches every dirty token of the tick into a
-        single CSR pass; the interpreted path refines token by token.
-        Both return per-token results in ``live`` order with identical
-        content.
+        Dirty tokens hold a handful of rows each, so the single-token
+        funnel beats batching them through the CSR kernels, whose fixed
+        per-pass cost dominates at that size.
         """
-        if self.use_kernels:
-            from repro.engine.kernels import refine_token_states
-
-            return refine_token_states(
-                self.store.accounts,
-                [self.store.tokens[nft] for nft in live],
-                service_ids=self._service_mask,
-                contract_ids=self._contract_mask,
-                skip_service_removal=self.skip_service_removal,
-                skip_contract_removal=self.skip_contract_removal,
-                skip_zero_volume_removal=self.skip_zero_volume_removal,
-            )
         return [
-            refine_tokens(
+            refine_token(
                 self.store.accounts,
-                [self.store.tokens[nft]],
-                service_ids=self._service_mask,
-                contract_ids=self._contract_mask,
-                skip_service_removal=self.skip_service_removal,
-                skip_contract_removal=self.skip_contract_removal,
-                skip_zero_volume_removal=self.skip_zero_volume_removal,
+                self.store.tokens[nft],
+                self._masks,
+                self.skip_zero_volume_removal,
             )
             for nft in live
         ]

@@ -1,13 +1,14 @@
 """Parity proofs: the kernel tier reproduces the interpreted engine.
 
 Mirrors ``tests/engine/test_parity.py`` one tier up: every output of the
-kernel-backed refinement (:func:`refine_tokens_kernel`,
-:func:`refine_token_states`) and of ``WashTradingPipeline(engine=
-"kernel")`` must be identical to the interpreted columnar path and the
-legacy networkx path -- compiled backend and pure-Python fallback, batch
-(serial and process-pool) and streaming, in-order and through a reorg
-storm.  The opt-in volume-match detector is pinned batch == stream here
-as well.
+kernel-backed refinement (:func:`refine_tokens_kernel`) and of
+``WashTradingPipeline(engine="kernel")`` must be identical to the
+interpreted columnar path and the legacy networkx path -- compiled
+backend and pure-Python fallback, batch and streaming (with and without
+the kernel tier's detection cache), in-order and through a reorg
+storm.  The single-token funnel the streaming scheduler runs
+(:func:`refine_token`) is pinned against both batch refinements.  The
+opt-in volume-match detector is pinned batch == stream here as well.
 """
 
 from __future__ import annotations
@@ -21,14 +22,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.activity import DetectionMethod
 from repro.core.detectors.base import DetectionContext
+from repro.chain.types import NFTKey
 from repro.core.detectors.pipeline import WashTradingPipeline
 from repro.engine.executor import TransactionView
-from repro.engine.kernels import (
-    force_fallback,
-    refine_token_states,
-    refine_tokens_kernel,
+from repro.engine.kernels import force_fallback, refine_tokens_kernel
+from repro.engine.refine import (
+    EMPTY_STAGES,
+    funnel_masks,
+    refine_token,
+    refine_tokens,
 )
-from repro.engine.refine import refine_tokens
 from repro.engine.store import ColumnarTransferStore
 from repro.ingest.dataset import build_dataset
 from repro.simulation.builder import build_default_world
@@ -37,9 +40,11 @@ from repro.simulation.reorg import ReorgStorm
 from repro.stream import DirtyTokenScheduler, StreamingMonitor
 from tests.engine.test_parity import (
     CONTRACT_SET,
+    REGULARS,
     activity_key,
     candidate_key,
     make_labels,
+    make_transfer,
     minimal_dataset,
     random_histories,
     run_backend,
@@ -109,22 +114,61 @@ def test_kernel_refinement_matches_interpreted(
         assert_refinements_equal(kernel, interpreted)
 
 
-@settings(max_examples=30, deadline=None)
-@given(random_histories())
-def test_refine_token_states_matches_single_token_runs(histories):
-    """Element i of the batched pass equals a lone run over token i."""
+@settings(max_examples=40, deadline=None)
+@given(random_histories(), st.booleans(), st.booleans(), st.booleans())
+def test_single_token_funnel_matches_batch_refinements(
+    histories, skip_services, skip_contracts, skip_zero_volume
+):
+    """``refine_token`` over one token equals both batch refinements over
+    that token alone: candidates, every stage's statistics and account
+    ids.  A token without a stage-1 component gets the shared empty
+    records."""
+    acyclic = NFTKey(contract="0x" + "d" * 40, token_id=0)
+    histories = dict(histories)
+    histories[acyclic] = [
+        make_transfer(acyclic, REGULARS[0], REGULARS[1], 1, 10**18, 1000),
+        make_transfer(acyclic, REGULARS[1], REGULARS[2], 2, 10**18, 1001),
+    ]
     labels = make_labels()
     store = ColumnarTransferStore.from_transfers(histories)
     service_ids = store.ids_matching(labels.is_graph_excluded_service)
     contract_ids = store.ids_matching(CONTRACT_SET.__contains__)
-    tokens = list(store)
-    states = refine_token_states(store.accounts, tokens, service_ids, contract_ids)
-    assert len(states) == len(tokens)
-    for columns, state in zip(tokens, states):
-        single = refine_tokens(
-            store.accounts, [columns], service_ids, contract_ids
-        )
-        assert_refinements_equal(state, single)
+    kwargs = dict(
+        skip_service_removal=skip_services,
+        skip_contract_removal=skip_contracts,
+        skip_zero_volume_removal=skip_zero_volume,
+    )
+    masks = funnel_masks(service_ids, contract_ids, skip_services, skip_contracts)
+    empty_tokens = 0
+    for columns in store:
+        single = refine_token(store.accounts, columns, masks, skip_zero_volume)
+        batches = [
+            refine_tokens(
+                store.accounts, [columns], service_ids, contract_ids, **kwargs
+            ),
+            refine_tokens_kernel(
+                store.accounts, [columns], service_ids, contract_ids, **kwargs
+            ),
+        ]
+        for batch in batches:
+            assert_refinements_equal(single, batch)
+            assert [record.account_ids for record in single.stages] == [
+                stage.account_ids for stage in batch.stages
+            ]
+        if single.stages is EMPTY_STAGES:
+            empty_tokens += 1
+            assert not single.candidates
+        else:
+            assert single.stages[0].nft_count == 1
+    assert empty_tokens >= 1
+    assert refine_token(store.accounts, store.tokens[acyclic], masks).stages is (
+        EMPTY_STAGES
+    )
+    assert all(
+        (record.nft_count, record.component_count, record.account_ids)
+        == (0, 0, frozenset())
+        for record in EMPTY_STAGES
+    )
 
 
 # -- full pipeline parity ------------------------------------------------------
@@ -187,8 +231,9 @@ def replay_through_scheduler(histories, block_order, use_kernels):
 
 @settings(max_examples=25, deadline=None)
 @given(random_histories(), st.randoms(use_true_random=False))
-def test_scheduler_kernel_path_matches_interpreted_and_batch(histories, rng):
-    """Kernel and interpreted scheduling converge to the batch result,
+def test_scheduler_with_and_without_flow_cache_matches_batch(histories, rng):
+    """Scheduling with the kernel tier's detection cache
+    (``use_kernels=True``) and without it converges to the batch result,
     even with blocks arriving out of order (the reorg-shaped append
     fallback path)."""
     blocks = sorted(
@@ -196,14 +241,14 @@ def test_scheduler_kernel_path_matches_interpreted_and_batch(histories, rng):
     )
     shuffled = list(blocks)
     rng.shuffle(shuffled)
-    kernel = replay_through_scheduler(histories, shuffled, use_kernels=True)
-    interpreted = replay_through_scheduler(histories, shuffled, use_kernels=False)
+    cached = replay_through_scheduler(histories, shuffled, use_kernels=True)
+    uncached = replay_through_scheduler(histories, shuffled, use_kernels=False)
     labels = make_labels()
     batch = WashTradingPipeline(
         labels=labels, is_contract=CONTRACT_SET.__contains__, engine="kernel"
     ).run(minimal_dataset(histories))
-    assert_results_match(kernel, batch)
-    assert_results_match(interpreted, batch)
+    assert_results_match(cached, batch)
+    assert_results_match(uncached, batch)
 
 
 def test_reorg_storm_with_kernels_matches_batch():

@@ -20,6 +20,8 @@ import time
 
 import pytest
 
+from tests.serve.test_wire_cli import wait_for_ingest
+
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
@@ -206,11 +208,13 @@ class TestReporterShutdownRace:
     def _final_flush_count(self, signum, tmp_path):
         """Run serve with a never-firing stats interval; every ``stats:``
         line seen is therefore a final flush -- the exactly-once bar is
-        observable as exactly one such line.  The ``small`` preset keeps
-        ingest running well past the one-second mark (``tiny`` ingests in
-        about that long, so the signal could land after the handlers
+        observable as exactly one such line.  The signal is sent once the
+        first ingest span is logged; the ``small`` preset in 2-block
+        ticks keeps ingest running well past that (``tiny`` ingests in
+        about a second, so the signal could land after the handlers
         were already restored)."""
         metrics_path = str(tmp_path / "metrics.prom")
+        span_log = str(tmp_path / "spans.jsonl")
         proc = spawn(
             "serve",
             "--preset",
@@ -223,9 +227,11 @@ class TestReporterShutdownRace:
             "3600",
             "--metrics-out",
             metrics_path,
+            "--log-json",
+            span_log,
             "--quiet",
         )
-        time.sleep(1.0)  # land mid-ingest, where the race lived
+        wait_for_ingest(proc, span_log)  # land mid-ingest, where the race lived
         proc.send_signal(signum)
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, (proc.returncode, err)

@@ -1,0 +1,93 @@
+"""Per-token funnel stage records are immutable and safely shared.
+
+The scheduler keeps one :class:`~repro.engine.refine.StageRecord` per
+funnel stage per token, and every token without a stage-1 component
+shares :data:`~repro.engine.refine.EMPTY_STAGES`.  Published serve
+versions, the sharded ``FunnelMaintainer`` and every funnel reader hold
+the same records, so none of them may change one: after a reorg storm,
+``scheduler.result()``, a ``funnel_stats`` query and the maintained
+partials' refold, every record a tick ever installed still holds the
+values it was created with.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+import pytest
+
+from repro.core.detectors.pipeline import WashTradingPipeline
+from repro.engine.refine import EMPTY_STAGES, STAGE_NAMES
+from repro.ingest.dataset import build_dataset
+from repro.serve import ServeService
+from repro.serve.router import funnel_partial
+from repro.simulation.builder import build_default_world
+from repro.simulation.config import SimulationConfig
+from repro.simulation.reorg import ReorgStorm
+
+
+def record_values(stages):
+    """An independent copy of a token's stage records."""
+    return [
+        (
+            record.name,
+            record.nft_count,
+            record.component_count,
+            sorted(record.account_ids),
+        )
+        for record in stages
+    ]
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_stage_records_never_change_under_their_readers(shards):
+    world = build_default_world(SimulationConfig.tiny())
+    service = ServeService.for_world(world, max_reorg_depth=64, shards=shards)
+    scheduler = service.monitor.scheduler
+    installed = {}
+
+    def remember(_snapshot):
+        for state in scheduler.states.values():
+            if id(state.stages) not in installed:
+                installed[id(state.stages)] = (
+                    state.stages,
+                    record_values(state.stages),
+                )
+
+    service.monitor.subscribe_snapshots(remember)
+    storm = ReorgStorm(
+        world,
+        random.Random(5),
+        reorg_probability=0.45,
+        max_depth=13,
+        drop_probability=0.3,
+        delay_probability=0.25,
+        max_shorten=2,
+        step_range=(5, 90),
+    )
+    assert storm.run(service.monitor), "the storm must actually reorg"
+    assert not list(service.monitor.subscriber_errors)
+
+    # Every reader folds the shared records.
+    result = scheduler.result()
+    funnel = service.query.funnel_stats()
+    global_version = service.query.version()
+    for shard_version in getattr(global_version, "shards", ()):
+        maintained = shard_version.funnel
+        refold = funnel_partial(dataclasses.replace(shard_version, funnel=None))
+        assert maintained.stages == refold.stages
+        assert maintained.candidate_count == refold.candidate_count
+        assert maintained.confirmed_count == refold.confirmed_count
+
+    assert list(funnel.stages) == list(result.refinement.stages)
+    batch = WashTradingPipeline(
+        labels=world.labels, is_contract=world.is_contract, engine="columnar"
+    ).run(build_dataset(world.node, world.marketplace_addresses))
+    assert result.refinement.stages == batch.refinement.stages
+
+    assert any(stages is EMPTY_STAGES for stages, _ in installed.values())
+    assert any(stages is not EMPTY_STAGES for stages, _ in installed.values())
+    for stages, values in installed.values():
+        assert record_values(stages) == values
+    assert record_values(EMPTY_STAGES) == [(name, 0, 0, []) for name in STAGE_NAMES]

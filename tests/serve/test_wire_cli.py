@@ -43,6 +43,26 @@ def run_cli(*args, timeout=120):
     return proc.returncode, out, err
 
 
+def wait_for_ingest(proc, span_log, timeout=90.0) -> None:
+    """Block until ``serve --log-json span_log`` has logged an ``ingest``
+    span, i.e. ingest is under way (a fixed sleep races process start-up
+    on a loaded host)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if proc.poll() is not None:
+            out, err = proc.communicate()
+            pytest.fail(f"serve exited before ingest started: {err or out}")
+        try:
+            with open(span_log, encoding="utf-8") as handle:
+                lines = handle.read().split("\n")[:-1]  # complete lines only
+        except FileNotFoundError:
+            lines = []
+        if any(json.loads(line)["span"] == "ingest" for line in lines if line):
+            return
+        time.sleep(0.05)
+    pytest.fail(f"no ingest span within {timeout} s")
+
+
 def wait_for_listen_line(proc) -> tuple:
     line = proc.stdout.readline()
     match = re.match(r"wire: listening on (\S+):(\d+)", line)
@@ -76,12 +96,13 @@ def serving():
 
 
 class TestGracefulShutdown:
-    def test_sigint_mid_ingest_exits_zero_without_traceback(self):
-        # Small ticks over the small world so the interrupt almost
-        # certainly lands mid-ingest (the tiny world ingests in under a
-        # second); a post-ingest interrupt must behave the same.
-        # --verify rides along: against a partial prefix it must be
-        # skipped (with a note), never reported as a parity failure.
+    def test_sigint_mid_ingest_exits_zero_without_traceback(self, tmp_path):
+        # Small ticks over the small world, interrupted once the first
+        # ingest span is logged, so the signal lands mid-ingest; a
+        # post-ingest interrupt must behave the same.  --verify rides
+        # along: against a partial prefix it must be skipped (with a
+        # note), never reported as a parity failure.
+        span_log = str(tmp_path / "spans.jsonl")
         proc = spawn(
             "serve",
             "--preset",
@@ -91,8 +112,10 @@ class TestGracefulShutdown:
             "--query-threads",
             "2",
             "--verify",
+            "--log-json",
+            span_log,
         )
-        time.sleep(1.0)
+        wait_for_ingest(proc, span_log)
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, (proc.returncode, err)
