@@ -324,7 +324,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "partition the read model into N token-range shards behind a "
-            "scatter-gather router (default: 1, the single index)"
+            "scatter-gather query service (default: 1)"
         ),
     )
     parser.add_argument(
@@ -963,7 +963,11 @@ def run_monitor(argv: Sequence[str]) -> int:
 
 def run_serve(argv: Sequence[str]) -> int:
     """The query-service subcommand: threaded ingest + query workers."""
-    from repro.serve import ServeService, serving_parity_mismatches
+    from repro.serve import (
+        ServeService,
+        serving_parity_mismatches,
+        sharded_parity_mismatches,
+    )
     from repro.serve.load import LoadGenerator
     from repro.core.detectors.pipeline import WashTradingPipeline
     from repro.ingest.dataset import build_dataset
@@ -1116,27 +1120,18 @@ def run_serve(argv: Sequence[str]) -> int:
                 engine="columnar",
                 enabled_methods=_enabled_methods(args),
             ).run(build_dataset(world.node, world.marketplace_addresses))
+            # The global oracle check, plus proof that each shard holds
+            # exactly its routed slice of the batch answer.
             mismatches = serving_parity_mismatches(query, batch)
-            if args.shards > 1:
-                # The partitioned index additionally proves each shard
-                # holds exactly its routed slice of the batch answer.
-                from repro.serve import sharded_parity_mismatches
-
-                mismatches.extend(
-                    sharded_parity_mismatches(service.index, batch)
-                )
+            mismatches.extend(sharded_parity_mismatches(service.index, batch))
             if mismatches:
                 for mismatch in mismatches:
                     print(f"parity mismatch: {mismatch}", file=sys.stderr)
                 status = 2
             elif not args.quiet:
                 print(
-                    "serving parity vs batch build: OK"
-                    + (
-                        f" (globally and across {args.shards} shards)"
-                        if args.shards > 1
-                        else ""
-                    )
+                    "serving parity vs batch build: OK "
+                    f"(globally and across {args.shards} shards)"
                 )
             if args.listen is not None:
                 # The same bar through the socket: every wire answer must
@@ -1163,9 +1158,9 @@ def run_serve(argv: Sequence[str]) -> int:
 
         cache_stats = service.cache_stats()
         if not args.quiet and cache_stats is not None:
-            shard_note = f" across {args.shards} shards" if args.shards > 1 else ""
             print(
-                f"aggregate cache{shard_note}: {cache_stats.hits} hits / "
+                f"aggregate cache across {args.shards} shards: "
+                f"{cache_stats.hits} hits / "
                 f"{cache_stats.lookups} lookups ({cache_stats.hit_rate:.1%}), "
                 f"{cache_stats.invalidated} invalidated"
             )

@@ -2,29 +2,29 @@
 
 The streaming monitor (:mod:`repro.stream`) keeps detection continuously
 current; this package is its *read path* -- the part a marketplace or a
-wallet actually calls.  Four pieces:
+wallet actually calls.  There is one serving path, whatever the shard
+count (``python -m repro serve --shards N``, default 1):
 
-* :mod:`repro.serve.index` -- :class:`ServeIndex`, a versioned read
-  model rebuilt incrementally from each monitor tick.  Every tick
-  publishes a new immutable :class:`~repro.serve.model.ServeVersion`;
-  reorg retractions publish a *revision* and never mutate a served
-  snapshot, so queries get snapshot isolation without locks.
+* :mod:`repro.serve.sharding` -- :class:`ShardedServeIndex`, the
+  versioned read model: token-range shards (stable CRC32 routing), one
+  shared alert log, and two-phase stage-then-flip publication of one
+  immutable :class:`GlobalVersion` per monitor tick.  Reorg
+  retractions publish a *revision* and never mutate a served snapshot,
+  so queries get snapshot isolation without locks.
+* :mod:`repro.serve.index` -- :class:`ServeIndex`, one shard: rebuilt
+  incrementally from the tick's owned dirty slice, publishing an
+  immutable :class:`~repro.serve.model.ServeVersion` that carries its
+  differentially maintained funnel partial (:mod:`repro.serve.funnel`).
 * :mod:`repro.serve.query` -- :class:`QueryService`: point lookups
-  (``token_status``, ``account_profile``), filtered paginated listings
-  (``list_confirmed``), cached aggregates (collection / marketplace
-  rollups, live funnel statistics) and replayable subscription cursors
-  keyed by alert sequence number.
+  (``token_status``, ``account_profile``) routed to the owner shard,
+  filtered paginated listings (``list_confirmed``) over the shards'
+  k-way merge, scatter-gather aggregates (collection / marketplace
+  rollups, live funnel statistics; partials in
+  :mod:`repro.serve.router`) and replayable subscription cursors keyed
+  by alert sequence number.
 * :mod:`repro.serve.cache` -- :class:`AggregateCache`, a result cache
-  for the expensive aggregates invalidated *precisely* by the
-  scheduler's per-tick dirty-token set instead of wholesale.
-* :mod:`repro.serve.sharding` / :mod:`repro.serve.router` -- the
-  partitioned live path: :class:`ShardedServeIndex` splits the read
-  model into token-range shards (stable CRC32 routing, one shared
-  alert log, two-phase stage-then-flip publication for global snapshot
-  isolation) and :class:`ShardRouter` serves the unchanged
-  :class:`QueryService` surface over it -- point lookups hash-route,
-  listings k-way merge, aggregates scatter-gather per-shard cached
-  partials; ``python -m repro serve --shards N`` turns it on.
+  invalidated *precisely* by the scheduler's per-tick dirty-token set:
+  one per shard for partials, one for merged answers.
 * :mod:`repro.serve.service` -- :class:`ServeService`, the facade that
   runs monitor ingest (inline or on a background thread) and the query
   front end together; ``python -m repro serve`` is its CLI.
@@ -39,8 +39,10 @@ Parity bar (pinned by ``tests/serve`` and
 ``benchmarks/bench_serve_load.py``): at every published version --
 including mid-reorg-storm -- every query answer equals a fresh batch
 ``WashTradingPipeline(engine="columnar")`` build over the same chain
-prefix; :func:`~repro.serve.parity.serving_parity_mismatches` is the
-self-check.
+prefix; :func:`~repro.serve.parity.serving_parity_mismatches` is that
+global self-check, and
+:func:`~repro.serve.parity.sharded_parity_mismatches` proves each shard
+holds exactly its routed slice.
 """
 
 from repro.serve.cache import AggregateCache, CacheStats
@@ -62,7 +64,6 @@ from repro.serve.parity import (
     sharded_parity_mismatches,
 )
 from repro.serve.query import AlertReplayCursor, ConfirmedPage, QueryService
-from repro.serve.router import ShardRouter
 from repro.serve.service import ServeService
 from repro.serve.sharding import (
     GlobalVersion,
@@ -98,7 +99,6 @@ __all__ = [
     "ServeIndex",
     "ServeService",
     "ServeVersion",
-    "ShardRouter",
     "ShardSpec",
     "ShardedServeIndex",
     "TokenStatus",

@@ -136,7 +136,7 @@ class AggregateCache:
             self.stats.invalidated += len(dead)
             return len(dead)
 
-    def register_metrics(self, registry, shard: "int | None" = None) -> None:
+    def register_metrics(self, registry, labels: str = "") -> None:
         """Expose the cache through a registry *collector*.
 
         The cache already counts everything the stats surface needs in
@@ -145,25 +145,24 @@ class AggregateCache:
         any work to the lookup hot path.  Idempotent per registry call
         site: registering twice just reports the same numbers twice.
 
-        With ``shard``, each series carries a ``{shard="N"}`` label (the
-        registry's flat labeled-name convention), so the per-shard
-        caches of a partitioned index report side by side instead of
-        colliding on one name.
+        ``labels`` is appended to every series name in the registry's
+        flat labeled-name convention (``'{shard="2"}'``), so the
+        per-shard caches report side by side with the unlabeled
+        merged-result memo instead of colliding on one name.
         """
-        suffix = "" if shard is None else '{shard="%d"}' % shard
 
         def collect():
             stats = self.stats
             return {
                 "counters": {
-                    f"serve_cache_hits_total{suffix}": stats.hits,
-                    f"serve_cache_misses_total{suffix}": stats.misses,
-                    f"serve_cache_invalidated_total{suffix}": stats.invalidated,
-                    f"serve_cache_stale_discards_total{suffix}": stats.stale_discards,
+                    f"serve_cache_hits_total{labels}": stats.hits,
+                    f"serve_cache_misses_total{labels}": stats.misses,
+                    f"serve_cache_invalidated_total{labels}": stats.invalidated,
+                    f"serve_cache_stale_discards_total{labels}": stats.stale_discards,
                 },
                 "gauges": {
-                    f"serve_cache_entries{suffix}": len(self),
-                    f"serve_cache_hit_ratio{suffix}": stats.hit_rate,
+                    f"serve_cache_entries{labels}": len(self),
+                    f"serve_cache_hit_ratio{labels}": stats.hit_rate,
                 },
             }
 

@@ -1,33 +1,33 @@
-"""Differentially maintained funnel statistics for the sharded live path.
+"""Differentially maintained funnel statistics for the live read model.
 
-The monolithic :class:`~repro.serve.index.ServeIndex` answers
-``funnel_stats`` by folding every token state's per-stage records
-into one :class:`~repro.serve.model.FunnelSnapshot` -- O(world) per
-recompute, paid on every query that misses the cache.  The partitioned
-refactor makes a better contract possible: each shard's funnel
-contribution is an associative *partial*, and every per-token stage
-statistic is **invertible** -- ``nft_count`` and ``component_count``
-subtract, and the distinct-account union becomes a multiset
-(account id -> number of contributing tokens) whose key set *is* the
-distinct union.  So a shard can maintain its funnel partial by applying
-only the tick's dirty delta (retire the old token state, install the
-new one) and materialize the partial once per published version --
-O(dirty slice) per tick instead of O(shard) per query.
+Answering ``funnel_stats`` by folding every token state's per-stage
+records is O(world) per recompute.  Each shard's funnel contribution is
+instead an associative *partial*, and every per-token stage statistic
+is **invertible** -- ``nft_count`` and ``component_count`` subtract,
+and the distinct-account union becomes a multiset (account id -> number
+of contributing tokens) whose key set *is* the distinct union.  So a
+shard maintains its funnel partial by applying only the tick's dirty
+delta (retire the old token state, install the new one) and
+materializes the partial once per published version -- O(dirty slice)
+per tick instead of O(shard) per query.
 
 The materialized :class:`FunnelPartial` rides the immutable
 :class:`~repro.serve.model.ServeVersion` itself, so readers get it with
 the same snapshot-isolation guarantees as every other container: there
 is no query-time window in which a half-applied delta could be
-observed.
+observed.  A stage whose statistics did not move re-publishes the
+previous version's :class:`StageRecord` (and with it the account-id
+frozenset), so the versions a reader pins share their funnel instead
+of each holding a copy.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
-from repro.engine.refine import STAGE_NAMES, StageRecord
+from repro.engine.refine import EMPTY_STAGES, STAGE_NAMES, StageRecord
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,13 @@ class FunnelPartial:
 class _StageCounts:
     """Invertible statistics of one funnel stage across a shard."""
 
-    __slots__ = ("nft_count", "component_count", "account_tokens")
+    __slots__ = (
+        "nft_count",
+        "component_count",
+        "account_tokens",
+        "_crossed",
+        "_record",
+    )
 
     def __init__(self) -> None:
         self.nft_count = 0
@@ -53,6 +59,11 @@ class _StageCounts:
         #: account id -> number of this shard's tokens contributing it;
         #: the key set is exactly the stage's distinct account union.
         self.account_tokens: Counter = Counter()
+        #: Account ids that joined or left the key set since the last
+        #: :meth:`materialize` (a retire-then-install of the same token
+        #: crosses and re-crosses, so only a recheck tells a net move).
+        self._crossed: Set[int] = set()
+        self._record: Optional[StageRecord] = None
 
     def apply(self, stage: StageRecord, sign: int) -> None:
         if not stage.nft_count:
@@ -60,24 +71,46 @@ class _StageCounts:
         self.nft_count += sign * stage.nft_count
         self.component_count += sign * stage.component_count
         counts = self.account_tokens
+        crossed = self._crossed
         for account_id in stage.account_ids:
             fresh = counts[account_id] + sign
             if fresh:
                 counts[account_id] = fresh
+                if fresh == 1 and sign > 0:
+                    crossed.add(account_id)
             else:
                 del counts[account_id]
+                crossed.add(account_id)
 
     def materialize(self, name: str) -> StageRecord:
-        return StageRecord(
-            name,
-            self.nft_count,
-            self.component_count,
-            frozenset(self.account_tokens),
-        )
+        """The stage as a record; while the account key set is
+        unchanged the previous record's frozenset is shared (and the
+        whole record, when the counts did not move either)."""
+        record = self._record
+        counts = self.account_tokens
+        if record is None or any(
+            (account_id in counts) != (account_id in record.account_ids)
+            for account_id in self._crossed
+        ):
+            accounts = frozenset(counts)
+        else:
+            accounts = record.account_ids
+        self._crossed.clear()
+        if (
+            record is None
+            or accounts is not record.account_ids
+            or record.nft_count != self.nft_count
+            or record.component_count != self.component_count
+        ):
+            record = StageRecord(
+                name, self.nft_count, self.component_count, accounts
+            )
+            self._record = record
+        return record
 
 
 class FunnelMaintainer:
-    """A shard's live funnel state, updated by dirty-token deltas.
+    """One shard's live funnel state, updated by dirty-token deltas.
 
     ``apply(old, new)`` retires one token's previous state and installs
     its replacement (either side may be None for appearing or vanishing
@@ -98,23 +131,31 @@ class FunnelMaintainer:
     def rebuild(self, states: Iterable) -> None:
         """Fold a full set of token states in (bootstrap only)."""
         for state in states:
-            self._apply_one(state, 1)
+            self.apply(None, state)
 
     def apply(self, old: Optional[object], new: Optional[object]) -> None:
-        """Replace one token's contribution (None = absent on that side)."""
+        """Replace one token's contribution (None = absent on that side).
+
+        Only the stages whose record changed value are retired and
+        re-installed: a re-refined token whose funnel statistics did not
+        move costs one record comparison per stage, and leaves the
+        stage's account set untouched.
+        """
         if old is new:
             # A confirmation flip re-dirties tokens whose refinement
             # structure never moved; their delta is exactly zero.
             return
-        if old is not None:
-            self._apply_one(old, -1)
-        if new is not None:
-            self._apply_one(new, 1)
-
-    def _apply_one(self, state, sign: int) -> None:
-        self.candidate_count += sign * len(state.candidates)
-        for counts, stage in zip(self._stages, state.stages):
-            counts.apply(stage, sign)
+        before = EMPTY_STAGES if old is None else old.stages
+        after = EMPTY_STAGES if new is None else new.stages
+        self.candidate_count += (0 if new is None else len(new.candidates)) - (
+            0 if old is None else len(old.candidates)
+        )
+        if before is after:
+            return
+        for counts, retired, installed in zip(self._stages, before, after):
+            if retired != installed:
+                counts.apply(retired, -1)
+                counts.apply(installed, 1)
 
     def partial(self, version: int, confirmed_count: int) -> FunnelPartial:
         """Freeze the maintained totals for one published version."""

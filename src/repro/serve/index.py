@@ -1,8 +1,13 @@
-"""The versioned read model over a live streaming monitor.
+"""One token-range shard of the versioned read model.
 
-:class:`ServeIndex` subscribes to a :class:`~repro.stream.StreamingMonitor`
-and, after every tick, publishes a fresh immutable
-:class:`~repro.serve.model.ServeVersion`.  The contract:
+:class:`ServeIndex` holds the slice of the read model one shard owns
+and, on every monitor tick, folds the tick's owned slice in and builds
+a fresh immutable :class:`~repro.serve.model.ServeVersion`.  It never
+subscribes to the monitor itself: the coordinator
+(:class:`~repro.serve.sharding.ShardedServeIndex`) cuts each tick into
+per-shard slices, stages every shard, then flips them all at once.  A
+single-shard deployment is that coordinator with one shard.  The
+contract:
 
 * **Versions are immutable and monotone.**  A tick never mutates a
   published version; it builds a new one and swaps the ``current``
@@ -13,26 +18,23 @@ and, after every tick, publishes a fresh immutable
   mark it as a revision; the retracted activities are simply absent
   from it, while the alert log keeps the explicit ``ACTIVITY_RETRACTED``
   events a replaying consumer needs.
-* **The rebuild is incremental.**  Only the tick's dirty tokens are
-  re-read from the scheduler (via
+* **The rebuild is incremental.**  Only the tick's owned dirty tokens
+  are re-read from the scheduler (via
   :meth:`~repro.stream.scheduler.DirtyTokenScheduler.confirmed_activities`,
   which also captures evidence drift the alert stream deliberately does
   not re-announce); per-account profiles are rebuilt only for accounts
-  whose record set changed.  Publishing shares everything untouched
-  with the previous version.
-
-The index also owns the append-only alert log (the replay source for
-subscription cursors) and drives the aggregate cache's precise,
-dirty-set-keyed invalidation.
+  whose record set changed, and the funnel partial is maintained by
+  dirty deltas (:mod:`repro.serve.funnel`).  A tick whose owned slice
+  is empty republishes the previous containers by reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+import dataclasses
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chain.types import NFTKey
-from repro.engine.views import StoreStats
 from repro.serve.cache import (
     AggregateCache,
     FUNNEL_SCOPE,
@@ -49,12 +51,31 @@ from repro.serve.model import (
     TokenStatus,
     record_key,
 )
-from repro.obs.bounded import DEFAULT_ERROR_RETENTION, BoundedLog
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.stream.alerts import Alert, AlertKind, MonitorSnapshot
 from repro.stream.monitor import StreamingMonitor
+from repro.stream.scheduler import TokenState
 
-VersionCallback = Callable[[ServeVersion], None]
+#: record identity -> (seq, block) of its latest confirmation alert.
+ConfirmationInfo = Dict[RecordKey, Tuple[int, int]]
+
+
+def confirmation_info(alerts: List[Alert]) -> ConfirmationInfo:
+    """Where each confirmed identity in ``alerts`` was last announced."""
+    info: ConfirmationInfo = {}
+    for alert in alerts:
+        if alert.kind is AlertKind.ACTIVITY_CONFIRMED:
+            info[record_key(alert.activity)] = (alert.seq, alert.block)
+    return info
+
+
+@dataclass
+class TickSlice:
+    """One shard's share of a monitor tick, cut once by the coordinator."""
+
+    #: The owned dirty tokens, in the snapshot's order.
+    dirty: List[NFTKey] = field(default_factory=list)
+    newly_confirmed: int = 0
+    retracted: int = 0
 
 
 @dataclass
@@ -63,88 +84,36 @@ class StagedVersion:
 
     ``stage_snapshot`` returns this; ``commit_staged`` flips the
     ``current`` handle and ``invalidate_staged`` bumps the cache --
-    split so a sharded coordinator can stage *every* shard before any
-    handle flips, and flip every handle before any cache invalidation.
+    split so the coordinator can stage *every* shard before any handle
+    flips, and flip every handle before any cache invalidation.
     """
 
     version: ServeVersion
-    #: The cache scopes this tick's (owned) dirty slice may have moved.
+    #: The cache scopes this tick's owned dirty slice may have moved.
     scopes: Set[Scope]
 
 
 class ServeIndex:
-    """Maintains and publishes the immutable read model, tick by tick."""
+    """Maintains one shard's immutable read model, tick by tick."""
 
     def __init__(
         self,
         monitor: StreamingMonitor,
+        shard,
+        alert_log: List[Alert],
         cache: Optional[AggregateCache] = None,
-        registry: Optional[MetricsRegistry] = None,
-        shard=None,
-        alert_log: Optional[List[Alert]] = None,
-        attach: bool = True,
     ) -> None:
         self.monitor = monitor
-        self.cache = cache
-        self.registry = (
-            registry
-            if registry is not None
-            else getattr(monitor, "registry", None) or NULL_REGISTRY
-        )
-        #: Restriction of this index to one token-range shard: any
-        #: object with ``index`` and ``contains(nft)`` (see
+        #: The token range this index serves: any object with ``index``
+        #: and ``contains(nft)`` (see
         #: :class:`repro.serve.sharding.ShardSpec`; duck-typed here to
-        #: keep the import DAG acyclic).  ``None`` serves everything.
+        #: keep the import DAG acyclic).
         self.shard = shard
-        #: Append-only copy of every alert the monitor published since
-        #: (and including) the bootstrap -- ``alert_log[seq].seq == seq``.
-        #: A sharded deployment passes one shared list: the coordinator
-        #: owns (extends) it, the shards only read, so ``seq`` stays
-        #: globally gapless with a single source of truth.
-        self._owns_log = alert_log is None
-        self.alert_log: List[Alert] = [] if alert_log is None else alert_log
+        self.cache = cache
+        #: The coordinator's append-only alert log, shared by reference
+        #: and only read here, so ``seq`` stays globally gapless.
+        self.alert_log = alert_log
         self.versions_published = 0
-        self._version_subscribers: List[VersionCallback] = []
-        #: Recent version-subscriber failures, isolated like the
-        #: monitor's own subscriber errors: a raising callback never
-        #: starves the subscribers after it and never aborts the
-        #: publish.  Bounded to the last DEFAULT_ERROR_RETENTION
-        #: ``(callback, version, error)`` tuples; ``.total`` counts all.
-        self.subscriber_errors: BoundedLog = BoundedLog(DEFAULT_ERROR_RETENTION)
-
-        if shard is None:
-            self._metric_versions = self.registry.counter(
-                "serve_versions_published_total", "Immutable versions published."
-            )
-            self._metric_confirmed = self.registry.gauge(
-                "serve_confirmed_records", "Confirmed activity records being served."
-            )
-        else:
-            # Shard instances label the same families instead of
-            # claiming the bare name, so the stats surface aggregates
-            # them per shard without colliding.
-            label = str(shard.index)
-            self._metric_versions = self.registry.counter(
-                "serve_versions_published_total",
-                "Immutable versions published.",
-                labels=("shard",),
-            ).labels(shard=label)
-            self._metric_confirmed = self.registry.gauge(
-                "serve_confirmed_records",
-                "Confirmed activity records being served.",
-                labels=("shard",),
-            ).labels(shard=label)
-        self._metric_subscriber_errors = self.registry.counter(
-            "serve_subscriber_errors_total",
-            "Version-subscriber callbacks that raised during publish.",
-        )
-        self._metric_alert_log = self.registry.gauge(
-            "serve_alert_log_entries", "Alerts held in the replayable log."
-        )
-        if cache is not None:
-            cache.register_metrics(
-                self.registry, shard=None if shard is None else shard.index
-            )
 
         self._records: Dict[RecordKey, ActivityRecord] = {}
         self._token_records: Dict[NFTKey, Dict[RecordKey, ActivityRecord]] = {}
@@ -152,239 +121,107 @@ class ServeIndex:
         self._token_status: Dict[NFTKey, TokenStatus] = {}
         self._account_records: Dict[str, Dict[RecordKey, ActivityRecord]] = {}
         self._profiles: Dict[str, AccountProfile] = {}
-        #: Shard instances maintain their funnel partial differentially
-        #: (O(dirty slice) per tick) and publish it on every version;
-        #: the monolithic index keeps its recompute-from-states design.
-        self.funnel_state: Optional[FunnelMaintainer] = (
-            None if shard is None else FunnelMaintainer()
-        )
+        #: The owned tokens' scheduler states, kept current from each
+        #: tick's owned dirty slice (the scheduler re-installs a state
+        #: for every token it reports dirty).
+        self._token_states: Dict[NFTKey, TokenState] = {}
+        self.funnel_state = FunnelMaintainer()
 
         self._bootstrap()
-        if attach:
-            monitor.subscribe_snapshots(self._on_snapshot)
 
-    # -- public surface ----------------------------------------------------
     @property
     def current(self) -> ServeVersion:
         """The newest published version (atomic reference read)."""
         return self._current
-
-    @property
-    def last_seq(self) -> int:
-        """Highest alert sequence number the index has folded in."""
-        return len(self.alert_log) - 1
-
-    def subscribe_versions(self, callback: VersionCallback) -> VersionCallback:
-        """Register a callback invoked with every published version."""
-        self._version_subscribers.append(callback)
-        return callback
-
-    def alerts_since(self, seq: int, limit: Optional[int] = None) -> Tuple[Alert, ...]:
-        """Alerts with sequence number strictly greater than ``seq``.
-
-        The replay primitive: the log is append-only, so a slice taken
-        while the monitor thread appends is always a consistent prefix
-        of the stream.
-        """
-        start = max(seq + 1, 0)
-        if limit is None:
-            return tuple(self.alert_log[start:])
-        return tuple(self.alert_log[start : start + limit])
 
     # -- bootstrap ---------------------------------------------------------
     def _bootstrap(self) -> None:
         """Build version 0 from whatever the monitor already holds.
 
         Normally that is the empty pre-ingest state; attaching to a
-        monitor that already ran some ticks is supported: the published
-        alerts are adopted into the log (so replay cursors see the
-        whole history) and folded into per-identity confirmation
-        coordinates, so adopted records carry the ``seq``/block of
-        their *latest* confirmation exactly as if the index had been
-        attached from the start.
+        monitor that already ran some ticks is supported: the adopted
+        alerts (already in the shared log) are folded into per-identity
+        confirmation coordinates, so adopted records carry the
+        ``seq``/block of their *latest* confirmation exactly as if the
+        index had been attached from the start.
         """
-        if self._owns_log:
-            self.alert_log.extend(self.monitor.alerts)
-        confirmation_info: Dict[RecordKey, Tuple[int, int]] = {}
-        for alert in self.alert_log:
-            if alert.kind is AlertKind.ACTIVITY_CONFIRMED:
-                confirmation_info[record_key(alert.activity)] = (
-                    alert.seq,
-                    alert.block,
-                )
-        for nft in sorted(
-            self.monitor.scheduler.flagged_nfts, key=self.monitor.scheduler.order_of
-        ):
-            if self._owns(nft):
-                self._rebuild_token(nft, confirmation_info, set(), set())
+        scheduler = self.monitor.scheduler
+        contains = self.shard.contains
+        confirmed = confirmation_info(self.alert_log)
+        for nft in sorted(scheduler.flagged_nfts, key=scheduler.order_of):
+            if contains(nft):
+                self._rebuild_token(nft, confirmed, set(), set())
         for account in list(self._account_records):
             self._rebuild_profile(account)
-        if self.funnel_state is not None:
-            self.funnel_state.rebuild(
-                state
-                for nft, state in self.monitor.scheduler.states.items()
-                if self._owns(nft)
-            )
+        self._token_states = {
+            nft: state for nft, state in scheduler.states.items() if contains(nft)
+        }
+        self.funnel_state.rebuild(self._token_states.values())
         self._current = self._build_version(
-            version=self.monitor.tick_count,
-            dirty_token_count=0,
-            reorg_depth=0,
-            retracted_count=0,
-            newly_confirmed_count=0,
+            version=self.monitor.tick_count, owned=TickSlice(), reorg_depth=0
         )
         self.versions_published += 1
-        self._metric_versions.inc()
-        if self._owns_log:
-            self._metric_alert_log.set(len(self.alert_log))
-        self._metric_confirmed.set(len(self._records))
 
     # -- tick application --------------------------------------------------
-    def _owns(self, nft: NFTKey) -> bool:
-        """True when this index serves the token (always, unsharded)."""
-        return self.shard is None or self.shard.contains(nft)
-
-    def _on_snapshot(self, snapshot: MonitorSnapshot) -> None:
-        """Fold one monitor tick into the model and publish a version.
-
-        The unsharded path simply runs the two-phase pieces back to
-        back; a sharded coordinator interleaves them across shards
-        instead (stage all, flip all, invalidate all).
-        """
-        with self.registry.span("publish", dirty=snapshot.dirty_token_count):
-            staged = self.stage_snapshot(snapshot)
-            # Publish before invalidating: a reader that captured the
-            # old cache generations and then computes from this new
-            # version can only be *discarded* by the invalidation,
-            # never cached stale.
-            self.commit_staged(staged)
-            # The tick's alerts are readable from here on.
-            self.registry.latency.mark(snapshot.trace, "publish")
-            self.invalidate_staged(staged)
-            self.notify_subscribers(staged.version)
-
-    def stage_snapshot(self, snapshot: MonitorSnapshot) -> StagedVersion:
+    def stage_snapshot(
+        self,
+        snapshot: MonitorSnapshot,
+        owned: TickSlice,
+        confirmed: ConfirmationInfo,
+    ) -> StagedVersion:
         """Fold one tick's owned slice in; build but don't publish.
 
         Nothing a reader can observe changes here: the working maps are
         private, and the returned version only becomes visible when
         :meth:`commit_staged` swaps the ``current`` reference.
         """
-        if self._owns_log:
-            self.alert_log.extend(snapshot.alerts)
-        confirmation_info: Dict[RecordKey, Tuple[int, int]] = {}
-        for alert in snapshot.alerts:
-            if alert.kind is AlertKind.ACTIVITY_CONFIRMED:
-                confirmation_info[record_key(alert.activity)] = (
-                    alert.seq,
-                    alert.block,
-                )
-
-        dirty = [nft for nft in snapshot.dirty_nfts if self._owns(nft)]
         touched_accounts: Set[str] = set()
         changed_venues: Set[str] = set()
-        for nft in dirty:
-            self._rebuild_token(
-                nft, confirmation_info, touched_accounts, changed_venues
-            )
+        for nft in owned.dirty:
+            self._rebuild_token(nft, confirmed, touched_accounts, changed_venues)
         for account in touched_accounts:
             self._rebuild_profile(account)
-        if self.funnel_state is not None and dirty:
-            # Retire each dirty token's previous funnel contribution and
-            # install the fresh one -- the full delta, because the
-            # scheduler reports every re-installed state as dirty.
-            previous_states = self._current.token_states
-            fresh_states = self.monitor.scheduler.states
-            for nft in dirty:
-                self.funnel_state.apply(
-                    previous_states.get(nft), fresh_states.get(nft)
-                )
 
-        # A tick that moved nothing publishes a fresh version *sharing*
-        # the previous one's containers: publishing is then O(1).  The
-        # unsharded index requires a fully idle tick (no re-detection,
-        # no store growth, no rollback); a shard only needs its own
-        # dirty slice empty -- new or rolled-back tokens are always in
-        # the dirty set, so untouched shards stay O(1) even while the
-        # rest of the world churns (shard store_stats may then lag; the
-        # coordinator captures fresh global stats every tick).
-        if self.shard is None:
-            unchanged = (
-                not snapshot.dirty_nfts
-                and snapshot.new_transfer_count == 0
-                and snapshot.rolled_back_transfer_count == 0
+        # Retire each dirty token's previous funnel contribution and
+        # install the fresh one -- the full delta, because the
+        # scheduler reports every re-installed state as dirty.
+        states = self.monitor.scheduler.states
+        working = self._token_states
+        for nft in owned.dirty:
+            old = working.get(nft)
+            new = states.get(nft)
+            self.funnel_state.apply(old, new)
+            if new is not None:
+                working[nft] = new
+            elif old is not None:
+                del working[nft]
+
+        if owned.dirty:
+            version = self._build_version(
+                version=snapshot.tick, owned=owned, reorg_depth=snapshot.reorg_depth
             )
-            retracted_count = snapshot.retracted_count
-            newly_confirmed_count = snapshot.newly_confirmed_count
         else:
-            unchanged = not dirty
-            retracted_count = sum(
-                1
-                for alert in snapshot.alerts
-                if alert.kind is AlertKind.ACTIVITY_RETRACTED
-                and self._owns(alert.nft)
-            )
-            newly_confirmed_count = sum(
-                1
-                for alert in snapshot.alerts
-                if alert.kind is AlertKind.ACTIVITY_CONFIRMED
-                and self._owns(alert.nft)
-            )
-        version = self._build_version(
-            version=snapshot.tick,
-            dirty_token_count=len(dirty),
-            reorg_depth=snapshot.reorg_depth,
-            retracted_count=retracted_count,
-            newly_confirmed_count=newly_confirmed_count,
-            reuse=self._current if unchanged else None,
-        )
+            # New or rolled-back tokens are always in the dirty set, so
+            # a shard with an empty slice republishes by reference.
+            version = self._republish(snapshot)
         return StagedVersion(
-            version=version, scopes=self._scopes_for(tuple(dirty), changed_venues)
+            version=version, scopes=_scopes_for(owned.dirty, changed_venues)
         )
 
     def commit_staged(self, staged: StagedVersion) -> None:
         """Flip ``current`` to the staged version (one atomic swap)."""
         self._current = staged.version
         self.versions_published += 1
-        self._metric_versions.inc()
-        if self._owns_log:
-            self._metric_alert_log.set(len(self.alert_log))
-        self._metric_confirmed.set(len(self._records))
 
     def invalidate_staged(self, staged: StagedVersion) -> None:
         """Bump the cache with the tick's owned slice of the dirty set."""
         if self.cache is not None:
             self.cache.invalidate(staged.scopes)
 
-    def notify_subscribers(self, version: ServeVersion) -> None:
-        """Deliver one published version to every subscriber, isolated."""
-        for callback in self._version_subscribers:
-            try:
-                callback(version)
-            except Exception as error:  # noqa: BLE001 - isolation, as in
-                # the monitor's _deliver: the publish is already done,
-                # the failure is the subscriber's.
-                self.subscriber_errors.append((callback, version, error))
-                self._metric_subscriber_errors.inc()
-
-    def _scopes_for(
-        self, dirty_nfts: Tuple[NFTKey, ...], changed_venues: Set[str]
-    ) -> Set[Scope]:
-        """Exactly the cache scopes one tick's dirty set can have moved."""
-        scopes: Set[Scope] = set()
-        if dirty_nfts:
-            # Any reprocessed token may have changed its funnel-stage
-            # contribution, even without a confirmation flip.
-            scopes.add(FUNNEL_SCOPE)
-        for nft in dirty_nfts:
-            scopes.add(collection_scope(nft.contract))
-        for venue in changed_venues:
-            scopes.add(venue_scope(venue))
-        return scopes
-
     def _rebuild_token(
         self,
         nft: NFTKey,
-        confirmation_info: Dict[RecordKey, Tuple[int, int]],
+        confirmed: ConfirmationInfo,
         touched_accounts: Set[str],
         changed_venues: Set[str],
     ) -> None:
@@ -403,9 +240,7 @@ class ServeIndex:
             if previous is not None:
                 seq, block = previous.seq, previous.confirmed_at_block
             else:
-                seq, block = confirmation_info.get(
-                    key, (-1, self.monitor.processed_block)
-                )
+                seq, block = confirmed.get(key, (-1, self.monitor.processed_block))
             record = ActivityRecord.from_activity(activity, seq, block, key)
             fresh[key] = record
             if previous is None or record != previous:
@@ -461,74 +296,55 @@ class ServeIndex:
         )
 
     # -- publishing --------------------------------------------------------
-    def _build_version(
-        self,
-        version: int,
-        dirty_token_count: int,
-        reorg_depth: int,
-        retracted_count: int,
-        newly_confirmed_count: int,
-        reuse: Optional[ServeVersion] = None,
-    ) -> ServeVersion:
-        """Assemble one immutable version (scalars always fresh).
+    def _republish(self, snapshot: MonitorSnapshot) -> ServeVersion:
+        """A fresh version *sharing* the previous one's containers.
 
-        With ``reuse`` (an unchanged-tick fast path), the previous
-        version's containers are shared instead of re-copied -- they
-        are immutable, and the index only replaces (never mutates) its
-        own working containers, so sharing is safe.
+        They are immutable, and the index only replaces (never mutates)
+        its own working containers, so sharing is safe and O(1).
         """
-        if reuse is not None:
-            confirmed = reuse.confirmed
-            token_status = reuse.token_status
-            account_profiles = reuse.account_profiles
-            token_states = reuse.token_states
-            token_order = reuse.token_order
-            store_stats = reuse.store_stats
-            funnel = reuse.funnel
-        else:
-            store = self.monitor.cursor.store
-            confirmed = tuple(
-                sorted(
-                    self._records.values(),
-                    key=lambda record: (record.seq, record.key),
-                )
-            )
-            token_status = dict(self._token_status)
-            account_profiles = dict(self._profiles)
-            if self.shard is None:
-                token_states = dict(self.monitor.scheduler.states)
-                token_order = tuple(store.tokens)
-            else:
-                # The shard's slice of the world, in global store order
-                # (so concatenating shard ordering facts -- collection
-                # token counts, funnel partials -- reproduces the
-                # single-index numbers exactly).
-                contains = self.shard.contains
-                token_states = {
-                    nft: state
-                    for nft, state in self.monitor.scheduler.states.items()
-                    if contains(nft)
-                }
-                token_order = tuple(nft for nft in store.tokens if contains(nft))
-            store_stats = StoreStats.capture(store)
-            funnel = (
-                None
-                if self.funnel_state is None
-                else self.funnel_state.partial(version, len(confirmed))
-            )
+        return dataclasses.replace(
+            self._current,
+            version=snapshot.tick,
+            block=self.monitor.processed_block,
+            last_seq=len(self.alert_log) - 1,
+            dirty_token_count=0,
+            reorg_depth=snapshot.reorg_depth,
+            retracted_count=0,
+            newly_confirmed_count=0,
+        )
+
+    def _build_version(
+        self, version: int, owned: TickSlice, reorg_depth: int
+    ) -> ServeVersion:
+        """Assemble one immutable version from the working containers."""
+        confirmed = tuple(
+            sorted(self._records.values(), key=lambda record: (record.seq, record.key))
+        )
         return ServeVersion(
             version=version,
             block=self.monitor.processed_block,
             last_seq=len(self.alert_log) - 1,
-            dirty_token_count=dirty_token_count,
+            dirty_token_count=len(owned.dirty),
             reorg_depth=reorg_depth,
-            retracted_count=retracted_count,
-            newly_confirmed_count=newly_confirmed_count,
+            retracted_count=owned.retracted,
+            newly_confirmed_count=owned.newly_confirmed,
             confirmed=confirmed,
-            token_status=token_status,
-            account_profiles=account_profiles,
-            token_states=token_states,
-            token_order=token_order,
-            store_stats=store_stats,
-            funnel=funnel,
+            token_status=dict(self._token_status),
+            account_profiles=dict(self._profiles),
+            funnel=self.funnel_state.partial(version, len(confirmed)),
+            token_states=dict(self._token_states),
         )
+
+
+def _scopes_for(dirty_nfts: List[NFTKey], changed_venues: Set[str]) -> Set[Scope]:
+    """Exactly the cache scopes one tick's dirty slice can have moved."""
+    scopes: Set[Scope] = set()
+    if dirty_nfts:
+        # Any reprocessed token may have changed its funnel-stage
+        # contribution, even without a confirmation flip.
+        scopes.add(FUNNEL_SCOPE)
+    for nft in dirty_nfts:
+        scopes.add(collection_scope(nft.contract))
+    for venue in changed_venues:
+        scopes.add(venue_scope(venue))
+    return scopes

@@ -190,8 +190,8 @@ def sharded_parity_mismatches(
 ) -> List[str]:
     """Per-shard structural parity of a partitioned index; [] = parity.
 
-    The global check (:func:`serving_parity_mismatches` over the
-    router) already proves the *merged* answers; this one proves the
+    The global check (:func:`serving_parity_mismatches` over the query
+    service) already proves the *merged* answers; this one proves the
     *partitioning* is sound shard by shard:
 
     * every shard holds exactly the tokens its hash slot owns;

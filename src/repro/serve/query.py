@@ -1,4 +1,4 @@
-"""The concurrent query API over the versioned read model.
+"""The concurrent query API over the sharded read model.
 
 Every public method resolves the *current* version once (a single
 atomic reference read) and answers entirely from that immutable
@@ -6,19 +6,32 @@ snapshot -- concurrent monitor ticks can publish new versions mid-query
 without the answer ever mixing two states.  Callers can also pin a
 version explicitly (``version=``) to ask several questions against the
 same consistent state; explicitly pinned versions bypass the aggregate
-cache, which only tracks the current generation.
+caches, which only track the current generation.
 
 Three query families:
 
 * **Point lookups** -- :meth:`token_status`, :meth:`account_profile`:
-  O(1) dictionary reads.
+  O(1) dictionary reads, hash-routed to the owner shard by the
+  :class:`~repro.serve.sharding.GlobalVersion` they resolve.
 * **Listings** -- :meth:`list_confirmed`: filtered, paginated scans
-  over the version's confirmed records with a stable ``(seq, key)``
-  cursor, so pages never skip or duplicate records while the filter
-  result is stable.
+  over the version's confirmed records (the shards' ``(seq, key)``
+  k-way merge) with a stable cursor, so pages never skip or duplicate
+  records while the filter result is stable.
 * **Aggregates** -- :meth:`funnel_stats`, :meth:`collection_rollup`,
-  :meth:`marketplace_rollup`: O(tokens)/O(records) computations served
-  through the dirty-token-keyed :class:`~repro.serve.cache.AggregateCache`.
+  :meth:`marketplace_rollup`: scatter-gather over per-shard partials
+  (:mod:`repro.serve.router`), each cached in its shard's
+  dirty-token-keyed :class:`~repro.serve.cache.AggregateCache`, under
+  the coordinator's merged-result memo.
+
+Consistency of the gather: a cached partial may legitimately carry an
+older computed-at version (nothing invalidated it since), so torn reads
+are detected not by comparing partial versions but by the
+coordinator's publication seqlock -- the gather is accepted only if
+:attr:`~repro.serve.sharding.ShardedServeIndex.publish_seq` was stable
+and even across it, i.e. no flip+invalidate overlapped the reads.  On
+the rare racing gather the query falls back to an uncached compute
+against one pinned global version, so answers always come from a
+single globally consistent snapshot.
 
 Subscription cursors (:meth:`replay`) expose the monitor's alert
 sequence numbers: a consumer that remembers the last ``seq`` it applied
@@ -28,21 +41,12 @@ revisions it must not miss.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from repro.chain.types import NFTKey
 from repro.core.activity import DetectionMethod
-from repro.engine.refine import STAGE_NAMES, StageAccumulator
-from repro.engine.views import tokens_per_collection
-from repro.serve.cache import (
-    AggregateCache,
-    FUNNEL_SCOPE,
-    collection_scope,
-    venue_scope,
-)
-from repro.serve.index import ServeIndex
+from repro.serve.cache import FUNNEL_SCOPE, collection_scope, venue_scope
 from repro.serve.model import (
     AccountProfile,
     ActivityRecord,
@@ -53,6 +57,14 @@ from repro.serve.model import (
     ServeVersion,
     TokenStatus,
 )
+from repro.serve.router import (
+    collection_partial,
+    marketplace_partial,
+    merge_collection,
+    merge_funnel,
+    merge_marketplace,
+)
+from repro.serve.sharding import GlobalVersion, ShardedServeIndex, contract_shard
 from repro.stream.alerts import Alert
 
 #: Opaque pagination cursor: the (seq, key) sort coordinate of the last
@@ -84,7 +96,7 @@ class AlertReplayCursor:
     the retraction revisions alike, in publication order.
     """
 
-    def __init__(self, index: ServeIndex, since_seq: int = -1) -> None:
+    def __init__(self, index: ShardedServeIndex, since_seq: int = -1) -> None:
         self._index = index
         self.position = since_seq
 
@@ -102,16 +114,17 @@ class AlertReplayCursor:
 
 
 class QueryService:
-    """Thread-safe read API over a :class:`ServeIndex`."""
+    """Thread-safe read API over a :class:`ShardedServeIndex`."""
 
-    def __init__(
-        self, index: ServeIndex, cache: Optional[AggregateCache] = None
-    ) -> None:
+    def __init__(self, index: ShardedServeIndex) -> None:
         self.index = index
-        self.cache = cache
+
+    @property
+    def shard_count(self) -> int:
+        return self.index.shard_count
 
     # -- versions ----------------------------------------------------------
-    def version(self) -> ServeVersion:
+    def version(self) -> GlobalVersion:
         """Pin the current version (the snapshot-isolation handle)."""
         return self.index.current
 
@@ -120,7 +133,7 @@ class QueryService:
         self,
         nft: Union[NFTKey, str],
         token_id: Optional[int] = None,
-        version: Optional[ServeVersion] = None,
+        version: Optional[GlobalVersion] = None,
     ) -> TokenStatus:
         """Wash status of one NFT (``NFTKey`` or contract + token id)."""
         if not isinstance(nft, NFTKey):
@@ -130,7 +143,7 @@ class QueryService:
         return (version or self.version()).status_of(nft)
 
     def account_profile(
-        self, address: str, version: Optional[ServeVersion] = None
+        self, address: str, version: Optional[GlobalVersion] = None
     ) -> AccountProfile:
         """Involvement summary of one account (empty when clean)."""
         return (version or self.version()).profile_of(address)
@@ -143,7 +156,7 @@ class QueryService:
         since_block: Optional[int] = None,
         limit: int = 50,
         cursor: Optional[PageCursor] = None,
-        version: Optional[ServeVersion] = None,
+        version: Optional[GlobalVersion] = None,
     ) -> ConfirmedPage:
         """Filtered, paginated listing of currently confirmed activities.
 
@@ -180,56 +193,67 @@ class QueryService:
             version=pinned.version,
         )
 
-    # -- aggregates (cached) -----------------------------------------------
-    def funnel_stats(self, version: Optional[ServeVersion] = None) -> FunnelSnapshot:
-        """Live refinement-funnel statistics (batch-identical)."""
-        if version is not None:
-            return self._compute_funnel(version)
-        # The version is resolved inside the compute closure, *after*
-        # the cache captured its scope generations: a tick racing the
-        # query can only make the computed value fresher than the
-        # captured generations (and the store is then discarded), never
-        # staler -- see AggregateCache.get_or_compute.
-        return self._cached(
+    # -- aggregates (scatter-gather) ---------------------------------------
+    def funnel_stats(self, version: Optional[GlobalVersion] = None) -> FunnelSnapshot:
+        """Live refinement-funnel statistics (batch-identical).
+
+        Each shard version carries its maintained partial, so the
+        gather reads one field per shard.
+        """
+        return self._merged(
             ("funnel",),
             (FUNNEL_SCOPE,),
-            lambda: self._compute_funnel(self.version()),
+            lambda shard: shard.funnel,
+            merge_funnel,
+            version,
         )
 
     def collection_rollup(
-        self, contract: str, version: Optional[ServeVersion] = None
+        self, contract: str, version: Optional[GlobalVersion] = None
     ) -> CollectionRollup:
         """Aggregate wash status of one contract."""
-        if version is not None:
-            return self._compute_collection(version, contract)
-        return self._cached(
+        # Contract-aligned routing makes a collection rollup a
+        # *single-shard* question: every token of the contract lives on
+        # its owner shard, so the other shards' partials are provably
+        # empty and are never computed, let alone gathered.
+        owner = contract_shard(contract, self.shard_count)
+        return self._merged(
             ("collection", contract),
             (collection_scope(contract),),
-            lambda: self._compute_collection(self.version(), contract),
+            lambda shard: collection_partial(shard, contract),
+            lambda partials: merge_collection(contract, partials),
+            version,
+            indices=(owner,),
         )
 
     def marketplace_rollup(
-        self, venue: str, version: Optional[ServeVersion] = None
+        self, venue: str, version: Optional[GlobalVersion] = None
     ) -> MarketplaceRollup:
         """Aggregate wash status of one venue (by dominant marketplace)."""
-        if version is not None:
-            return self._compute_marketplace(version, venue)
-        return self._cached(
+        return self._merged(
             ("venue", venue),
             (venue_scope(venue),),
-            lambda: self._compute_marketplace(self.version(), venue),
+            lambda shard: marketplace_partial(shard, venue),
+            lambda partials: merge_marketplace(venue, partials),
+            version,
         )
 
-    def collections(self, version: Optional[ServeVersion] = None) -> Tuple[str, ...]:
+    def collections(self, version: Optional[GlobalVersion] = None) -> Tuple[str, ...]:
         """Every contract known to the store, in first-seen order."""
         pinned = version or self.version()
         seen = dict.fromkeys(nft.contract for nft in pinned.token_order)
         return tuple(seen)
 
-    def venues(self, version: Optional[ServeVersion] = None) -> Tuple[str, ...]:
-        """Venues carrying at least one confirmed activity, sorted."""
+    def venues(self, version: Optional[GlobalVersion] = None) -> Tuple[str, ...]:
+        """Venues carrying at least one confirmed activity, sorted.
+
+        A union over the shards, without the global record merge.
+        """
         pinned = version or self.version()
-        return tuple(sorted({record.venue for record in pinned.confirmed}))
+        found: set = set()
+        for shard in pinned.shards:
+            found.update(record.venue for record in shard.confirmed)
+        return tuple(sorted(found))
 
     # -- subscriptions -----------------------------------------------------
     def replay(self, since_seq: int = -1) -> AlertReplayCursor:
@@ -237,72 +261,70 @@ class QueryService:
         return AlertReplayCursor(self.index, since_seq)
 
     # -- internals ---------------------------------------------------------
-    def _cached(self, key, scopes, compute):
-        if self.cache is None:
-            return compute()
-        return self.cache.get_or_compute(key, scopes, compute)
+    def _merged(
+        self,
+        key: Tuple,
+        scopes: Tuple,
+        compute: Callable[[ServeVersion], object],
+        merge: Callable[[List], object],
+        version: Optional[GlobalVersion],
+        indices: Optional[Tuple[int, ...]] = None,
+    ):
+        """One merged aggregate through the two cache levels.
 
-    @staticmethod
-    def _compute_funnel(version: ServeVersion) -> FunnelSnapshot:
-        merged = [StageAccumulator(name=name) for name in STAGE_NAMES]
-        candidate_count = 0
-        for state in version.token_states.values():
-            candidate_count += len(state.candidates)
-            for accumulator, record in zip(merged, state.stages):
-                accumulator.fold(record)
-        return FunnelSnapshot(
-            version=version.version,
-            stages=tuple(accumulator.to_stage() for accumulator in merged),
-            candidate_count=candidate_count,
-            confirmed_activity_count=version.confirmed_activity_count,
-        )
+        Warm answers come out of the coordinator's merged-result memo
+        at one-lookup cost.  On a miss (the tick's dirty union touched
+        this scope) the gather resolves per shard, where the untouched
+        shards still answer their partials from their own caches -- the
+        recompute cost is paid only by the shards the tick dirtied.
+        ``indices`` narrows the gather to the shards that can
+        contribute at all (the owner shard, for collection rollups); the
+        partition makes every other shard's partial structurally empty
+        for any version, pinned ones included.
+        """
+        indices = range(self.shard_count) if indices is None else indices
+        if version is not None:
+            return merge([compute(version.shards[index]) for index in indices])
 
-    @staticmethod
-    def _compute_collection(
-        version: ServeVersion, contract: str
-    ) -> CollectionRollup:
-        token_count = tokens_per_collection(version.token_order).get(contract, 0)
-        records = [
-            record for record in version.confirmed if record.nft.contract == contract
-        ]
-        methods: Counter = Counter()
-        accounts = set()
-        for record in records:
-            methods.update(record.methods)
-            accounts.update(record.accounts)
-        retractions = sum(
-            status.retraction_count
-            for nft, status in version.token_status.items()
-            if nft.contract == contract
-        )
-        return CollectionRollup(
-            contract=contract,
-            version=version.version,
-            token_count=token_count,
-            flagged_token_count=len({record.nft for record in records}),
-            activity_count=len(records),
-            volume_wei=sum(record.volume_wei for record in records),
-            account_count=len(accounts),
-            method_counts=dict(methods),
-            retraction_count=retractions,
-        )
+        def gather():
+            return merge(self._gather(key, scopes, compute, indices))
 
-    @staticmethod
-    def _compute_marketplace(
-        version: ServeVersion, venue: str
-    ) -> MarketplaceRollup:
-        records = [record for record in version.confirmed if record.venue == venue]
-        methods: Counter = Counter()
-        accounts = set()
-        for record in records:
-            methods.update(record.methods)
-            accounts.update(record.accounts)
-        return MarketplaceRollup(
-            venue=venue,
-            version=version.version,
-            activity_count=len(records),
-            flagged_nft_count=len({record.nft for record in records}),
-            volume_wei=sum(record.volume_wei for record in records),
-            account_count=len(accounts),
-            method_counts=dict(methods),
-        )
+        memo = self.index.router_cache
+        if memo is None:
+            return gather()
+        return memo.get_or_compute(key, scopes, gather)
+
+    def _gather(
+        self,
+        key: Tuple,
+        scopes: Tuple,
+        compute: Callable[[ServeVersion], object],
+        indices: Iterable[int],
+    ) -> List:
+        """Per-shard partials, each from its shard's cache when possible.
+
+        The partials resolve the live global handle *inside* the
+        compute closure (the cache-safety ordering) and the whole
+        gather is validated against the coordinator's publication
+        seqlock; a gather overlapping a flip+invalidate falls back to
+        one uncached pinned compute so the merged answer never mixes
+        ticks.
+        """
+        index = self.index
+        start = index.publish_seq
+        if start % 2 == 0:
+            partials = []
+            for shard_index in indices:
+                cache = index.caches[shard_index]
+
+                def closure(shard_index: int = shard_index):
+                    return compute(index.current.shards[shard_index])
+
+                if cache is None:
+                    partials.append(closure())
+                else:
+                    partials.append(cache.get_or_compute(key, scopes, closure))
+            if index.publish_seq == start:
+                return partials
+        pinned = self.version()
+        return [compute(pinned.shards[shard_index]) for shard_index in indices]

@@ -1,9 +1,10 @@
 """The serving facade: monitor ingest plus a concurrent query front end.
 
-:class:`ServeService` wires the four serving pieces together -- a
-:class:`~repro.stream.StreamingMonitor`, the versioned
-:class:`~repro.serve.index.ServeIndex`, the dirty-token-keyed
-:class:`~repro.serve.cache.AggregateCache` and the
+:class:`ServeService` wires the serving pieces together -- a
+:class:`~repro.stream.StreamingMonitor`, the sharded read model
+(:class:`~repro.serve.sharding.ShardedServeIndex`, one shard by
+default) with its dirty-token-keyed
+:class:`~repro.serve.cache.AggregateCache` layers, and the
 :class:`~repro.serve.query.QueryService` -- and can drive the monitor
 either inline (:meth:`advance` / :meth:`run`, the deterministic path
 tests and benchmarks use) or on a background ingest thread
@@ -25,11 +26,8 @@ from typing import Any, Dict, Optional, TYPE_CHECKING
 from repro.core.detectors.pipeline import PipelineResult
 from repro.obs.registry import NULL_REGISTRY, HistogramSnapshot, MetricsRegistry
 from repro.serve.cache import AggregateCache, CacheStats
-from repro.serve.index import ServeIndex
-from repro.serve.model import ServeVersion
 from repro.serve.query import QueryService
-from repro.serve.router import ShardRouter
-from repro.serve.sharding import ShardedServeIndex
+from repro.serve.sharding import GlobalVersion, ShardedServeIndex
 from repro.stream.monitor import StreamingMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -46,8 +44,6 @@ class ServeService:
         registry: Optional[MetricsRegistry] = None,
         shards: int = 1,
     ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         self.monitor = monitor
         #: The service inherits its monitor's registry unless given its
         #: own, so one registry spans ingest through serving.
@@ -57,22 +53,13 @@ class ServeService:
             else getattr(monitor, "registry", None) or NULL_REGISTRY
         )
         self.shards = shards
-        if shards > 1:
-            #: The partitioned read model keeps one cache *per shard*
-            #: (invalidated by its own dirty slice); the service-level
-            #: handle stays None and :meth:`cache_stats` aggregates.
-            self.cache: Optional[AggregateCache] = None
-            self.index = ShardedServeIndex(
-                monitor,
-                shard_count=shards,
-                use_cache=use_cache,
-                registry=self.registry,
-            )
-            self.query: QueryService = ShardRouter(self.index)
-        else:
-            self.cache = AggregateCache() if use_cache else None
-            self.index = ServeIndex(monitor, cache=self.cache, registry=self.registry)
-            self.query = QueryService(self.index, cache=self.cache)
+        self.index = ShardedServeIndex(
+            monitor, shard_count=shards, use_cache=use_cache, registry=self.registry
+        )
+        #: The coordinator's merged-result memo (None when uncached):
+        #: the cache a warm aggregate answer comes out of.
+        self.cache: Optional[AggregateCache] = self.index.router_cache
+        self.query = QueryService(self.index)
         #: Per-tick wall-clock latency of background ingest, as a
         #: bounded-reservoir histogram: exact count/sum, estimated
         #: percentiles, O(1) memory however long the service runs.
@@ -213,18 +200,18 @@ class ServeService:
         return health
 
     def cache_stats(self) -> Optional[CacheStats]:
-        """Aggregate-cache counters, summed across shards when sharded.
+        """Aggregate-cache counters, summed over the merged-result memo
+        and every shard's cache; None when caching is disabled.
 
-        None when caching is disabled.  The summed view is what the CLI
-        summary and the benchmark report; per-shard counters remain
-        visible through the registry's labeled series.
+        The summed view is what the CLI summary and the benchmark
+        report; per-shard counters remain visible through the
+        registry's labeled series.
         """
-        if self.shards > 1:
-            caches = [cache for cache in self.index.caches if cache is not None]
-            if self.index.router_cache is not None:
-                caches.append(self.index.router_cache)
-        else:
-            caches = [self.cache] if self.cache is not None else []
+        caches = [
+            cache
+            for cache in (self.cache, *self.index.caches)
+            if cache is not None
+        ]
         if not caches:
             return None
         total = CacheStats()
@@ -257,7 +244,7 @@ class ServeService:
         self._last_tick_at = time.time()
 
     # -- inline driving ----------------------------------------------------
-    def advance(self, to_block: Optional[int] = None) -> ServeVersion:
+    def advance(self, to_block: Optional[int] = None) -> GlobalVersion:
         """One monitor tick; returns the version it published."""
         self._mark_block_seen()
         self.monitor.advance(to_block)
@@ -266,7 +253,7 @@ class ServeService:
 
     def run(
         self, to_block: Optional[int] = None, step_blocks: int = 25
-    ) -> ServeVersion:
+    ) -> GlobalVersion:
         """Follow the chain inline to ``to_block`` (default: head)."""
         self.monitor.run(to_block=to_block, step_blocks=step_blocks)
         return self.index.current

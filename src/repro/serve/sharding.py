@@ -1,16 +1,16 @@
-"""Partitioning the serving read model into token-range shards.
+"""The read model, partitioned into token-range shards.
 
-The single :class:`~repro.serve.index.ServeIndex` rebuilds and serves
-everything from one process-wide structure: every tick contends on one
-aggregate cache, and every dirty token invalidates globally scoped
-answers.  This module splits the model into ``N`` shards, each a full
-:class:`ServeIndex` restricted to the tokens whose stable key hash maps
-to it, coordinated by :class:`ShardedServeIndex`:
+Every deployment serves through :class:`ShardedServeIndex`: ``N``
+:class:`~repro.serve.index.ServeIndex` shards, each restricted to the
+tokens whose stable key hash maps to it, behind one coordinator.  A
+single-shard deployment is ``N=1``; there is no second serving path.
 
 * **Routing** is by stable key hash (:func:`shard_of`, a CRC32 over
-  ``contract:token_id`` -- deliberately *not* Python's salted ``hash``,
-  so the token→shard mapping is identical across processes and runs).
-  Tokens partition exactly; accounts and venues may span shards.
+  the contract -- deliberately *not* Python's salted ``hash``, so the
+  token→shard mapping is identical across processes and runs).  Tokens
+  partition exactly; accounts and venues may span shards.  The
+  coordinator hashes each dirty token once per tick and hands every
+  shard its own slice.
 * **One alert log.**  The coordinator owns the append-only log and the
   shards share the same list reference, so ``seq`` stays globally
   gapless and every shard's ``last_seq`` agrees.
@@ -21,11 +21,11 @@ to it, coordinated by :class:`ShardedServeIndex`:
   see the complete pre-tick state or the complete post-tick state --
   snapshot isolation and reorg-retraction revisions hold globally, not
   just per shard.
-* **Per-shard dirty slices.**  A tick's dirty set is split by ownership
-  before cache invalidation, so a tick that only touches shard A's
-  tokens leaves shard B's cached aggregate partials warm -- the
-  scatter-gather aggregates in :class:`~repro.serve.router.ShardRouter`
-  then recompute only the touched shards' partials.
+* **Per-shard dirty slices.**  Cache invalidation follows ownership,
+  so a tick that only touches shard A's tokens leaves shard B's cached
+  aggregate partials warm -- the scatter-gather aggregates of
+  :class:`~repro.serve.query.QueryService` then recompute only the
+  touched shards' partials.
 
 :class:`GlobalVersion` duck-types the whole
 :class:`~repro.serve.model.ServeVersion` surface (the parity checker,
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from heapq import merge as heap_merge
@@ -48,9 +49,14 @@ from repro.engine.views import StoreStats
 from repro.obs.bounded import DEFAULT_ERROR_RETENTION, BoundedLog
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.serve.cache import AggregateCache
-from repro.serve.index import ServeIndex, StagedVersion
+from repro.serve.index import (
+    ServeIndex,
+    StagedVersion,
+    TickSlice,
+    confirmation_info,
+)
 from repro.serve.model import AccountProfile, ActivityRecord, ServeVersion, TokenStatus
-from repro.stream.alerts import Alert, MonitorSnapshot
+from repro.stream.alerts import Alert, AlertKind, MonitorSnapshot
 from repro.stream.monitor import StreamingMonitor
 
 
@@ -58,16 +64,23 @@ def shard_of(nft: NFTKey, shard_count: int) -> int:
     """Stable shard of one token key: CRC32 of its contract.
 
     Process- and run-independent (unlike the interpreter's salted
-    string hash), so routers, tests and future remote shards all agree
-    on the same token→shard mapping.  Hashing the *contract* projection
-    of the key (rather than ``contract:token_id``) co-locates each
-    collection on one shard: wash activity concentrates inside target
-    collections, so a tick's dirty slice -- SCC re-refinement included
-    -- lands on few shards instead of being sprayed across all of them,
-    and a collection rollup recomputes on exactly one shard.
+    string hash), so the coordinator, queries, tests and future remote
+    shards all agree on the same token→shard mapping.  Hashing the
+    *contract* projection of the key (rather than ``contract:token_id``)
+    co-locates each collection on one shard: wash activity concentrates
+    inside target collections, so a tick's dirty slice -- SCC
+    re-refinement included -- lands on few shards instead of being
+    sprayed across all of them, and a collection rollup recomputes on
+    exactly one shard.
     """
-    digest = zlib.crc32(nft.contract.encode("utf-8"))
-    return digest % shard_count
+    return contract_shard(nft.contract, shard_count)
+
+
+@lru_cache(maxsize=4096)
+def contract_shard(contract: str, shard_count: int) -> int:
+    """The shard owning every token of one contract (memoized: a tick
+    routes many tokens of few collections)."""
+    return zlib.crc32(contract.encode("utf-8")) % shard_count
 
 
 @dataclass(frozen=True)
@@ -89,8 +102,7 @@ def merge_profiles(
 
     Accounts span shards (a wash trader can touch tokens in several),
     so the global profile is the ``(seq, key)``-ordered union of the
-    per-shard record lists -- the same order the single-index build
-    produces.
+    per-shard record lists -- the order each shard keeps its own in.
     """
     if len(profiles) == 1:
         return profiles[0]
@@ -99,6 +111,18 @@ def merge_profiles(
         key=lambda record: (record.seq, record.key),
     )
     return AccountProfile(address=address, records=tuple(records))
+
+
+def _union(mappings: List[Mapping]) -> Mapping:
+    """Union of disjoint read-only mappings; a lone non-empty one is
+    shared as is rather than copied."""
+    present = [mapping for mapping in mappings if mapping]
+    if len(present) == 1:
+        return present[0]
+    merged: Dict = {}
+    for mapping in present:
+        merged.update(mapping)
+    return merged
 
 
 class GlobalVersion:
@@ -172,14 +196,17 @@ class GlobalVersion:
 
         Each shard's ``confirmed`` is already sorted, and records
         partition across shards, so merging the sorted runs reproduces
-        the single-index global ordering exactly.
+        the global ordering exactly; a lone non-empty run is the answer
+        as is, shared rather than copied.
         """
         merged = self._confirmed
         if merged is None:
-            merged = tuple(
-                heap_merge(
-                    *(shard.confirmed for shard in self.shards),
-                    key=lambda record: (record.seq, record.key),
+            runs = [shard.confirmed for shard in self.shards if shard.confirmed]
+            merged = (
+                runs[0]
+                if len(runs) == 1
+                else tuple(
+                    heap_merge(*runs, key=lambda record: (record.seq, record.key))
                 )
             )
             self._confirmed = merged
@@ -189,9 +216,7 @@ class GlobalVersion:
     def token_status(self) -> Mapping[NFTKey, TokenStatus]:
         merged = self._token_status
         if merged is None:
-            merged = {}
-            for shard in self.shards:
-                merged.update(shard.token_status)
+            merged = _union([shard.token_status for shard in self.shards])
             self._token_status = merged
         return merged
 
@@ -199,9 +224,7 @@ class GlobalVersion:
     def token_states(self) -> Mapping:
         merged = self._token_states
         if merged is None:
-            merged = {}
-            for shard in self.shards:
-                merged.update(shard.token_states)
+            merged = _union([shard.token_states for shard in self.shards])
             self._token_states = merged
         return merged
 
@@ -209,14 +232,22 @@ class GlobalVersion:
     def account_profiles(self) -> Mapping[str, AccountProfile]:
         merged = self._account_profiles
         if merged is None:
-            grouped: Dict[str, List[AccountProfile]] = {}
-            for shard in self.shards:
-                for address, profile in shard.account_profiles.items():
-                    grouped.setdefault(address, []).append(profile)
-            merged = {
-                address: merge_profiles(address, profiles)
-                for address, profiles in grouped.items()
-            }
+            present = [
+                shard.account_profiles
+                for shard in self.shards
+                if shard.account_profiles
+            ]
+            if len(present) == 1:
+                merged = present[0]
+            else:
+                grouped: Dict[str, List[AccountProfile]] = {}
+                for profiles in present:
+                    for address, profile in profiles.items():
+                        grouped.setdefault(address, []).append(profile)
+                merged = {
+                    address: merge_profiles(address, profiles)
+                    for address, profiles in grouped.items()
+                }
             self._account_profiles = merged
         return merged
 
@@ -257,11 +288,12 @@ class GlobalVersion:
 
 
 class ShardedServeIndex:
-    """Coordinator over ``N`` :class:`ServeIndex` shards.
+    """The read model: a coordinator over ``N`` :class:`ServeIndex` shards.
 
-    Presents the same index surface the wire tier and the replay
-    cursors consume (``current`` / ``last_seq`` / ``alerts_since`` /
-    ``subscribe_versions``), with ``current`` being a
+    The one index every deployment runs -- a single-shard deployment is
+    ``shard_count=1``.  Presents the surface the query service, the wire
+    tier and the replay cursors consume (``current`` / ``last_seq`` /
+    ``alerts_since`` / ``subscribe_versions``), with ``current`` being a
     :class:`GlobalVersion`.  See the module docstring for the
     publication and invalidation protocol.
     """
@@ -282,58 +314,48 @@ class ShardedServeIndex:
             else getattr(monitor, "registry", None) or NULL_REGISTRY
         )
         self.shard_count = shard_count
-        #: The one append-only alert log, owned here and shared (by
-        #: reference) with every shard; only the coordinator extends it.
-        self.alert_log: List[Alert] = []
-        self.alert_log.extend(monitor.alerts)
+        #: The one append-only alert log (``alert_log[seq].seq == seq``),
+        #: owned here and shared (by reference) with every shard; only
+        #: the coordinator extends it.  Attaching to a monitor that
+        #: already ran adopts its alerts, so replay sees the history.
+        self.alert_log: List[Alert] = list(monitor.alerts)
         self.versions_published = 0
         #: Publication seqlock: odd while a tick is flipping the global
         #: handle and invalidating the per-shard caches, even when the
         #: two are mutually consistent.  Readers gathering cached
         #: partials validate it was stable-and-even across the gather
-        #: (see :meth:`ShardRouter._gather`) -- the only window where a
+        #: (see :meth:`QueryService._gather`) -- the only window where a
         #: cached partial could disagree with the live handle.
         self.publish_seq = 0
         self._version_subscribers: List = []
+        #: Recent version-subscriber failures, isolated like the
+        #: monitor's own subscriber errors: a raising callback never
+        #: starves the subscribers after it and never aborts the
+        #: publish.  Bounded to the last DEFAULT_ERROR_RETENTION
+        #: ``(callback, version, error)`` tuples; ``.total`` counts all.
         self.subscriber_errors: BoundedLog = BoundedLog(DEFAULT_ERROR_RETENTION)
-
-        self._metric_alert_log = self.registry.gauge(
-            "serve_alert_log_entries", "Alerts held in the replayable log."
-        )
-        self._metric_subscriber_errors = self.registry.counter(
-            "serve_subscriber_errors_total",
-            "Version-subscriber callbacks that raised during publish.",
-        )
-        self.registry.gauge(
-            "serve_shards", "Read-model shards behind the router."
-        ).set(shard_count)
 
         self.caches: Tuple[Optional[AggregateCache], ...] = tuple(
             AggregateCache() if use_cache else None for _ in range(shard_count)
         )
         #: Memo of *merged* aggregate answers, so a warm aggregate costs
-        #: one lookup (exactly like the single-index cache) instead of a
-        #: per-shard gather plus merge.  Invalidated with the union of
-        #: the shards' dirty scopes; on a miss the gather still resolves
-        #: per shard, so only the shards a tick actually touched
-        #: recompute their partials.  Registered unlabeled: this layer
-        #: *is* the service-level cache of the sharded topology.
+        #: one lookup instead of a per-shard gather plus merge.
+        #: Invalidated with the union of the shards' dirty scopes; on a
+        #: miss the gather still resolves per shard, so only the shards
+        #: a tick actually touched recompute their partials.
         self.router_cache: Optional[AggregateCache] = (
             AggregateCache() if use_cache else None
         )
-        if self.router_cache is not None:
-            self.router_cache.register_metrics(self.registry)
         self.shards: Tuple[ServeIndex, ...] = tuple(
             ServeIndex(
                 monitor,
-                cache=cache,
-                registry=self.registry,
                 shard=ShardSpec(index=index, count=shard_count),
                 alert_log=self.alert_log,
-                attach=False,
+                cache=cache,
             )
             for index, cache in enumerate(self.caches)
         )
+        self._register_metrics()
         self._current = self._global_version(
             tuple(shard.current for shard in self.shards),
             version=monitor.tick_count,
@@ -342,9 +364,48 @@ class ShardedServeIndex:
             retracted_count=0,
             newly_confirmed_count=0,
         )
-        self.versions_published += 1
-        self._metric_alert_log.set(len(self.alert_log))
+        self._note_published()
         monitor.subscribe_snapshots(self._on_snapshot)
+
+    def _register_metrics(self) -> None:
+        """The coordinator owns the unlabeled serve series; each shard
+        reports its ``{shard="N"}`` children through a collector."""
+        registry = self.registry
+        self._metric_versions = registry.counter(
+            "serve_versions_published_total", "Immutable versions published."
+        )
+        self._metric_confirmed = registry.gauge(
+            "serve_confirmed_records", "Confirmed activity records being served."
+        )
+        self._metric_alert_log = registry.gauge(
+            "serve_alert_log_entries", "Alerts held in the replayable log."
+        )
+        self._metric_subscriber_errors = registry.counter(
+            "serve_subscriber_errors_total",
+            "Version-subscriber callbacks that raised during publish.",
+        )
+        registry.gauge(
+            "serve_shards", "Read-model shards behind the query service."
+        ).set(self.shard_count)
+        if self.router_cache is not None:
+            self.router_cache.register_metrics(registry)
+        for shard in self.shards:
+            if shard.cache is not None:
+                shard.cache.register_metrics(registry, _shard_label(shard))
+
+        def collect():
+            counters, gauges = {}, {}
+            for shard in self.shards:
+                label = _shard_label(shard)
+                counters["serve_versions_published_total" + label] = (
+                    shard.versions_published
+                )
+                gauges["serve_confirmed_records" + label] = (
+                    shard.current.confirmed_activity_count
+                )
+            return {"counters": counters, "gauges": gauges}
+
+        registry.register_collector(collect)
 
     # -- public surface ----------------------------------------------------
     @property
@@ -363,13 +424,31 @@ class ShardedServeIndex:
         return callback
 
     def alerts_since(self, seq: int, limit: Optional[int] = None) -> Tuple[Alert, ...]:
-        """Alerts with sequence number strictly greater than ``seq``."""
+        """Alerts with sequence number strictly greater than ``seq``.
+
+        The replay primitive: the log is append-only, so a slice taken
+        while the monitor thread appends is always a consistent prefix
+        of the stream.
+        """
         start = max(seq + 1, 0)
         if limit is None:
             return tuple(self.alert_log[start:])
         return tuple(self.alert_log[start : start + limit])
 
     # -- tick application --------------------------------------------------
+    def _slices(self, snapshot: MonitorSnapshot) -> List[TickSlice]:
+        """Cut one tick into per-shard slices, hashing each key once."""
+        count = self.shard_count
+        slices = [TickSlice() for _ in range(count)]
+        for nft in snapshot.dirty_nfts:
+            slices[shard_of(nft, count)].dirty.append(nft)
+        for alert in snapshot.alerts:
+            if alert.kind is AlertKind.ACTIVITY_CONFIRMED:
+                slices[shard_of(alert.nft, count)].newly_confirmed += 1
+            elif alert.kind is AlertKind.ACTIVITY_RETRACTED:
+                slices[shard_of(alert.nft, count)].retracted += 1
+        return slices
+
     def _on_snapshot(self, snapshot: MonitorSnapshot) -> None:
         """Stage every shard, then flip all handles, then invalidate.
 
@@ -398,8 +477,10 @@ class ShardedServeIndex:
             "publish", dirty=snapshot.dirty_token_count, shards=self.shard_count
         ):
             self.alert_log.extend(snapshot.alerts)
+            confirmed = confirmation_info(snapshot.alerts)
             staged: List[StagedVersion] = [
-                shard.stage_snapshot(snapshot) for shard in self.shards
+                shard.stage_snapshot(snapshot, owned, confirmed)
+                for shard, owned in zip(self.shards, self._slices(snapshot))
             ]
             global_version = self._global_version(
                 tuple(stage.version for stage in staged),
@@ -416,7 +497,6 @@ class ShardedServeIndex:
             # a cache state consistent with the handle it resolved.
             self.publish_seq += 1
             self._current = global_version
-            self.versions_published += 1
             for shard, stage in zip(self.shards, staged):
                 shard.invalidate_staged(stage)
             if self.router_cache is not None:
@@ -427,14 +507,21 @@ class ShardedServeIndex:
             self.publish_seq += 1
             # The tick's alerts are globally readable from here on.
             self.registry.latency.mark(snapshot.trace, "publish")
-        self._metric_alert_log.set(len(self.alert_log))
+        self._note_published()
         for callback in self._version_subscribers:
             try:
                 callback(global_version)
-            except Exception as error:  # noqa: BLE001 - subscriber isolation,
-                # exactly as in ServeIndex: the publish is already done.
+            except Exception as error:  # noqa: BLE001 - isolation, as in
+                # the monitor's _deliver: the publish is already done,
+                # the failure is the subscriber's.
                 self.subscriber_errors.append((callback, global_version, error))
                 self._metric_subscriber_errors.inc()
+
+    def _note_published(self) -> None:
+        self.versions_published += 1
+        self._metric_versions.inc()
+        self._metric_alert_log.set(len(self.alert_log))
+        self._metric_confirmed.set(self._current.confirmed_activity_count)
 
     def _global_version(
         self,
@@ -458,3 +545,8 @@ class ShardedServeIndex:
             token_order=tuple(store.tokens),
             store_stats=StoreStats.capture(store),
         )
+
+
+def _shard_label(shard: ServeIndex) -> str:
+    """A shard's series label, in the registry's flat naming convention."""
+    return '{shard="%d"}' % shard.shard.index

@@ -16,8 +16,8 @@ from repro.core.detectors.pipeline import WashTradingPipeline
 from repro.ingest.dataset import build_dataset
 from repro.serve import (
     AggregateCache,
-    ServeIndex,
     ServeService,
+    ShardedServeIndex,
     serving_parity_mismatches,
 )
 from repro.serve.cache import FUNNEL_SCOPE, collection_scope, venue_scope
@@ -107,7 +107,7 @@ class TestVersions:
         monitor = StreamingMonitor.for_world(tiny_world)
         head = tiny_world.node.block_number
         monitor.run(to_block=head // 2, step_blocks=29)
-        index = ServeIndex(monitor)
+        index = ShardedServeIndex(monitor, shard_count=1)
         assert index.current.version == monitor.tick_count
         assert index.current.flagged_nfts == monitor.scheduler.flagged_nfts
         assert index.current.confirmed_activity_count == (
@@ -133,7 +133,7 @@ class TestVersions:
 
         monitor = StreamingMonitor.for_world(tiny_world)
         monitor.run(step_blocks=29)
-        late = QueryService(ServeIndex(monitor))
+        late = QueryService(ShardedServeIndex(monitor, shard_count=1))
 
         reference = {
             record.key: (record.seq, record.confirmed_at_block)

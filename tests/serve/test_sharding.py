@@ -22,8 +22,8 @@ from repro.core.detectors.pipeline import WashTradingPipeline
 from repro.ingest.dataset import build_dataset
 from repro.serve import (
     GlobalVersion,
+    QueryService,
     ServeService,
-    ShardRouter,
     ShardSpec,
     ShardedServeIndex,
     serving_parity_mismatches,
@@ -178,9 +178,9 @@ class TestCoordinator:
     def test_router_sits_on_a_sharded_index(self, tiny_world):
         service = ServeService.for_world(tiny_world, shards=3)
         assert isinstance(service.index, ShardedServeIndex)
-        assert isinstance(service.query, ShardRouter)
+        assert isinstance(service.query, QueryService)
         assert service.query.shard_count == 3
-        assert service.cache is None
+        assert service.cache is service.index.router_cache
         assert len(service.index.caches) == 3
 
     def test_two_phase_publication_is_atomic_to_subscribers(self, tiny_world):
@@ -267,10 +267,3 @@ class TestDifferentialFunnel:
                 ] == [stage.to_stage() for stage in refold.stages]
                 checked += 1
         assert checked > 0
-
-    def test_single_index_versions_carry_no_partial(self, tiny_world):
-        """The monolithic index keeps its recompute-from-states design;
-        only shard versions pay for (and carry) the maintained partial."""
-        service = ServeService.for_world(tiny_world)
-        service.run()
-        assert service.query.version().funnel is None

@@ -18,13 +18,15 @@ import random
 import pytest
 
 from repro.core.detectors.pipeline import WashTradingPipeline
-from repro.engine.refine import EMPTY_STAGES, STAGE_NAMES
+from repro.engine.refine import EMPTY_STAGES, STAGE_NAMES, StageRecord
 from repro.ingest.dataset import build_dataset
 from repro.serve import ServeService
+from repro.serve.funnel import FunnelMaintainer
 from repro.serve.router import funnel_partial
 from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
 from repro.simulation.reorg import ReorgStorm
+from repro.stream.scheduler import TokenState
 
 
 def record_values(stages):
@@ -91,3 +93,80 @@ def test_stage_records_never_change_under_their_readers(shards):
     for stages, values in installed.values():
         assert record_values(stages) == values
     assert record_values(EMPTY_STAGES) == [(name, 0, 0, []) for name in STAGE_NAMES]
+
+
+def test_single_shard_versions_share_unchanged_stage_account_sets():
+    """At N=1 the maintained funnel partial equals its refold after
+    every tick of a reorg storm, and a changed version whose dirty
+    tokens left a stage's account set as it was shares that stage's
+    frozenset with the version before it instead of copying it."""
+    world = build_default_world(SimulationConfig.tiny())
+    service = ServeService.for_world(world, max_reorg_depth=64)
+    published = []
+
+    def capture(version):
+        (shard_version,) = version.shards
+        published.append(
+            (
+                shard_version.dirty_token_count,
+                shard_version.funnel,
+                funnel_partial(shard_version),
+            )
+        )
+
+    service.index.subscribe_versions(capture)
+    storm = ReorgStorm(
+        world,
+        random.Random(5),
+        reorg_probability=0.45,
+        max_depth=13,
+        drop_probability=0.3,
+        delay_probability=0.25,
+        max_shorten=2,
+        step_range=(5, 90),
+    )
+    assert storm.run(service.monitor), "the storm must actually reorg"
+    assert not list(service.index.subscriber_errors)
+    assert len(published) == service.monitor.tick_count
+
+    for _, maintained, refold in published:
+        assert maintained.stages == refold.stages
+        assert maintained.candidate_count == refold.candidate_count
+        assert maintained.confirmed_count == refold.confirmed_count
+
+    shared = 0
+    for (_, before, _), (dirty, after, _) in zip(published, published[1:]):
+        for old, new in zip(before.stages, after.stages):
+            if new.account_ids == old.account_ids:
+                assert new.account_ids is old.account_ids
+                shared += dirty > 0
+    assert shared, "some changed tick must leave a stage's accounts as they were"
+
+
+def test_maintained_stage_shares_its_account_set_only_while_unchanged():
+    """The first stage's account set is shared across a re-install that
+    keeps the accounts, and rebuilt when an account leaves with none
+    joining."""
+
+    def state(component_count, *account_ids):
+        first = StageRecord(STAGE_NAMES[0], 1, component_count, frozenset(account_ids))
+        return TokenState(stages=(first, *EMPTY_STAGES[1:]), candidates=[], evidence=[])
+
+    maintainer = FunnelMaintainer()
+    held, moving = state(1, 1, 2), state(1, 2, 3)
+    maintainer.apply(None, held)
+    maintainer.apply(None, moving)
+    first = maintainer.partial(1, 0).stages[0]
+    assert first.account_ids == {1, 2, 3}
+
+    # Account 3 leaves and rejoins inside one delta: same key set.
+    maintainer.apply(moving, state(2, 3, 2))
+    second = maintainer.partial(2, 0).stages[0]
+    assert second.component_count == 3
+    assert second.account_ids is first.account_ids
+
+    # Account 1 leaves and nothing joins.
+    maintainer.apply(held, None)
+    third = maintainer.partial(3, 0).stages[0]
+    assert (third.nft_count, third.component_count) == (1, 2)
+    assert third.account_ids == {2, 3}
