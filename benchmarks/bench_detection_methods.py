@@ -33,14 +33,14 @@ def test_detection_method_counts(benchmark, paper_report):
 
 def test_volume_match_ablation(benchmark, paper_world, paper_report):
     """Opting into the volume-matching detector adds confirmations without
-    disturbing any of the paper's five techniques (kernel engine)."""
+    disturbing any of the paper's five techniques (columnar engine)."""
     methods = frozenset(DetectionMethod.paper_methods()) | {
         DetectionMethod.VOLUME_MATCH
     }
     pipeline = WashTradingPipeline(
         labels=paper_world.labels,
         is_contract=paper_world.is_contract,
-        engine="kernel",
+        engine="columnar",
         enabled_methods=methods,
     )
     from repro.ingest.dataset import build_dataset
@@ -52,7 +52,7 @@ def test_volume_match_ablation(benchmark, paper_world, paper_report):
     counts = result.count_by_method()
     baseline = paper_report.result.count_by_method()
     print_rows(
-        "Confirmation counts with volume matching enabled (kernel engine)",
+        "Confirmation counts with volume matching enabled (columnar engine)",
         ["method", "activities confirmed"],
         [
             [method.value, count]

@@ -16,37 +16,18 @@ from repro.simulation.config import SimulationConfig
 
 #: Detection backends the backend-parametrized benchmarks can compare.
 #: "legacy" is the networkx reference path, "engine" the columnar
-#: engine, "kernel" the numpy/CSR tier (compiled Tarjan when available).
-ALL_BACKENDS = ("legacy", "engine", "kernel")
+#: engine.
+ALL_BACKENDS = ("legacy", "engine")
 
 BACKEND_PIPELINE_KWARGS = {
     "legacy": {"engine": "legacy"},
     "engine": {"engine": "columnar"},
-    "kernel": {"engine": "kernel"},
 }
 
 
-def kernel_status() -> str:
-    """One line describing the kernel tier this process will run with."""
-    try:
-        import numpy
-    except ImportError:
-        return "kernel tier: unavailable (no numpy)"
-    from repro.engine.kernels import active_backend
-
-    return (
-        f"kernel tier: numpy {numpy.__version__}, "
-        f"tarjan backend: {active_backend()}"
-    )
-
-
 def pytest_report_header(config):
-    """Record backend/kernel availability and world scale up front.
-
-    Benchmark numbers are meaningless without knowing whether the
-    compiled Tarjan actually loaded and how big the simulated worlds
-    are, so both are pinned into the run header.
-    """
+    """Record the world scale up front: benchmark numbers are
+    meaningless without knowing how big the simulated worlds are."""
     scales = ", ".join(
         f"{name}={preset().duration_days}d x {preset().legit_sales_per_day}/day"
         for name, preset in (
@@ -55,7 +36,7 @@ def pytest_report_header(config):
             ("default", SimulationConfig),
         )
     )
-    return [kernel_status(), f"world scale: {scales}"]
+    return [f"world scale: {scales}"]
 
 
 def pytest_addoption(parser):

@@ -224,9 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="legacy",
         help=(
             "detection backend: 'legacy' runs the networkx reference "
-            "implementation, 'columnar' the mask-based engine, "
-            "'kernel' the numpy/CSR tier with the optional compiled "
-            "Tarjan (default: legacy)"
+            "implementation, 'columnar' the production engine: the "
+            "single-token funnel on a money-flow cache (default: legacy)"
         ),
     )
     return parser

@@ -171,17 +171,15 @@ class WashTradingPipeline:
     """End-to-end wash trading detection over an :class:`NFTDataset`.
 
     ``engine`` selects the execution backend: ``"legacy"`` (the default)
-    runs the original networkx reference implementation; ``"columnar"``
-    runs the mask-based engine in :mod:`repro.engine`; ``"kernel"`` is
-    the columnar engine with the numpy/CSR refinement and (when a C
-    compiler is around) compiled Tarjan kernels of
-    :mod:`repro.engine.kernels`.
-    All backends produce the same :class:`PipelineResult` (see
-    ``tests/engine/test_parity.py`` and
-    ``tests/engine/test_kernel_parity.py``).
+    runs the original networkx reference implementation, the oracle;
+    ``"columnar"`` runs the production engine in :mod:`repro.engine`,
+    the single-token funnel with its detectors on the money-flow cache
+    (:class:`~repro.engine.context.CachingDetectionContext`), which the
+    streaming scheduler runs too.  Both produce the same
+    :class:`PipelineResult` (see ``tests/engine/test_parity.py``).
     """
 
-    ENGINES = ("legacy", "columnar", "kernel")
+    ENGINES = ("legacy", "columnar")
 
     def __init__(
         self,
@@ -192,23 +190,13 @@ class WashTradingPipeline:
         funnel: Optional[RefinementFunnel] = None,
         engine: str = "legacy",
     ) -> None:
+        # perfbench/ still asks for "kernel"; this alias goes when the
+        # benchmark drops its kernel columns.
+        engine = "columnar" if engine == "kernel" else engine
         if engine not in self.ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {self.ENGINES}"
             )
-        if engine == "kernel":
-            try:
-                import repro.engine.kernels  # noqa: F401
-            except ImportError:
-                import warnings
-
-                warnings.warn(
-                    "numpy is unavailable; engine='kernel' degrades to the "
-                    "columnar engine",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                engine = "columnar"
         self.labels = labels
         self.is_contract = is_contract
         self.config = config or DetectionConfig()
@@ -236,7 +224,6 @@ class WashTradingPipeline:
             skip_service_removal=self.funnel.skip_service_removal,
             skip_contract_removal=self.funnel.skip_contract_removal,
             skip_zero_volume_removal=self.funnel.skip_zero_volume_removal,
-            use_kernels=(self.engine == "kernel"),
         )
         return PipelineResult(
             refinement=refinement, activities=activities, unconfirmed=unconfirmed
@@ -244,7 +231,7 @@ class WashTradingPipeline:
 
     def run(self, dataset: NFTDataset) -> PipelineResult:
         """Run refinement and every enabled confirmation technique."""
-        if self.engine in ("columnar", "kernel"):
+        if self.engine == "columnar":
             return self._run_engine(dataset)
         refinement = self.funnel.run(dataset)
         context = DetectionContext(

@@ -30,9 +30,8 @@ def tarjan_scc_adjacency(
     the successors of ``u``.  Duplicate successors are tolerated (they
     only re-check an already-visited node) but cost time on every walk,
     so builders are expected to dedupe edges once at construction --
-    ``token_components`` and the CSR builder in
-    :mod:`repro.engine.kernels` both keep the first occurrence, which
-    leaves discovery and emission order unchanged.  Returns every
+    ``token_components`` keeps the first occurrence, which leaves
+    discovery and emission order unchanged.  Returns every
     strongly connected component, including trivial single-node ones, in
     reverse topological order of the condensation (the classic Tarjan
     emission order).

@@ -1,12 +1,14 @@
-"""Money-flow caching for the kernel tier's detector pass.
+"""The production detection context: per-account money-flow caching.
 
 The confirmation detectors re-derive the same per-account data for
 every component an account appears in: common-funder / common-exit
 re-walk the account's full transaction list to extract money flows
 (re-running the moves-an-NFT log scan each time), and zero-risk
 re-filters transaction lists per activity window.  Wash-trading
-accounts by construction appear in *many* components, so the kernel
-tier wraps the run's :class:`DetectionContext` in a caching layer.
+accounts by construction appear in *many* components, so the columnar
+engine and the streaming scheduler wrap their :class:`DetectionContext`
+in a caching layer.  The legacy pipeline keeps the plain context as the
+oracle.
 
 The caching is exactly output-preserving:
 

@@ -7,7 +7,8 @@ pool of confirmed account sets -- exactly where the legacy pipeline
 applies it.  The detectors see the dataset through the same narrow
 surface the streaming scheduler uses: a :class:`TransactionView` over
 the per-account transaction index and an :class:`AccountSetPredicate`
-over the interned contract addresses.
+over the interned contract addresses, behind the money-flow cache of
+:mod:`repro.engine.context`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.core.detectors.base import DetectionConfig, DetectionContext
 from repro.core.detectors.pipeline import build_detectors, collect_evidence
 from repro.core.detectors.repeated_scc import confirm_repeated_components
 from repro.core.refine import RefinementResult
+from repro.engine.context import CachingDetectionContext
 from repro.engine.refine import refine_tokens
 from repro.engine.store import ColumnarTransferStore
 
@@ -62,15 +64,14 @@ def run_columnar_pipeline(
     skip_contract_removal: bool = False,
     skip_zero_volume_removal: bool = False,
     store: Optional[ColumnarTransferStore] = None,
-    use_kernels: bool = False,
 ) -> Tuple[RefinementResult, List[WashTradingActivity], List[CandidateComponent]]:
     """Run the full engine pipeline and return its pieces.
 
     Returns ``(refinement, activities, unconfirmed)``; the caller (the
     ``WashTradingPipeline`` engine branch) wraps them into the regular
-    :class:`PipelineResult`.  ``use_kernels`` routes refinement through
-    the numpy/CSR kernels of :mod:`repro.engine.kernels` and caches
-    detector money flows (the ``engine="kernel"`` tier).
+    :class:`PipelineResult`.  The detectors read the run through a
+    :class:`CachingDetectionContext`, so each account's money flows are
+    derived once however many components it sits in.
     """
     if store is None:
         store = dataset.columnar_store()
@@ -90,13 +91,7 @@ def run_columnar_pipeline(
         frozenset() if skip_contract_removal else store.ids_matching(is_contract)
     )
 
-    if use_kernels:
-        from repro.engine.kernels import refine_tokens_kernel
-
-        refine = refine_tokens_kernel
-    else:
-        refine = refine_tokens
-    refined = refine(
+    refined = refine_tokens(
         store.accounts,
         [store.tokens[nft] for nft in store.nfts()],
         service_ids=service_ids,
@@ -109,16 +104,14 @@ def run_columnar_pipeline(
     # ``is_contract`` covers only interned accounts (transfer endpoints);
     # no current detector consults it.  A detector needing bytecode
     # checks on arbitrary counterparties must widen this set.
-    context = DetectionContext(
-        dataset=TransactionView(dataset.account_transactions),
-        labels=labels,
-        is_contract=AccountSetPredicate(store.addresses_of(contract_ids)),
-        config=config or DetectionConfig(),
+    context = CachingDetectionContext(
+        DetectionContext(
+            dataset=TransactionView(dataset.account_transactions),
+            labels=labels,
+            is_contract=AccountSetPredicate(store.addresses_of(contract_ids)),
+            config=config or DetectionConfig(),
+        )
     )
-    if use_kernels:
-        from repro.engine.kernels.context import CachingDetectionContext
-
-        context = CachingDetectionContext(context)
     detectors = build_detectors(methods)
     activities: List[WashTradingActivity] = []
     unconfirmed: List[CandidateComponent] = []

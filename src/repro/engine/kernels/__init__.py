@@ -1,29 +1,16 @@
-"""Detection kernels: numpy/CSR refinement and compiled Tarjan SCC.
+"""Names kept only because ``perfbench/`` still imports them.
 
-The hot loops of the detection path -- per-token SCC extraction and
-mask refinement -- batched over flat CSR arrays with an optional C
-kernel (see ``docs/architecture.md`` § Detection kernels).  Importing
-this package requires numpy; the compiled Tarjan backend is optional
-and degrades to a pure-Python walk (``REPRO_NO_CKERNEL=1`` forces the
-fallback, :func:`kernel_available` reports what loaded).
+The benchmark harness reads ``active_backend()`` for its run header and
+imports :class:`CachingDetectionContext` from here.  Both go when the
+benchmark drops its kernel columns.
 """
 
-from repro.engine.kernels.context import CachingDetectionContext
-from repro.engine.kernels.csr import batch_token_components
-from repro.engine.kernels.refine import refine_tokens_kernel
-from repro.engine.kernels.tarjan import (
-    active_backend,
-    force_fallback,
-    kernel_available,
-    tarjan_csr,
-)
+from repro.engine.context import CachingDetectionContext
 
-__all__ = [
-    "CachingDetectionContext",
-    "active_backend",
-    "batch_token_components",
-    "force_fallback",
-    "kernel_available",
-    "refine_tokens_kernel",
-    "tarjan_csr",
-]
+
+def active_backend() -> str:
+    """The detection backend's name for the benchmark's run header."""
+    return "interpreted"
+
+
+__all__ = ["CachingDetectionContext", "active_backend"]

@@ -257,6 +257,15 @@ def refine_token(
     token's accounts; a token without a stage-1 component returns the
     shared :data:`EMPTY_STAGES`.
     """
+    # Most tokens only ever pass from owner to new owner: each row's
+    # sender is the previous row's recipient, through row_count + 1
+    # distinct accounts.  That graph is a simple path, which has no
+    # cycle, so the SCC walk is skipped.
+    senders = columns.senders
+    if len(columns.account_ids) == len(senders) + 1 and (
+        senders[1:] == columns.recipients[:-1]
+    ):
+        return TokenRefinement([], EMPTY_STAGES)
     components = token_components(columns, _EMPTY_MASK)
     if not components:
         return TokenRefinement([], EMPTY_STAGES)

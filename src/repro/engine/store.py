@@ -59,27 +59,6 @@ class TokenColumns:
             return not self.account_ids.isdisjoint(excluded)
         return not excluded.isdisjoint(self.account_ids)
 
-    def as_arrays(self):
-        """Zero-copy numpy views over the columns.
-
-        Returns ``(timestamps, senders, recipients, payment_flags)`` as
-        int64/int64/int64/uint8 arrays sharing the ``array("q")`` /
-        ``bytes`` buffers -- nothing is copied.  The views pin the
-        underlying buffers while alive (``array.append`` raises
-        ``BufferError`` on an exporting array), so callers must drop
-        them before the store grows, and must re-take them after any
-        append: extending an ``array`` may reallocate its buffer, which
-        a previously taken view does not follow.
-        """
-        import numpy
-
-        return (
-            numpy.frombuffer(self.timestamps, dtype=numpy.int64),
-            numpy.frombuffer(self.senders, dtype=numpy.int64),
-            numpy.frombuffer(self.recipients, dtype=numpy.int64),
-            numpy.frombuffer(self.payment_flags, dtype=numpy.uint8),
-        )
-
 
 class ColumnarTransferStore:
     """Every NFT's transfers in interned, columnar form.

@@ -73,7 +73,6 @@ class StreamingMonitor:
         max_reorg_depth: int = DEFAULT_MAX_REORG_DEPTH,
         retain_scan_matches: bool = True,
         on_subscriber_error: Optional[Callable[[SubscriberError], None]] = None,
-        use_kernels: Optional[bool] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.registry = registry if registry is not None else NULL_REGISTRY
@@ -93,7 +92,6 @@ class StreamingMonitor:
             is_contract=is_contract,
             config=config,
             enabled_methods=enabled_methods,
-            use_kernels=use_kernels,
             registry=self.registry,
         )
         #: The detectors read the cursor's live account-transaction dict.

@@ -19,13 +19,14 @@ evidence) and splits each tick's work by what actually changed:
   reused.  A token whose evidence equals its old evidence is left
   untouched and is *not* reported downstream.
 
-With the kernel tier, one money-flow cache
-(:class:`~repro.engine.kernels.CachingDetectionContext`) lives as long
-as the scheduler: each tick first folds the appended transactions of
-every changed account into its entry (and drops the entries of lists a
-rollback truncated), and an account leaves the cache when it leaves
-the member index, so a tick's detection work follows the new
-transactions, not the length of the histories.
+One money-flow cache
+(:class:`~repro.engine.context.CachingDetectionContext`, the batch
+engine's detection context too) lives as long as the scheduler: each
+tick first folds the appended transactions of every changed account
+into its entry (and drops the entries of lists a rollback truncated),
+and an account leaves the cache when it leaves the member index, so a
+tick's detection work follows the new transactions, not the length of
+the histories.
 
 The global repeated-SCC rule (Sec. IV-C v) is maintained incrementally:
 a multiset of base-confirmed account sets is updated as tokens are
@@ -60,6 +61,7 @@ from repro.core.detectors.pipeline import (
     collect_evidence,
 )
 from repro.core.refine import RefinementResult
+from repro.engine.context import CachingDetectionContext
 from repro.engine.refine import (
     STAGE_NAMES,
     StageAccumulator,
@@ -170,7 +172,6 @@ class DirtyTokenScheduler:
         skip_service_removal: bool = False,
         skip_contract_removal: bool = False,
         skip_zero_volume_removal: bool = False,
-        use_kernels: Optional[bool] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.registry = registry if registry is not None else NULL_REGISTRY
@@ -187,18 +188,6 @@ class DirtyTokenScheduler:
         self.skip_service_removal = skip_service_removal
         self.skip_contract_removal = skip_contract_removal
         self.skip_zero_volume_removal = skip_zero_volume_removal
-        # None = auto: keep the kernel tier's cross-tick money-flow
-        # cache (CachingDetectionContext) when numpy is importable.  The
-        # cache is pinned exact, so this is purely a speed decision;
-        # refinement is the same single-token funnel either way.
-        if use_kernels is None:
-            try:
-                import repro.engine.kernels  # noqa: F401
-
-                use_kernels = True
-            except ImportError:
-                use_kernels = False
-        self.use_kernels = use_kernels
         self._repeat_enabled = DetectionMethod.REPEATED_SCC in self.methods
 
         #: Exclusion masks, grown as new accounts are interned.
@@ -224,9 +213,9 @@ class DirtyTokenScheduler:
         #: Currently confirmed activities per token, keyed for diffing.
         self._confirmed: Dict[NFTKey, Dict[ActivityKey, WashTradingActivity]] = {}
         self.confirmed_activity_count = 0
-        #: The cross-tick detection cache (kernel tier only) and the
-        #: accounts that left the member index this tick.
-        self._cache = None
+        #: The cross-tick detection cache and the accounts that left the
+        #: member index this tick.
+        self._cache: Optional[CachingDetectionContext] = None
         self._departed: Set[str] = set()
 
         self._metric_dirty = self.registry.counter(
@@ -509,12 +498,7 @@ class DirtyTokenScheduler:
         )
 
     def _refine_live(self, live: List[NFTKey]) -> List[TokenRefinement]:
-        """Refine the tick's live dirty tokens one by one, in ``live`` order.
-
-        Dirty tokens hold a handful of rows each, so the single-token
-        funnel beats batching them through the CSR kernels, whose fixed
-        per-pass cost dominates at that size.
-        """
+        """Refine the tick's live dirty tokens one by one, in ``live`` order."""
         return [
             refine_token(
                 self.store.accounts,
@@ -528,16 +512,13 @@ class DirtyTokenScheduler:
     def _detection_context(
         self, base: DetectionContext, touched: Optional[HistoryChanges]
     ) -> DetectionContext:
-        """The context this tick's detectors read.
+        """The context this tick's detectors read: ``base`` behind the
+        money-flow cache.
 
-        The kernel tier adds a money-flow cache.  It is kept across
-        calls only while every call reports its history changes on the
-        same base context; otherwise the call gets a fresh one.
+        The cache is kept across calls only while every call reports its
+        history changes on the same base context; otherwise the call
+        gets a fresh one.
         """
-        if not self.use_kernels:
-            return base
-        from repro.engine.kernels import CachingDetectionContext
-
         if touched is None:
             self._cache = None
             return CachingDetectionContext(base)

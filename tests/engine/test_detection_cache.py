@@ -1,4 +1,9 @@
-"""The kernel tier's detection cache stays exact across history changes.
+"""The money-flow cache stays exact across history changes.
+
+:class:`CachingDetectionContext` is the detection context of the
+columnar engine and of the streaming scheduler, so its answers are
+pinned here against the uncached base :class:`DetectionContext`, the
+one the legacy oracle reads.
 
 A :class:`CachingDetectionContext` held across ticks is told, per
 changed account, whether its transaction list only grew at the end (a
@@ -10,12 +15,17 @@ uncached base context over the changed lists.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from repro.core.detectors.base import DetectionContext
 from repro.engine.executor import TransactionView
-from repro.engine.kernels import CachingDetectionContext
+from repro.engine.context import CachingDetectionContext
 from repro.ingest.dataset import build_dataset
 
 
@@ -96,3 +106,63 @@ def test_forget_drops_only_the_named_accounts(histories):
     assert first not in cache._entries
     assert set(rest) <= set(cache._entries)
     assert answers(cache, lists) == answers(base, lists)
+
+
+#: Runs with numpy unimportable: the cache must not depend on it.
+NO_NUMPY_SCRIPT = textwrap.dedent(
+    """
+    import json, sys
+    sys.modules["numpy"] = None
+
+    from repro.core.detectors.pipeline import WashTradingPipeline
+    from repro.ingest.dataset import build_dataset
+    from repro.serve.parity import activity_fingerprint
+    from repro.simulation.builder import build_default_world
+    from repro.simulation.config import SimulationConfig
+    from repro.stream import StreamingMonitor
+
+    world = build_default_world(SimulationConfig.tiny())
+    monitor = StreamingMonitor.for_world(world)
+    monitor.run(step_blocks=25)
+    cache = monitor.scheduler._cache
+    dataset = build_dataset(world.node, world.marketplace_addresses)
+
+    def answer(engine):
+        result = WashTradingPipeline(
+            labels=world.labels, is_contract=world.is_contract, engine=engine
+        ).run(dataset)
+        return (
+            result.refinement.stages,
+            sorted(map(activity_fingerprint, result.activities)),
+        )
+
+    legacy = answer("legacy")
+    print(json.dumps({
+        "cached_accounts": 0 if cache is None else len(cache._entries),
+        "columnar_equals_legacy": answer("columnar") == legacy,
+        "activities": len(legacy[1]),
+    }))
+    """
+)
+
+
+def test_live_and_batch_keep_the_cache_without_numpy():
+    """With numpy blocked, a monitor still detects through a non-empty
+    money-flow cache and the columnar engine still equals legacy."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["cached_accounts"] > 0
+    assert report["columnar_equals_legacy"]
+    assert report["activities"] > 0

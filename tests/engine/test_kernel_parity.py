@@ -1,21 +1,17 @@
-"""Parity proofs: the kernel tier reproduces the interpreted engine.
+"""Parity proofs for the single-token funnel and the money-flow cache.
 
-Mirrors ``tests/engine/test_parity.py`` one tier up: every output of the
-kernel-backed refinement (:func:`refine_tokens_kernel`) and of
-``WashTradingPipeline(engine="kernel")`` must be identical to the
-interpreted columnar path and the legacy networkx path -- compiled
-backend and pure-Python fallback, batch and streaming (with and without
-the kernel tier's detection cache), in-order and through a reorg
-storm.  The single-token funnel the streaming scheduler runs
-(:func:`refine_token`) is pinned against both batch refinements.  The
-opt-in volume-match detector is pinned batch == stream here as well.
+The single-token funnel both the batch engine and the streaming
+scheduler run (:func:`refine_token`) is pinned against the batch
+refinement.  The scheduler, which keeps one money-flow cache for its
+whole life, must converge to the legacy networkx oracle with blocks out
+of order and through a reorg storm.  The opt-in volume-match detector
+is pinned batch == legacy == stream here as well.
 """
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
-from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +21,6 @@ from repro.core.detectors.base import DetectionContext
 from repro.chain.types import NFTKey
 from repro.core.detectors.pipeline import WashTradingPipeline
 from repro.engine.executor import TransactionView
-from repro.engine.kernels import force_fallback, refine_tokens_kernel
 from repro.engine.refine import (
     EMPTY_STAGES,
     funnel_masks,
@@ -51,27 +46,15 @@ from tests.engine.test_parity import (
 )
 from tests.stream.test_stream_parity import assert_results_match
 
-BACKENDS = ["compiled", "fallback"]
-
-
-def backend_context(backend):
-    """``force_fallback`` for the fallback runs, a no-op otherwise.
-
-    When no C compiler is available the "compiled" runs silently take
-    the fallback too (that *is* the graceful-degradation contract); the
-    CI kernel-smoke job covers both states explicitly.
-    """
-    return force_fallback() if backend == "fallback" else nullcontext()
-
 
 def stages_of(refinement):
     return [stage.to_stage() for stage in refinement.stages]
 
 
-def assert_refinements_equal(kernel, interpreted):
-    assert stages_of(kernel) == stages_of(interpreted)
-    assert list(map(candidate_key, kernel.candidates)) == list(
-        map(candidate_key, interpreted.candidates)
+def assert_refinements_equal(single, batch):
+    assert stages_of(single) == stages_of(batch)
+    assert list(map(candidate_key, single.candidates)) == list(
+        map(candidate_key, batch.candidates)
     )
 
 
@@ -94,32 +77,10 @@ def assert_full_parity(engine, legacy):
 
 @settings(max_examples=40, deadline=None)
 @given(random_histories(), st.booleans(), st.booleans(), st.booleans())
-def test_kernel_refinement_matches_interpreted(
-    histories, skip_services, skip_contracts, skip_zero_volume
-):
-    """Stage statistics, candidates and order agree, both backends."""
-    labels = make_labels()
-    store = ColumnarTransferStore.from_transfers(histories)
-    kwargs = dict(
-        service_ids=store.ids_matching(labels.is_graph_excluded_service),
-        contract_ids=store.ids_matching(CONTRACT_SET.__contains__),
-        skip_service_removal=skip_services,
-        skip_contract_removal=skip_contracts,
-        skip_zero_volume_removal=skip_zero_volume,
-    )
-    interpreted = refine_tokens(store.accounts, store, **kwargs)
-    for backend in BACKENDS:
-        with backend_context(backend):
-            kernel = refine_tokens_kernel(store.accounts, list(store), **kwargs)
-        assert_refinements_equal(kernel, interpreted)
-
-
-@settings(max_examples=40, deadline=None)
-@given(random_histories(), st.booleans(), st.booleans(), st.booleans())
 def test_single_token_funnel_matches_batch_refinements(
     histories, skip_services, skip_contracts, skip_zero_volume
 ):
-    """``refine_token`` over one token equals both batch refinements over
+    """``refine_token`` over one token equals the batch refinement over
     that token alone: candidates, every stage's statistics and account
     ids.  A token without a stage-1 component gets the shared empty
     records."""
@@ -142,19 +103,13 @@ def test_single_token_funnel_matches_batch_refinements(
     empty_tokens = 0
     for columns in store:
         single = refine_token(store.accounts, columns, masks, skip_zero_volume)
-        batches = [
-            refine_tokens(
-                store.accounts, [columns], service_ids, contract_ids, **kwargs
-            ),
-            refine_tokens_kernel(
-                store.accounts, [columns], service_ids, contract_ids, **kwargs
-            ),
+        batch = refine_tokens(
+            store.accounts, [columns], service_ids, contract_ids, **kwargs
+        )
+        assert_refinements_equal(single, batch)
+        assert [record.account_ids for record in single.stages] == [
+            stage.account_ids for stage in batch.stages
         ]
-        for batch in batches:
-            assert_refinements_equal(single, batch)
-            assert [record.account_ids for record in single.stages] == [
-                stage.account_ids for stage in batch.stages
-            ]
         if single.stages is EMPTY_STAGES:
             empty_tokens += 1
             assert not single.candidates
@@ -171,51 +126,15 @@ def test_single_token_funnel_matches_batch_refinements(
     )
 
 
-# -- full pipeline parity ------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def tiny_dataset(tiny_world):
-    return build_dataset(tiny_world.node, tiny_world.marketplace_addresses)
-
-
-@pytest.fixture(scope="module")
-def tiny_legacy(tiny_world, tiny_dataset):
-    return run_backend(tiny_world, tiny_dataset)
-
-
-class TestKernelPipelineParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_kernel_engine_matches_legacy(
-        self, tiny_world, tiny_dataset, tiny_legacy, backend
-    ):
-        with backend_context(backend):
-            kernel = run_backend(tiny_world, tiny_dataset, engine="kernel")
-        assert_full_parity(kernel, tiny_legacy)
-
-    def test_kernel_engine_matches_columnar(self, tiny_world, tiny_dataset):
-        columnar = run_backend(tiny_world, tiny_dataset, engine="columnar")
-        kernel = run_backend(tiny_world, tiny_dataset, engine="kernel")
-        assert kernel.refinement.stages == columnar.refinement.stages
-        assert list(map(candidate_key, kernel.refinement.candidates)) == list(
-            map(candidate_key, columnar.refinement.candidates)
-        )
-        assert sorted(map(activity_key, kernel.activities)) == sorted(
-            map(activity_key, columnar.activities)
-        )
-
-
 # -- streaming parity ----------------------------------------------------------
 
 
-def replay_through_scheduler(histories, block_order, use_kernels):
+def replay_through_scheduler(histories, block_order):
     """Feed one transfer history to a scheduler, one block per tick."""
     labels = make_labels()
     is_contract = CONTRACT_SET.__contains__
     store = ColumnarTransferStore()
-    scheduler = DirtyTokenScheduler(
-        store, labels=labels, is_contract=is_contract, use_kernels=use_kernels
-    )
+    scheduler = DirtyTokenScheduler(store, labels=labels, is_contract=is_contract)
     context = DetectionContext(
         dataset=TransactionView({}), labels=labels, is_contract=is_contract
     )
@@ -232,32 +151,27 @@ def replay_through_scheduler(histories, block_order, use_kernels):
 @settings(max_examples=25, deadline=None)
 @given(random_histories(), st.randoms(use_true_random=False))
 def test_scheduler_with_and_without_flow_cache_matches_batch(histories, rng):
-    """Scheduling with the kernel tier's detection cache
-    (``use_kernels=True``) and without it converges to the batch result,
-    even with blocks arriving out of order (the reorg-shaped append
-    fallback path)."""
+    """Scheduling on the money-flow cache converges to the legacy batch
+    result, even with blocks arriving out of order (the reorg-shaped
+    append fallback path).  The reference is the legacy engine because
+    the columnar engine shares the cache."""
     blocks = sorted(
         {t.block_number for transfers in histories.values() for t in transfers}
     )
     shuffled = list(blocks)
     rng.shuffle(shuffled)
-    cached = replay_through_scheduler(histories, shuffled, use_kernels=True)
-    uncached = replay_through_scheduler(histories, shuffled, use_kernels=False)
-    labels = make_labels()
+    streamed = replay_through_scheduler(histories, shuffled)
     batch = WashTradingPipeline(
-        labels=labels, is_contract=CONTRACT_SET.__contains__, engine="kernel"
+        labels=make_labels(), is_contract=CONTRACT_SET.__contains__, engine="legacy"
     ).run(minimal_dataset(histories))
-    assert_results_match(cached, batch)
-    assert_results_match(uncached, batch)
+    assert_results_match(streamed, batch)
 
 
 def test_reorg_storm_with_kernels_matches_batch():
-    """A randomized advance/reorg/advance storm on the kernel scheduler
-    still equals a fresh kernel-engine batch build of the final chain."""
+    """A randomized advance/reorg/advance storm on the cached scheduler
+    still equals a fresh legacy batch build of the final chain."""
     world = build_default_world(SimulationConfig.tiny())
-    monitor = StreamingMonitor.for_world(
-        world, max_reorg_depth=64, use_kernels=True
-    )
+    monitor = StreamingMonitor.for_world(world, max_reorg_depth=64)
     storm = ReorgStorm(
         world,
         random.Random(7),
@@ -272,12 +186,17 @@ def test_reorg_storm_with_kernels_matches_batch():
     assert summaries, "the storm must actually reorg"
     dataset = build_dataset(world.node, world.marketplace_addresses)
     batch = WashTradingPipeline(
-        labels=world.labels, is_contract=world.is_contract, engine="kernel"
+        labels=world.labels, is_contract=world.is_contract, engine="legacy"
     ).run(dataset)
     assert_results_match(monitor.result(), batch, ordered=True)
 
 
 # -- volume-match across execution paths ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tiny_world):
+    return build_dataset(tiny_world.node, tiny_world.marketplace_addresses)
 
 
 class TestVolumeMatchParity:
@@ -289,25 +208,25 @@ class TestVolumeMatchParity:
         self, tiny_world, tiny_dataset
     ):
         legacy = run_backend(tiny_world, tiny_dataset, enabled_methods=self.METHODS)
-        kernel = run_backend(
-            tiny_world, tiny_dataset, enabled_methods=self.METHODS, engine="kernel"
+        columnar = run_backend(
+            tiny_world, tiny_dataset, enabled_methods=self.METHODS, engine="columnar"
         )
-        assert_full_parity(kernel, legacy)
-        assert DetectionMethod.VOLUME_MATCH in kernel.count_by_method()
+        assert_full_parity(columnar, legacy)
+        assert DetectionMethod.VOLUME_MATCH in columnar.count_by_method()
 
     def test_streaming_agrees_with_batch_with_volume_match(
         self, tiny_world, tiny_dataset
     ):
-        kernel = run_backend(
-            tiny_world, tiny_dataset, enabled_methods=self.METHODS, engine="kernel"
+        columnar = run_backend(
+            tiny_world, tiny_dataset, enabled_methods=self.METHODS, engine="columnar"
         )
         monitor = StreamingMonitor.for_world(
             tiny_world, enabled_methods=self.METHODS
         )
         monitor.run(step_blocks=29)
-        assert_results_match(monitor.result(), kernel, ordered=True)
+        assert_results_match(monitor.result(), columnar, ordered=True)
 
     def test_default_method_set_stays_the_papers(self, tiny_world, tiny_dataset):
         """Headline numbers must not move unless volume-match is asked for."""
-        default = run_backend(tiny_world, tiny_dataset, engine="kernel")
+        default = run_backend(tiny_world, tiny_dataset, engine="columnar")
         assert DetectionMethod.VOLUME_MATCH not in default.count_by_method()

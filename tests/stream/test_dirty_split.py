@@ -10,8 +10,6 @@ the split and that its results still reach every consumer.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.activity import DetectionMethod
 from repro.obs.registry import MetricsRegistry
 from repro.serve import ServeService
@@ -261,8 +259,6 @@ def test_account_leaving_the_member_index_leaves_the_cache():
     world, service, _ = caught_up_service()
     monitor = service.monitor
     scheduler = monitor.scheduler
-    if not scheduler.use_kernels:
-        pytest.skip("the interpreted tier keeps no detection cache")
     cache = scheduler._cache
     index = scheduler._member_index
     nft, member = next(

@@ -188,8 +188,7 @@ class TestReorgParity:
         assert len(index_matches) == len(snapshots) and all(index_matches)
         assert len(cache_states) == len(snapshots)
         assert all(exact for exact, _ in cache_states)
-        if monitor.scheduler.use_kernels:
-            assert any(size for _, size in cache_states), "the cache must be used"
+        assert any(size for _, size in cache_states), "the cache must be used"
 
         dataset, batch = batch_over(world)
         assert_results_match(monitor.result(), batch, ordered=True)
