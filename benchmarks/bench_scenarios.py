@@ -70,13 +70,13 @@ def test_soak_accelerated_clock(benchmark):
 
     def run_soak():
         return run_scenario(
-            spec, RunOptions(speed=2_000_000, wire=True, shards=2)
+            spec, RunOptions(speed=2_000_000, wire=True)
         )
 
     report = benchmark.pedantic(run_soak, rounds=1, iterations=1)
     assert report.ok
     print_rows(
-        "Accelerated soak (speed 2,000,000, wire on, 2 shards)",
+        "Accelerated soak (speed 2,000,000, wire on)",
         ["scenario", "blocks", "wire alerts", "wall s"],
         [
             (

@@ -57,7 +57,7 @@ from collections import Counter
 from repro.chain.node import EthereumNode
 from repro.core.detectors.pipeline import WashTradingPipeline
 from repro.ingest.dataset import build_dataset
-from repro.serve import ServeService, record_key, serving_parity_mismatches
+from repro.serve import ServeService, serving_parity_mismatches
 from repro.serve.load import LoadGenerator
 from repro.simulation.builder import build_default_world
 from repro.simulation.reorg import apply_random_reorg
@@ -207,161 +207,6 @@ def test_cached_aggregates_beat_recompute(serve_profile):
     # ...and the dirty-keyed cache wins the wall clock.
     assert stats.hits > stats.misses
     assert cached["query_time"] < recompute["query_time"]
-
-
-def test_sharded_scatter_gather_beats_single_shard(serve_profile, shard_counts):
-    """Same fine-grained tick schedule, same answers -- four shards must
-    serve the mixed workload at >=2x the single-index throughput.
-
-    The full profile runs the live tail of the *default* simulated
-    world: ~150 days, 36 collections, ~1.8k tokens -- more than 4x the
-    seed-scale world the other serving benchmarks use (``small``: 60
-    days, 11 collections, ~350 tokens).  Scale is what separates the
-    topologies: the monolithic index re-folds every token state each
-    time a tick invalidates its funnel entry, while a shard publishes a
-    differentially maintained funnel partial (O(dirty slice) per tick)
-    and routes each collection rollup to its single owner shard.  The
-    workload is the same mix the cache comparison uses (aggregate
-    sweeps plus token/account/listing point queries); ingest is
-    reported but untimed.  The hard >=2x bar runs on the full profile;
-    the smoke profile pins answer equivalence only.  The run ends with
-    the sharded serving-parity self-checks -- per-shard partitioning
-    and merged answers against a causally clamped batch build -- so the
-    speedup can never come at the price of a wrong answer.
-    """
-    import dataclasses
-
-    from repro.serve import sharded_parity_mismatches
-    from repro.simulation.config import SimulationConfig
-
-    if serve_profile["smoke"]:
-        world = build_default_world(serve_profile["preset"]())
-    else:
-        world = build_default_world(SimulationConfig())
-    head = world.node.block_number
-    # A fixed fine-grained schedule near the head, shared by every run:
-    # warm coarsely to the start of the window, then stride 2-8 blocks.
-    rng = random.Random(17)
-    warm_start = max(0, head - 5 * serve_profile["shard_ticks"])
-    schedule = []
-    block = warm_start
-    while block < head:
-        block = min(head, block + rng.randint(2, 8))
-        schedule.append(block)
-
-    results = {}
-    for shards in shard_counts:
-        service = ServeService.for_world(world, shards=shards)
-        service.advance(warm_start)
-        query_rng = random.Random(23)
-        query_time = 0.0
-        tick_time = 0.0
-        served = 0
-        clean_shard_ticks = 0
-        for upper in schedule:
-            started = time.perf_counter()
-            service.advance(upper)
-            tick_time += time.perf_counter() - started
-            if shards > 1:
-                clean_shard_ticks += sum(
-                    1
-                    for shard_version in service.query.version().shards
-                    if shard_version.dirty_token_count == 0
-                )
-            started = time.perf_counter()
-            served += query_sweep(
-                service.query,
-                query_rng,
-                serve_profile["aggregate_repeats"],
-                serve_profile["point_queries"],
-            )
-            query_time += time.perf_counter() - started
-        results[shards] = {
-            "service": service,
-            "query_time": query_time,
-            "tick_time": tick_time,
-            "served": served,
-            "clean": clean_shard_ticks,
-        }
-
-    print(
-        f"\n== sharded scatter-gather vs single index == head={head} "
-        f"fine ticks={len(schedule)} (blocks {warm_start}..{head})"
-    )
-    for shards, run in results.items():
-        qps = (
-            run["served"] / run["query_time"]
-            if run["query_time"]
-            else float("inf")
-        )
-        stats = run["service"].cache_stats()
-        isolation = (
-            f"  clean-shard ticks={run['clean']}/{shards * len(schedule)}"
-            if shards > 1
-            else ""
-        )
-        print(
-            f"  shards={shards}  query total={run['query_time']:.3f}s "
-            f"({qps:>10,.0f} q/s)  ingest total={run['tick_time']:.3f}s  "
-            f"cache {stats.hits}/{stats.lookups} hits "
-            f"({stats.hit_rate:.1%}), {stats.invalidated} invalidated"
-            f"{isolation}"
-        )
-
-    # Identical answers at the settled head, whatever the topology (a
-    # cached aggregate may carry the older version it was computed at,
-    # so normalize the computed-at version before comparing).
-    def same_answer(left, right):
-        return dataclasses.replace(left, version=0) == dataclasses.replace(
-            right, version=0
-        )
-
-    baseline = results[1]["service"].query
-    for shards, run in results.items():
-        if shards == 1:
-            continue
-        query = run["service"].query
-        assert run["served"] == results[1]["served"]
-        assert same_answer(baseline.funnel_stats(), query.funnel_stats())
-        assert baseline.collections() == query.collections()
-        assert baseline.venues() == query.venues()
-        for contract in baseline.collections():
-            assert same_answer(
-                baseline.collection_rollup(contract),
-                query.collection_rollup(contract),
-            )
-        for venue in baseline.venues():
-            assert same_answer(
-                baseline.marketplace_rollup(venue),
-                query.marketplace_rollup(venue),
-            )
-        assert tuple(baseline.version().confirmed) == tuple(
-            query.version().confirmed
-        )
-    assert baseline.version().confirmed_activity_count > 0
-
-    # The acceptance self-checks: the widest topology must hold both
-    # the per-shard partitioning parity and the merged global parity
-    # against a causally clamped batch build at the settled head.
-    widest = max(shard_counts)
-    widest_service = results[widest]["service"]
-    batch = batch_at(world, widest_service.monitor.processed_block)
-    assert sharded_parity_mismatches(widest_service.index, batch) == []
-    assert (
-        serving_parity_mismatches(widest_service.query, batch) == []
-    )
-
-    speedup = (
-        results[1]["query_time"] / results[widest]["query_time"]
-        if results[widest]["query_time"]
-        else float("inf")
-    )
-    print(f"  speedup shards={widest} over shards=1: {speedup:.2f}x")
-    if widest >= 4 and not serve_profile["smoke"]:
-        assert speedup >= 2.0, (
-            f"{widest} shards must at least double single-index "
-            f"mixed-workload throughput, got {speedup:.2f}x"
-        )
 
 
 def test_served_answers_match_batch_at_every_version(serve_profile):

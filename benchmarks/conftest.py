@@ -67,15 +67,6 @@ def pytest_addoption(parser):
         ),
     )
     parser.addoption(
-        "--shards",
-        default="1,2,4",
-        help=(
-            "comma-separated shard counts for bench_serve_load's "
-            "scatter-gather comparison column (ascending, starting at "
-            "1 -- the single-index baseline; default: 1,2,4)"
-        ),
-    )
-    parser.addoption(
         "--wire",
         action="store_true",
         help=(
@@ -142,7 +133,6 @@ def serve_profile(request):
             "query_threads": 2,
             "reorg_every": 3,
             "load_seconds": 0.4,
-            "shard_ticks": 12,
             "smoke": True,
         }
     return {
@@ -152,25 +142,8 @@ def serve_profile(request):
         "query_threads": 4,
         "reorg_every": 3,
         "load_seconds": 1.5,
-        "shard_ticks": 48,
         "smoke": False,
     }
-
-
-@pytest.fixture
-def shard_counts(request):
-    """Shard counts for the scatter-gather comparison (``--shards``)."""
-    raw = request.config.getoption("--shards")
-    counts = tuple(int(part) for part in raw.split(",") if part.strip())
-    if (
-        not counts
-        or counts[0] != 1
-        or list(counts) != sorted(set(counts))
-    ):
-        raise pytest.UsageError(
-            f"--shards must be an ascending list starting at 1, got {raw!r}"
-        )
-    return counts
 
 
 def pytest_generate_tests(metafunc):

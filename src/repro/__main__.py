@@ -28,7 +28,7 @@ Two subcommands share the synthetic-world presets:
   ``health`` verbs (``--once`` for a single snapshot).
 * ``scenario`` replays a registered adversarial scenario
   (:mod:`repro.simulation.scenarios`) against the full live stack --
-  ingest, the (optionally sharded) serving path and the wire tier
+  ingest, the serving path and the wire tier
   together -- under an accelerated clock, asserting
   batch/stream/serve/wire parity and per-phase alert-latency SLOs.
   ``--list`` prints the catalogue; exit 0 = every bar held, 1 = the
@@ -318,15 +318,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="rollback journal window passed to the monitor",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "partition the read model into N token-range shards behind a "
-            "scatter-gather query service (default: 1)"
-        ),
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the dirty-token-keyed aggregate cache (recompute "
@@ -572,7 +563,7 @@ def build_scenario_parser() -> argparse.ArgumentParser:
         prog="repro scenario",
         description=(
             "Replay a registered adversarial scenario against the full "
-            "live stack (ingest + sharded serving + wire) under an "
+            "live stack (ingest + serving + wire) under an "
             "accelerated clock, asserting batch/stream/serve/wire parity "
             "and per-phase alert-latency SLOs.  Exit 0 when every bar "
             "holds, 1 with the typed per-phase report otherwise."
@@ -605,12 +596,6 @@ def build_scenario_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="world seed override (default: the spec's, then the preset's)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="number of serve-index shards (default: 1)",
     )
     parser.add_argument(
         "--no-wire",
@@ -677,7 +662,6 @@ def run_scenario_command(argv: Sequence[str]) -> int:
     options = RunOptions(
         speed=args.speed,
         seed=args.seed,
-        shards=args.shards,
         wire=not args.no_wire,
         evaluate_slos=not args.no_slo,
         verify_parity=not args.no_verify,
@@ -962,11 +946,7 @@ def run_monitor(argv: Sequence[str]) -> int:
 
 def run_serve(argv: Sequence[str]) -> int:
     """The query-service subcommand: threaded ingest + query workers."""
-    from repro.serve import (
-        ServeService,
-        serving_parity_mismatches,
-        sharded_parity_mismatches,
-    )
+    from repro.serve import ServeService, serving_parity_mismatches
     from repro.serve.load import LoadGenerator
     from repro.core.detectors.pipeline import WashTradingPipeline
     from repro.ingest.dataset import build_dataset
@@ -1005,7 +985,6 @@ def run_serve(argv: Sequence[str]) -> int:
             monitor,
             use_cache=not args.no_cache,
             registry=obs.registry,
-            shards=args.shards,
         )
         query = service.query
 
@@ -1119,19 +1098,13 @@ def run_serve(argv: Sequence[str]) -> int:
                 engine="columnar",
                 enabled_methods=_enabled_methods(args),
             ).run(build_dataset(world.node, world.marketplace_addresses))
-            # The global oracle check, plus proof that each shard holds
-            # exactly its routed slice of the batch answer.
             mismatches = serving_parity_mismatches(query, batch)
-            mismatches.extend(sharded_parity_mismatches(service.index, batch))
             if mismatches:
                 for mismatch in mismatches:
                     print(f"parity mismatch: {mismatch}", file=sys.stderr)
                 status = 2
             elif not args.quiet:
-                print(
-                    "serving parity vs batch build: OK "
-                    f"(globally and across {args.shards} shards)"
-                )
+                print("serving parity vs batch build: OK")
             if args.listen is not None:
                 # The same bar through the socket: every wire answer must
                 # equal the in-process answer at the pinned version.
@@ -1158,8 +1131,7 @@ def run_serve(argv: Sequence[str]) -> int:
         cache_stats = service.cache_stats()
         if not args.quiet and cache_stats is not None:
             print(
-                f"aggregate cache across {args.shards} shards: "
-                f"{cache_stats.hits} hits / "
+                f"aggregate cache: {cache_stats.hits} hits / "
                 f"{cache_stats.lookups} lookups ({cache_stats.hit_rate:.1%}), "
                 f"{cache_stats.invalidated} invalidated"
             )

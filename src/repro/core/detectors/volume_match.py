@@ -48,7 +48,7 @@ class VolumeMatchDetector:
         Window sizes are tried smallest-first and the earliest balanced
         window of the smallest matching size is reported, so the
         evidence is deterministic for a given component regardless of
-        the execution path (batch, sharded, or streaming).
+        the execution path (batch or streaming).
         """
         config = context.config
         transfers = component.transfers

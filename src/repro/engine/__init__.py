@@ -28,7 +28,7 @@ from repro.engine.executor import (
 )
 from repro.engine.refine import (
     STAGE_NAMES,
-    ShardRefinement,
+    BatchRefinement,
     StageAccumulator,
     TokenComponent,
     refine_tokens,
@@ -41,7 +41,7 @@ __all__ = [
     "CachingDetectionContext",
     "ColumnarTransferStore",
     "STAGE_NAMES",
-    "ShardRefinement",
+    "BatchRefinement",
     "StageAccumulator",
     "TokenColumns",
     "TokenComponent",

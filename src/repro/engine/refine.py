@@ -304,7 +304,7 @@ def refine_token(
 
 
 @dataclass
-class ShardRefinement:
+class BatchRefinement:
     """Refinement output of a batch of tokens: candidates plus stage statistics."""
 
     candidates: List[CandidateComponent]
@@ -319,7 +319,7 @@ def refine_tokens(
     skip_service_removal: bool = False,
     skip_contract_removal: bool = False,
     skip_zero_volume_removal: bool = False,
-) -> ShardRefinement:
+) -> BatchRefinement:
     """Run the four funnel stages over a slice of the store's tokens.
 
     ``service_ids`` and ``contract_ids`` are the precomputed exclusion
@@ -339,4 +339,4 @@ def refine_tokens(
         for accumulator, record in zip(stages, refined.stages):
             accumulator.fold(record)
         candidates.extend(refined.candidates)
-    return ShardRefinement(candidates=candidates, stages=stages)
+    return BatchRefinement(candidates=candidates, stages=stages)

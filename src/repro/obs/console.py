@@ -132,8 +132,7 @@ def render_dashboard(stats: dict, health: dict, endpoint: str = "") -> str:
         lines.append(
             f"alerts   total {int(alerts)}  "
             f"published_seq {publish.get('published_seq', -1)}  "
-            f"publish_lag {publish.get('lag_alerts', 0)}  "
-            f"shards {publish.get('shards', stats.get('shards', 1))}"
+            f"publish_lag {publish.get('lag_alerts', 0)}"
         )
 
     stage_parts = []

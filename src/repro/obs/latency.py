@@ -13,8 +13,7 @@ mark                  placed by
                       trace id is deterministic, so it can be predicted)
 ``tick_start``        :meth:`StreamingMonitor.advance`, once the tick's
                       trace is minted
-``publish``           the serve index (plain or sharded) after the new
-                      version commits
+``publish``           the serve index after the new version commits
 ``fanout_enqueue``    the wire server when the version notification
                       enqueues the tick's alerts to subscribers
 ``socket_write``      the wire pusher thread after each alert frame is

@@ -136,7 +136,7 @@ class AggregateCache:
             self.stats.invalidated += len(dead)
             return len(dead)
 
-    def register_metrics(self, registry, labels: str = "") -> None:
+    def register_metrics(self, registry) -> None:
         """Expose the cache through a registry *collector*.
 
         The cache already counts everything the stats surface needs in
@@ -144,25 +144,20 @@ class AggregateCache:
         counters (and the live entry count / hit ratio) without adding
         any work to the lookup hot path.  Idempotent per registry call
         site: registering twice just reports the same numbers twice.
-
-        ``labels`` is appended to every series name in the registry's
-        flat labeled-name convention (``'{shard="2"}'``), so the
-        per-shard caches report side by side with the unlabeled
-        merged-result memo instead of colliding on one name.
         """
 
         def collect():
             stats = self.stats
             return {
                 "counters": {
-                    f"serve_cache_hits_total{labels}": stats.hits,
-                    f"serve_cache_misses_total{labels}": stats.misses,
-                    f"serve_cache_invalidated_total{labels}": stats.invalidated,
-                    f"serve_cache_stale_discards_total{labels}": stats.stale_discards,
+                    "serve_cache_hits_total": stats.hits,
+                    "serve_cache_misses_total": stats.misses,
+                    "serve_cache_invalidated_total": stats.invalidated,
+                    "serve_cache_stale_discards_total": stats.stale_discards,
                 },
                 "gauges": {
-                    f"serve_cache_entries{labels}": len(self),
-                    f"serve_cache_hit_ratio{labels}": stats.hit_rate,
+                    "serve_cache_entries": len(self),
+                    "serve_cache_hit_ratio": stats.hit_rate,
                 },
             }
 

@@ -1,15 +1,14 @@
 """Differentially maintained funnel statistics for the live read model.
 
 Answering ``funnel_stats`` by folding every token state's per-stage
-records is O(world) per recompute.  Each shard's funnel contribution is
-instead an associative *partial*, and every per-token stage statistic
-is **invertible** -- ``nft_count`` and ``component_count`` subtract,
-and the distinct-account union becomes a multiset (account id -> number
-of contributing tokens) whose key set *is* the distinct union.  So a
-shard maintains its funnel partial by applying only the tick's dirty
-delta (retire the old token state, install the new one) and
-materializes the partial once per published version -- O(dirty slice)
-per tick instead of O(shard) per query.
+records is O(world) per recompute.  Instead, every per-token stage
+statistic is **invertible** -- ``nft_count`` and ``component_count``
+subtract, and the distinct-account union becomes a multiset (account
+id -> number of contributing tokens) whose key set *is* the distinct
+union.  So the read model maintains its funnel by applying only the
+tick's dirty delta (retire the old token state, install the new one)
+and materializes it once per published version -- O(dirty) per tick
+instead of O(world) per query.
 
 The materialized :class:`FunnelPartial` rides the immutable
 :class:`~repro.serve.model.ServeVersion` itself, so readers get it with
@@ -32,18 +31,18 @@ from repro.engine.refine import EMPTY_STAGES, STAGE_NAMES, StageRecord
 
 @dataclass(frozen=True)
 class FunnelPartial:
-    """One shard's contribution to the refinement funnel."""
+    """The refinement funnel's totals, frozen at one version."""
 
     version: int
-    #: One immutable record per stage, so cached partials are
-    #: read-only under cross-thread merges.
+    #: One immutable record per stage, so published versions share
+    #: them read-only across threads.
     stages: Tuple[StageRecord, ...]
     candidate_count: int
     confirmed_count: int
 
 
 class _StageCounts:
-    """Invertible statistics of one funnel stage across a shard."""
+    """Invertible statistics of one funnel stage across every token."""
 
     __slots__ = (
         "nft_count",
@@ -56,7 +55,7 @@ class _StageCounts:
     def __init__(self) -> None:
         self.nft_count = 0
         self.component_count = 0
-        #: account id -> number of this shard's tokens contributing it;
+        #: account id -> number of tokens contributing it;
         #: the key set is exactly the stage's distinct account union.
         self.account_tokens: Counter = Counter()
         #: Account ids that joined or left the key set since the last
@@ -110,7 +109,7 @@ class _StageCounts:
 
 
 class FunnelMaintainer:
-    """One shard's live funnel state, updated by dirty-token deltas.
+    """The live funnel state, updated by dirty-token deltas.
 
     ``apply(old, new)`` retires one token's previous state and installs
     its replacement (either side may be None for appearing or vanishing
@@ -118,8 +117,8 @@ class FunnelMaintainer:
     read-only :class:`FunnelPartial` a published version carries.  The
     maintainer is exact, not approximate: the scheduler re-installs a
     state for every token it reports dirty, so folding the deltas
-    reproduces the full refold's counters identically -- the sharded
-    parity suite holds this against the batch pipeline.
+    reproduces the full refold's counters identically -- the serve
+    tests hold this against the refold and the batch pipeline.
     """
 
     def __init__(self) -> None:

@@ -1,13 +1,8 @@
-"""One token-range shard of the versioned read model.
+"""The versioned read model over a live streaming monitor.
 
-:class:`ServeIndex` holds the slice of the read model one shard owns
-and, on every monitor tick, folds the tick's owned slice in and builds
-a fresh immutable :class:`~repro.serve.model.ServeVersion`.  It never
-subscribes to the monitor itself: the coordinator
-(:class:`~repro.serve.sharding.ShardedServeIndex`) cuts each tick into
-per-shard slices, stages every shard, then flips them all at once.  A
-single-shard deployment is that coordinator with one shard.  The
-contract:
+:class:`ServeIndex` subscribes to a :class:`~repro.stream.StreamingMonitor`
+and, after every tick, publishes a fresh immutable
+:class:`~repro.serve.model.ServeVersion`.  The contract:
 
 * **Versions are immutable and monotone.**  A tick never mutates a
   published version; it builds a new one and swaps the ``current``
@@ -18,23 +13,35 @@ contract:
   mark it as a revision; the retracted activities are simply absent
   from it, while the alert log keeps the explicit ``ACTIVITY_RETRACTED``
   events a replaying consumer needs.
-* **The rebuild is incremental.**  Only the tick's owned dirty tokens
-  are re-read from the scheduler (via
+* **The rebuild is incremental.**  Only the tick's dirty tokens are
+  re-read from the scheduler (via
   :meth:`~repro.stream.scheduler.DirtyTokenScheduler.confirmed_activities`,
   which also captures evidence drift the alert stream deliberately does
   not re-announce); per-account profiles are rebuilt only for accounts
-  whose record set changed, and the funnel partial is maintained by
-  dirty deltas (:mod:`repro.serve.funnel`).  A tick whose owned slice
-  is empty republishes the previous containers by reference.
+  whose record set changed, and the funnel is maintained by dirty
+  deltas (:mod:`repro.serve.funnel`).  A tick with no dirty token
+  republishes the previous version's containers by reference.
+* **Publish, then invalidate.**  The new version becomes ``current``
+  before the aggregate cache drops the scopes the tick's dirty set can
+  have moved, so a reader racing the tick can only have a freshly
+  computed value *discarded*, never cached stale (see
+  :meth:`~repro.serve.cache.AggregateCache.get_or_compute`).  Version
+  subscribers run last, so the version they receive is already
+  ``current``.
+
+The index also owns the append-only alert log (the replay source for
+subscription cursors), the version subscribers and the serve metrics.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.chain.types import NFTKey
+from repro.engine.views import StoreStats
+from repro.obs.bounded import DEFAULT_ERROR_RETENTION, BoundedLog
+from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.serve.cache import (
     AggregateCache,
     FUNNEL_SCOPE,
@@ -55,6 +62,8 @@ from repro.stream.alerts import Alert, AlertKind, MonitorSnapshot
 from repro.stream.monitor import StreamingMonitor
 from repro.stream.scheduler import TokenState
 
+VersionCallback = Callable[[ServeVersion], None]
+
 #: record identity -> (seq, block) of its latest confirmation alert.
 ConfirmationInfo = Dict[RecordKey, Tuple[int, int]]
 
@@ -68,52 +77,55 @@ def confirmation_info(alerts: List[Alert]) -> ConfirmationInfo:
     return info
 
 
-@dataclass
-class TickSlice:
-    """One shard's share of a monitor tick, cut once by the coordinator."""
-
-    #: The owned dirty tokens, in the snapshot's order.
-    dirty: List[NFTKey] = field(default_factory=list)
-    newly_confirmed: int = 0
-    retracted: int = 0
-
-
-@dataclass
-class StagedVersion:
-    """One tick folded in but not yet published (two-phase publish).
-
-    ``stage_snapshot`` returns this; ``commit_staged`` flips the
-    ``current`` handle and ``invalidate_staged`` bumps the cache --
-    split so the coordinator can stage *every* shard before any handle
-    flips, and flip every handle before any cache invalidation.
-    """
-
-    version: ServeVersion
-    #: The cache scopes this tick's owned dirty slice may have moved.
-    scopes: Set[Scope]
+def _confirmation_order(record: ActivityRecord) -> Tuple[int, RecordKey]:
+    return record.seq, record.key
 
 
 class ServeIndex:
-    """Maintains one shard's immutable read model, tick by tick."""
+    """Maintains and publishes the immutable read model, tick by tick."""
 
     def __init__(
         self,
         monitor: StreamingMonitor,
-        shard,
-        alert_log: List[Alert],
-        cache: Optional[AggregateCache] = None,
+        use_cache: bool = True,
+        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.monitor = monitor
-        #: The token range this index serves: any object with ``index``
-        #: and ``contains(nft)`` (see
-        #: :class:`repro.serve.sharding.ShardSpec`; duck-typed here to
-        #: keep the import DAG acyclic).
-        self.shard = shard
-        self.cache = cache
-        #: The coordinator's append-only alert log, shared by reference
-        #: and only read here, so ``seq`` stays globally gapless.
-        self.alert_log = alert_log
+        self.registry = (
+            registry
+            if registry is not None
+            else getattr(monitor, "registry", None) or NULL_REGISTRY
+        )
+        #: The dirty-token-keyed aggregate cache (None when uncached).
+        self.cache: Optional[AggregateCache] = AggregateCache() if use_cache else None
+        #: Append-only copy of every alert the monitor published
+        #: (``alert_log[seq].seq == seq``).  Attaching to a monitor that
+        #: already ran adopts its alerts, so replay sees the history.
+        self.alert_log: List[Alert] = list(monitor.alerts)
         self.versions_published = 0
+        self._version_subscribers: List[VersionCallback] = []
+        #: Recent version-subscriber failures, isolated like the
+        #: monitor's own subscriber errors: a raising callback never
+        #: starves the subscribers after it and never aborts the
+        #: publish.  Bounded to the last DEFAULT_ERROR_RETENTION
+        #: ``(callback, version, error)`` tuples; ``.total`` counts all.
+        self.subscriber_errors: BoundedLog = BoundedLog(DEFAULT_ERROR_RETENTION)
+
+        self._metric_versions = self.registry.counter(
+            "serve_versions_published_total", "Immutable versions published."
+        )
+        self._metric_subscriber_errors = self.registry.counter(
+            "serve_subscriber_errors_total",
+            "Version-subscriber callbacks that raised during publish.",
+        )
+        self._metric_alert_log = self.registry.gauge(
+            "serve_alert_log_entries", "Alerts held in the replayable log."
+        )
+        self._metric_confirmed = self.registry.gauge(
+            "serve_confirmed_records", "Confirmed activity records being served."
+        )
+        if self.cache is not None:
+            self.cache.register_metrics(self.registry)
 
         self._records: Dict[RecordKey, ActivityRecord] = {}
         self._token_records: Dict[NFTKey, Dict[RecordKey, ActivityRecord]] = {}
@@ -121,18 +133,42 @@ class ServeIndex:
         self._token_status: Dict[NFTKey, TokenStatus] = {}
         self._account_records: Dict[str, Dict[RecordKey, ActivityRecord]] = {}
         self._profiles: Dict[str, AccountProfile] = {}
-        #: The owned tokens' scheduler states, kept current from each
-        #: tick's owned dirty slice (the scheduler re-installs a state
-        #: for every token it reports dirty).
+        #: The scheduler's token states, kept current from each tick's
+        #: dirty set (the scheduler re-installs a state for every token
+        #: it reports dirty).
         self._token_states: Dict[NFTKey, TokenState] = {}
         self.funnel_state = FunnelMaintainer()
 
         self._bootstrap()
+        monitor.subscribe_snapshots(self._on_snapshot)
 
+    # -- public surface ----------------------------------------------------
     @property
     def current(self) -> ServeVersion:
         """The newest published version (atomic reference read)."""
         return self._current
+
+    @property
+    def last_seq(self) -> int:
+        """Highest alert sequence number the index has folded in."""
+        return len(self.alert_log) - 1
+
+    def subscribe_versions(self, callback: VersionCallback) -> VersionCallback:
+        """Register a callback invoked with every published version."""
+        self._version_subscribers.append(callback)
+        return callback
+
+    def alerts_since(self, seq: int, limit: Optional[int] = None) -> Tuple[Alert, ...]:
+        """Alerts with sequence number strictly greater than ``seq``.
+
+        The replay primitive: the log is append-only, so a slice taken
+        while the monitor thread appends is always a consistent prefix
+        of the stream.
+        """
+        start = max(seq + 1, 0)
+        if limit is None:
+            return tuple(self.alert_log[start:])
+        return tuple(self.alert_log[start : start + limit])
 
     # -- bootstrap ---------------------------------------------------------
     def _bootstrap(self) -> None:
@@ -140,44 +176,55 @@ class ServeIndex:
 
         Normally that is the empty pre-ingest state; attaching to a
         monitor that already ran some ticks is supported: the adopted
-        alerts (already in the shared log) are folded into per-identity
-        confirmation coordinates, so adopted records carry the
-        ``seq``/block of their *latest* confirmation exactly as if the
-        index had been attached from the start.
+        alerts are folded into per-identity confirmation coordinates,
+        so adopted records carry the ``seq``/block of their *latest*
+        confirmation exactly as if the index had been attached from
+        the start.
         """
         scheduler = self.monitor.scheduler
-        contains = self.shard.contains
         confirmed = confirmation_info(self.alert_log)
         for nft in sorted(scheduler.flagged_nfts, key=scheduler.order_of):
-            if contains(nft):
-                self._rebuild_token(nft, confirmed, set(), set())
+            self._rebuild_token(nft, confirmed, set(), set())
         for account in list(self._account_records):
             self._rebuild_profile(account)
-        self._token_states = {
-            nft: state for nft, state in scheduler.states.items() if contains(nft)
-        }
+        self._token_states = dict(scheduler.states)
         self.funnel_state.rebuild(self._token_states.values())
-        self._current = self._build_version(
-            version=self.monitor.tick_count, owned=TickSlice(), reorg_depth=0
-        )
-        self.versions_published += 1
+        self._current = self._build_version(self.monitor.tick_count)
+        self._note_published()
 
     # -- tick application --------------------------------------------------
-    def stage_snapshot(
-        self,
-        snapshot: MonitorSnapshot,
-        owned: TickSlice,
-        confirmed: ConfirmationInfo,
-    ) -> StagedVersion:
-        """Fold one tick's owned slice in; build but don't publish.
+    def _on_snapshot(self, snapshot: MonitorSnapshot) -> None:
+        """Fold one monitor tick in, publish, then invalidate the cache."""
+        with self.registry.span("publish", dirty=snapshot.dirty_token_count):
+            self.alert_log.extend(snapshot.alerts)
+            scopes = self._apply_snapshot(snapshot)
+            version = self._build_version(snapshot.tick, snapshot)
+            self._current = version
+            if self.cache is not None:
+                self.cache.invalidate(scopes)
+            # The tick's alerts are readable from here on.
+            self.registry.latency.mark(snapshot.trace, "publish")
+        self._note_published()
+        for callback in self._version_subscribers:
+            try:
+                callback(version)
+            except Exception as error:  # noqa: BLE001 - isolation, as in
+                # the monitor's _deliver: the publish is already done,
+                # the failure is the subscriber's.
+                self.subscriber_errors.append((callback, version, error))
+                self._metric_subscriber_errors.inc()
+
+    def _apply_snapshot(self, snapshot: MonitorSnapshot) -> Set[Scope]:
+        """Fold the tick's dirty set into the working maps.
 
         Nothing a reader can observe changes here: the working maps are
-        private, and the returned version only becomes visible when
-        :meth:`commit_staged` swaps the ``current`` reference.
+        private until :meth:`_build_version` copies them.  Returns the
+        cache scopes the tick can have moved.
         """
+        confirmed = confirmation_info(snapshot.alerts)
         touched_accounts: Set[str] = set()
         changed_venues: Set[str] = set()
-        for nft in owned.dirty:
+        for nft in snapshot.dirty_nfts:
             self._rebuild_token(nft, confirmed, touched_accounts, changed_venues)
         for account in touched_accounts:
             self._rebuild_profile(account)
@@ -187,7 +234,7 @@ class ServeIndex:
         # scheduler reports every re-installed state as dirty.
         states = self.monitor.scheduler.states
         working = self._token_states
-        for nft in owned.dirty:
+        for nft in snapshot.dirty_nfts:
             old = working.get(nft)
             new = states.get(nft)
             self.funnel_state.apply(old, new)
@@ -195,28 +242,7 @@ class ServeIndex:
                 working[nft] = new
             elif old is not None:
                 del working[nft]
-
-        if owned.dirty:
-            version = self._build_version(
-                version=snapshot.tick, owned=owned, reorg_depth=snapshot.reorg_depth
-            )
-        else:
-            # New or rolled-back tokens are always in the dirty set, so
-            # a shard with an empty slice republishes by reference.
-            version = self._republish(snapshot)
-        return StagedVersion(
-            version=version, scopes=_scopes_for(owned.dirty, changed_venues)
-        )
-
-    def commit_staged(self, staged: StagedVersion) -> None:
-        """Flip ``current`` to the staged version (one atomic swap)."""
-        self._current = staged.version
-        self.versions_published += 1
-
-    def invalidate_staged(self, staged: StagedVersion) -> None:
-        """Bump the cache with the tick's owned slice of the dirty set."""
-        if self.cache is not None:
-            self.cache.invalidate(staged.scopes)
+        return _scopes_for(snapshot.dirty_nfts, changed_venues)
 
     def _rebuild_token(
         self,
@@ -277,9 +303,7 @@ class ServeIndex:
         self._token_retractions[nft] = retractions
         self._token_status[nft] = TokenStatus(
             nft=nft,
-            records=tuple(
-                sorted(fresh.values(), key=lambda record: (record.seq, record.key))
-            ),
+            records=tuple(sorted(fresh.values(), key=_confirmation_order)),
             retraction_count=retractions,
         )
 
@@ -290,54 +314,59 @@ class ServeIndex:
             return
         self._profiles[account] = AccountProfile(
             address=account,
-            records=tuple(
-                sorted(holders.values(), key=lambda record: (record.seq, record.key))
-            ),
+            records=tuple(sorted(holders.values(), key=_confirmation_order)),
         )
 
     # -- publishing --------------------------------------------------------
-    def _republish(self, snapshot: MonitorSnapshot) -> ServeVersion:
-        """A fresh version *sharing* the previous one's containers.
-
-        They are immutable, and the index only replaces (never mutates)
-        its own working containers, so sharing is safe and O(1).
-        """
-        return dataclasses.replace(
-            self._current,
-            version=snapshot.tick,
-            block=self.monitor.processed_block,
-            last_seq=len(self.alert_log) - 1,
-            dirty_token_count=0,
-            reorg_depth=snapshot.reorg_depth,
-            retracted_count=0,
-            newly_confirmed_count=0,
-        )
-
     def _build_version(
-        self, version: int, owned: TickSlice, reorg_depth: int
+        self, tick: int, snapshot: Optional[MonitorSnapshot] = None
     ) -> ServeVersion:
-        """Assemble one immutable version from the working containers."""
-        confirmed = tuple(
-            sorted(self._records.values(), key=lambda record: (record.seq, record.key))
-        )
-        return ServeVersion(
-            version=version,
+        """Assemble one immutable version (``snapshot`` is None only at
+        bootstrap).
+
+        The scalars, the store's token order and its size are always
+        fresh.  A tick with no dirty token shares the previous version's
+        containers instead of copying them: they are immutable, and the
+        index only replaces (never mutates) its own working containers.
+        """
+        store = self.monitor.cursor.store
+        scalars = dict(
+            version=tick,
             block=self.monitor.processed_block,
             last_seq=len(self.alert_log) - 1,
-            dirty_token_count=len(owned.dirty),
-            reorg_depth=reorg_depth,
-            retracted_count=owned.retracted,
-            newly_confirmed_count=owned.newly_confirmed,
+            dirty_token_count=0 if snapshot is None else snapshot.dirty_token_count,
+            reorg_depth=0 if snapshot is None else snapshot.reorg_depth,
+            retracted_count=0 if snapshot is None else snapshot.retracted_count,
+            newly_confirmed_count=(
+                0 if snapshot is None else snapshot.newly_confirmed_count
+            ),
+            token_order=tuple(store.tokens),
+            store_stats=StoreStats.capture(store),
+        )
+        if snapshot is not None and not snapshot.dirty_nfts:
+            # New or rolled-back tokens are always in the dirty set.
+            return dataclasses.replace(self._current, **scalars)
+        confirmed = tuple(sorted(self._records.values(), key=_confirmation_order))
+        return ServeVersion(
             confirmed=confirmed,
             token_status=dict(self._token_status),
             account_profiles=dict(self._profiles),
-            funnel=self.funnel_state.partial(version, len(confirmed)),
+            funnel=self.funnel_state.partial(tick, len(confirmed)),
             token_states=dict(self._token_states),
+            **scalars,
         )
 
+    def _note_published(self) -> None:
+        self.versions_published += 1
+        self._metric_versions.inc()
+        self._metric_alert_log.set(len(self.alert_log))
+        self._metric_confirmed.set(self._current.confirmed_activity_count)
 
-def _scopes_for(dirty_nfts: List[NFTKey], changed_venues: Set[str]) -> Set[Scope]:
-    """Exactly the cache scopes one tick's dirty slice can have moved."""
+
+def _scopes_for(
+    dirty_nfts: Tuple[NFTKey, ...], changed_venues: Set[str]
+) -> Set[Scope]:
+    """Exactly the cache scopes one tick's dirty set can have moved."""
     scopes: Set[Scope] = set()
     if dirty_nfts:
         # Any reprocessed token may have changed its funnel-stage

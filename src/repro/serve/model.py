@@ -12,11 +12,12 @@ as read-only by consumers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import FrozenSet, Mapping, Optional, Tuple
 
 from repro.chain.types import NFTKey
 from repro.core.activity import DetectionMethod, WashTradingActivity
 from repro.core.refine import FunnelStage
+from repro.engine.views import StoreStats
 from repro.serve.funnel import FunnelPartial
 from repro.stream.scheduler import TokenState
 
@@ -237,12 +238,10 @@ class FunnelSnapshot:
 class ServeVersion:
     """One published, immutable view of the monitor's detection state.
 
-    Published by one :class:`~repro.serve.index.ServeIndex` shard after
-    every monitor tick (version numbers are the monitor's tick numbers,
-    so they are strictly monotone; version 0 is the empty pre-ingest
-    state); readers see the shards through one
-    :class:`~repro.serve.sharding.GlobalVersion`, which duck-types this
-    surface.  Reorg revisions are ordinary versions with
+    Published by the :class:`~repro.serve.index.ServeIndex` after every
+    monitor tick (version numbers are the monitor's tick numbers, so
+    they are strictly monotone; version 0 is the empty pre-ingest
+    state).  Reorg revisions are ordinary versions with
     ``retracted_count``/``reorg_depth`` set -- a previously published
     version is never touched, so a reader holding one keeps a fully
     consistent pre-revision view.
@@ -265,12 +264,15 @@ class ServeVersion:
     token_status: Mapping[NFTKey, TokenStatus]
     #: Involvement summaries per currently implicated account.
     account_profiles: Mapping[str, AccountProfile]
-    #: The shard's differentially maintained funnel partial, frozen at
-    #: publish time (see :mod:`repro.serve.funnel`).
+    #: The store's token ordering at publish time.
+    token_order: Tuple[NFTKey, ...] = field(repr=False)
+    #: The store's size at publish time.
+    store_stats: StoreStats
+    #: The differentially maintained funnel, frozen at publish time
+    #: (see :mod:`repro.serve.funnel`).
     funnel: FunnelPartial = field(repr=False, compare=False)
-    #: Per-token scheduler states of every token the shard owns,
-    #: captured at publish time (shared immutable-by-convention
-    #: references; the funnel partial's refold source).
+    #: Per-token scheduler states captured at publish time (shared
+    #: immutable-by-convention references; the funnel's refold source).
     token_states: Mapping[NFTKey, TokenState] = field(repr=False, default_factory=dict)
 
     @property

@@ -22,7 +22,6 @@ from repro.core.activity import WashTradingActivity
 from repro.core.detectors.pipeline import PipelineResult
 from repro.serve.model import OFF_MARKET, ServeVersion
 from repro.serve.query import QueryService
-from repro.serve.sharding import ShardedServeIndex, shard_of
 
 
 def activity_fingerprint(activity: WashTradingActivity) -> Tuple:
@@ -184,68 +183,3 @@ def serving_parity_mismatches(
 
     return problems
 
-
-def sharded_parity_mismatches(
-    index: ShardedServeIndex, batch: PipelineResult
-) -> List[str]:
-    """Per-shard structural parity of a partitioned index; [] = parity.
-
-    The global check (:func:`serving_parity_mismatches` over the query
-    service) already proves the *merged* answers; this one proves the
-    *partitioning* is sound shard by shard:
-
-    * every shard holds exactly the tokens its hash slot owns;
-    * each shard's confirmed set equals the batch activities routed to
-      it (so the global k-way merge has nothing to hide behind);
-    * the per-shard flagged sets are disjoint and union to the global
-      flagged set;
-    * every shard agrees with the coordinator on the alert sequence
-      head (the shared-log invariant).
-    """
-    problems: List[str] = []
-    pinned = index.current
-    shard_count = index.shard_count
-
-    routed: Dict[int, List[WashTradingActivity]] = {
-        i: [] for i in range(shard_count)
-    }
-    for activity in batch.activities:
-        routed[shard_of(activity.nft, shard_count)].append(activity)
-
-    union: Set = set()
-    flagged_total = 0
-    for i, shard_version in enumerate(pinned.shards):
-        strays = [
-            nft
-            for nft in shard_version.token_status
-            if shard_of(nft, shard_count) != i
-        ]
-        if strays:
-            problems.append(
-                f"shard {i}: holds {len(strays)} token(s) owned elsewhere"
-            )
-        served = sorted(
-            activity_fingerprint(r.activity) for r in shard_version.confirmed
-        )
-        reference = sorted(activity_fingerprint(a) for a in routed[i])
-        if served != reference:
-            problems.append(
-                f"shard {i}: confirmed set diverges from its routed batch "
-                f"slice (served {len(served)}, batch {len(reference)})"
-            )
-        if shard_version.last_seq != pinned.last_seq:
-            problems.append(
-                f"shard {i}: last_seq {shard_version.last_seq} disagrees "
-                f"with coordinator {pinned.last_seq}"
-            )
-        flagged_total += len(shard_version.flagged_nfts)
-        union.update(shard_version.flagged_nfts)
-
-    if flagged_total != len(union):
-        problems.append("flagged sets overlap across shards")
-    if union != pinned.flagged_nfts:
-        problems.append(
-            f"per-shard flagged union ({len(union)}) diverges from the "
-            f"global flagged set ({len(pinned.flagged_nfts)})"
-        )
-    return problems

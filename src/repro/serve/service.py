@@ -1,10 +1,9 @@
 """The serving facade: monitor ingest plus a concurrent query front end.
 
 :class:`ServeService` wires the serving pieces together -- a
-:class:`~repro.stream.StreamingMonitor`, the sharded read model
-(:class:`~repro.serve.sharding.ShardedServeIndex`, one shard by
-default) with its dirty-token-keyed
-:class:`~repro.serve.cache.AggregateCache` layers, and the
+:class:`~repro.stream.StreamingMonitor`, the versioned read model
+(:class:`~repro.serve.index.ServeIndex`) with its dirty-token-keyed
+:class:`~repro.serve.cache.AggregateCache`, and the
 :class:`~repro.serve.query.QueryService` -- and can drive the monitor
 either inline (:meth:`advance` / :meth:`run`, the deterministic path
 tests and benchmarks use) or on a background ingest thread
@@ -19,6 +18,7 @@ tick.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from typing import Any, Dict, Optional, TYPE_CHECKING
@@ -26,8 +26,9 @@ from typing import Any, Dict, Optional, TYPE_CHECKING
 from repro.core.detectors.pipeline import PipelineResult
 from repro.obs.registry import NULL_REGISTRY, HistogramSnapshot, MetricsRegistry
 from repro.serve.cache import AggregateCache, CacheStats
+from repro.serve.index import ServeIndex
+from repro.serve.model import ServeVersion
 from repro.serve.query import QueryService
-from repro.serve.sharding import GlobalVersion, ShardedServeIndex
 from repro.stream.monitor import StreamingMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -42,7 +43,6 @@ class ServeService:
         monitor: StreamingMonitor,
         use_cache: bool = True,
         registry: Optional[MetricsRegistry] = None,
-        shards: int = 1,
     ) -> None:
         self.monitor = monitor
         #: The service inherits its monitor's registry unless given its
@@ -52,13 +52,9 @@ class ServeService:
             if registry is not None
             else getattr(monitor, "registry", None) or NULL_REGISTRY
         )
-        self.shards = shards
-        self.index = ShardedServeIndex(
-            monitor, shard_count=shards, use_cache=use_cache, registry=self.registry
-        )
-        #: The coordinator's merged-result memo (None when uncached):
-        #: the cache a warm aggregate answer comes out of.
-        self.cache: Optional[AggregateCache] = self.index.router_cache
+        self.index = ServeIndex(monitor, use_cache=use_cache, registry=self.registry)
+        #: The index's aggregate cache (None when uncached).
+        self.cache: Optional[AggregateCache] = self.index.cache
         self.query = QueryService(self.index)
         #: Per-tick wall-clock latency of background ingest, as a
         #: bounded-reservoir histogram: exact count/sum, estimated
@@ -99,7 +95,6 @@ class ServeService:
         world,
         use_cache: bool = True,
         registry: Optional[MetricsRegistry] = None,
-        shards: int = 1,
         **monitor_kwargs,
     ) -> "ServeService":
         """Build a service over a simulated world's handles."""
@@ -109,7 +104,6 @@ class ServeService:
             StreamingMonitor.for_world(world, **monitor_kwargs),
             use_cache=use_cache,
             registry=registry,
-            shards=shards,
         )
 
     # -- introspection -----------------------------------------------------
@@ -166,7 +160,6 @@ class ServeService:
             ingest["error"] = repr(self.ingest_error)
         current = self.index.current
         publish: Dict[str, Any] = {
-            "shards": self.shards,
             "version": current.version,
             "published_seq": current.last_seq,
             "log_seq": self.index.last_seq,
@@ -200,28 +193,11 @@ class ServeService:
         return health
 
     def cache_stats(self) -> Optional[CacheStats]:
-        """Aggregate-cache counters, summed over the merged-result memo
-        and every shard's cache; None when caching is disabled.
-
-        The summed view is what the CLI summary and the benchmark
-        report; per-shard counters remain visible through the
-        registry's labeled series.
-        """
-        caches = [
-            cache
-            for cache in (self.cache, *self.index.caches)
-            if cache is not None
-        ]
-        if not caches:
+        """A copy of the aggregate-cache counters (what the CLI summary
+        and the benchmark report); None when caching is disabled."""
+        if self.cache is None:
             return None
-        total = CacheStats()
-        for cache in caches:
-            stats = cache.stats
-            total.hits += stats.hits
-            total.misses += stats.misses
-            total.invalidated += stats.invalidated
-            total.stale_discards += stats.stale_discards
-        return total
+        return dataclasses.replace(self.cache.stats)
 
     def attach_slo(self, engine) -> None:
         """Evaluate ``engine`` every tick (see :mod:`repro.obs.slo`);
@@ -244,7 +220,7 @@ class ServeService:
         self._last_tick_at = time.time()
 
     # -- inline driving ----------------------------------------------------
-    def advance(self, to_block: Optional[int] = None) -> GlobalVersion:
+    def advance(self, to_block: Optional[int] = None) -> ServeVersion:
         """One monitor tick; returns the version it published."""
         self._mark_block_seen()
         self.monitor.advance(to_block)
@@ -253,7 +229,7 @@ class ServeService:
 
     def run(
         self, to_block: Optional[int] = None, step_blocks: int = 25
-    ) -> GlobalVersion:
+    ) -> ServeVersion:
         """Follow the chain inline to ``to_block`` (default: head)."""
         self.monitor.run(to_block=to_block, step_blocks=step_blocks)
         return self.index.current

@@ -420,10 +420,6 @@ class WireConnectionHandler(socketserver.StreamRequestHandler):
         # histograms, tick-stage timings, cache ratios, reorg counters)
         # rides alongside under "metrics".
         stats: Dict[str, Any] = dict(self.server.stats())
-        # How many read-model shards sit behind the query surface --
-        # lets an operator confirm the topology the service actually
-        # runs without scraping labeled metrics.
-        stats["shards"] = self.server.query.shard_count
         stats["metrics"] = self.server.metrics_snapshot()
         return stats
 

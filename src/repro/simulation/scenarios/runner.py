@@ -2,8 +2,8 @@
 
 One :func:`run_scenario` call executes a
 :class:`~repro.simulation.scenarios.spec.ScenarioSpec` end to end
-against the *full* live stack -- streaming ingest, the (optionally
-sharded) serving read model, the wire tier -- under a
+against the *full* live stack -- streaming ingest, the serving read
+model, the wire tier -- under a
 :class:`~repro.simulation.scenarios.clock.SimulatedClock`:
 
 1. the spec's world is built, with its fee shifts and tokenization
@@ -11,9 +11,9 @@ sharded) serving read model, the wire tier -- under a
 2. each phase drives the service tick by tick at the phase's step
    width, paced by the accelerated clock, injecting the phase's reorg
    profile between ticks, with the phase's SLOs armed on the monitor;
-3. at the end the run settles to head and the four parity bars are
-   checked -- stream-vs-batch, serve-vs-batch, per-shard structure,
-   wire-vs-in-process -- plus one typed verdict per phase SLO.
+3. at the end the run settles to head and the three parity bars are
+   checked -- stream-vs-batch, serve-vs-batch, wire-vs-in-process --
+   plus one typed verdict per phase SLO.
 
 A run that misses any bar raises
 :class:`~repro.simulation.scenarios.spec.ScenarioFailure` carrying the
@@ -31,11 +31,7 @@ from repro.core.detectors.pipeline import WashTradingPipeline
 from repro.ingest.dataset import build_dataset
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SLOEngine, latency_objective
-from repro.serve.parity import (
-    activity_fingerprint,
-    serving_parity_mismatches,
-    sharded_parity_mismatches,
-)
+from repro.serve.parity import activity_fingerprint, serving_parity_mismatches
 from repro.serve.service import ServeService
 from repro.simulation.reorg import apply_random_reorg
 from repro.simulation.scenarios.clock import SimulatedClock
@@ -72,7 +68,6 @@ class RunOptions:
     #: replays unpaced.
     speed: Optional[float] = None
     seed: Optional[int] = None
-    shards: int = 1
     #: Serve the wire tier and check wire parity.
     wire: bool = True
     #: Arm per-phase SLO engines.  Disable for byte-identity studies:
@@ -341,16 +336,11 @@ def run_scenario(
     )
 
     registry = MetricsRegistry()
-    service = ServeService.for_world(
-        world,
-        registry=registry,
-        shards=options.shards,
-    )
+    service = ServeService.for_world(world, registry=registry)
     report = ScenarioReport(
         scenario=spec.name,
         seed=seed,
         speed=speed,
-        shards=options.shards,
         blocks=head,
     )
     run_started = time.monotonic()
@@ -479,15 +469,6 @@ def run_scenario(
                     tuple(serving_parity_mismatches(service.query, batch)),
                 )
             )
-            if options.shards > 1:
-                report.parity.append(
-                    ParityCheck(
-                        "shards",
-                        tuple(
-                            sharded_parity_mismatches(service.index, batch)
-                        ),
-                    )
-                )
             if options.wire:
                 from repro.serve.wire import (
                     WireClient,

@@ -288,7 +288,6 @@ class ScenarioReport:
     scenario: str
     seed: int
     speed: float
-    shards: int
     blocks: int
     wall_seconds: float = 0.0
     phases: List[PhaseStats] = field(default_factory=list)
@@ -317,7 +316,6 @@ class ScenarioReport:
             f"scenario {self.scenario}: "
             f"{'PASS' if self.ok else 'FAIL'} "
             f"(seed {self.seed}, speed {self.speed:g}, "
-            f"{self.shards} shard(s), "
             f"{self.blocks} blocks, {self.wall_seconds:.1f}s wall)"
         ]
         for stats in self.phases:
@@ -338,7 +336,6 @@ class ScenarioReport:
             "ok": self.ok,
             "seed": self.seed,
             "speed": self.speed,
-            "shards": self.shards,
             "blocks": self.blocks,
             "wall_seconds": self.wall_seconds,
             "phases": [vars(stats) for stats in self.phases],

@@ -5,7 +5,7 @@ window contains >= ``volume_match_min_transfers`` transfers, every
 involved account's net NFT position over the window is zero, and paid
 volume was generated inside it.  Windows are tried smallest-first and
 the earliest match of the smallest matching size wins, so the evidence
-is deterministic across batch, sharded and streaming execution.
+is deterministic across batch and streaming execution.
 """
 
 from __future__ import annotations

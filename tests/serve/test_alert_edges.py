@@ -8,8 +8,7 @@ the head (a consumer that outlived a server restart -- must return
 nothing rather than raise or wrap), and degenerate limits (the
 in-process API treats ``limit=0`` as "nothing", while the wire verb
 rejects non-positive limits up front, before the index is consulted).
-Pinned in-process against both the single and the sharded index, and
-through the socket.
+Pinned in-process against the index, and through the socket.
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ from repro.serve import ServeService
 from repro.serve.wire import WireClient, WireRequestError
 
 
-@pytest.fixture(scope="module", params=[1, 4], ids=["single", "sharded"])
-def settled_index(request, tiny_world):
-    """A fully ingested index (both topologies answer identically)."""
-    service = ServeService.for_world(tiny_world, shards=request.param)
+@pytest.fixture(scope="module")
+def settled_index(tiny_world):
+    """A fully ingested index."""
+    service = ServeService.for_world(tiny_world)
     service.run()
     return service.index
 

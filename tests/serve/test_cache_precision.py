@@ -2,11 +2,11 @@
 
 The cache's contract is not just "correct answers" (the parity suites
 pin that) but "*precise* invalidation": a tick may only evict answers
-its dirty slice could actually have moved.  These tests read the
-hit/miss/invalidation counters -- through ``CacheStats`` and through
-the metrics registry the operators see -- to prove the negative space:
-untouched scopes keep hitting, and in the sharded layout a tick whose
-dirty slice misses a shard leaves that shard's entire cache warm.
+its dirty set could actually have moved.  These tests read the
+hit/miss counters -- through ``CacheStats`` and through the metrics
+registry the operators see -- to prove the negative space: a warm
+re-walk of every aggregate is all hits, and a tick leaves every
+collection its dirty set never touched warm.
 """
 
 from __future__ import annotations
@@ -46,68 +46,37 @@ class TestRegistryCounters:
             first["serve_cache_misses_total"]
         )
         assert second["serve_cache_hits_total"] > first["serve_cache_hits_total"]
-
-    def test_sharded_counters_are_labeled_per_shard(self, tiny_world):
-        registry = MetricsRegistry()
-        service = ServeService.for_world(
-            tiny_world, registry=registry, shards=3
+        stats = service.cache_stats()
+        assert (stats.hits, stats.misses) == (
+            second["serve_cache_hits_total"],
+            second["serve_cache_misses_total"],
         )
-        service.run()
-        _warm(service.query)
-        counters = registry.snapshot()["counters"]
-        for shard in range(3):
-            assert f'serve_cache_misses_total{{shard="{shard}"}}' in counters
-        assert registry.snapshot()["gauges"]["serve_shards"] == 3
-
-    def test_cache_stats_aggregates_across_shards(self, tiny_world):
-        service = ServeService.for_world(tiny_world, shards=3)
-        service.run()
-        _warm(service.query)
-        total = service.cache_stats()
-        layers = [cache.stats for cache in service.index.caches]
-        layers.append(service.index.router_cache.stats)
-        assert total.misses == sum(stats.misses for stats in layers)
-        assert total.hits == sum(stats.hits for stats in layers)
-        assert ServeService.for_world(
-            tiny_world, use_cache=False
-        ).cache_stats() is None
 
 
-class TestShardSlicePrecision:
-    def test_ticks_only_invalidate_the_shards_they_touch(self):
-        """Across a storm: every tick, the shards with an empty dirty
-        slice must answer a fixed aggregate walk from cache alone.
-
-        The walked key set is frozen after a few priming ticks (newly
-        appearing collections/venues would otherwise add legitimate
-        first-time misses that say nothing about invalidation).
-        """
+class TestScopePrecision:
+    def test_ticks_only_invalidate_the_collections_they_touch(self):
+        """Across a storm: every tick, each collection without a dirty
+        token must answer its rollup from cache alone."""
         world = build_default_world(SimulationConfig.tiny())
-        service = ServeService.for_world(world, shards=4)
+        service = ServeService.for_world(world)
+        dirty_contracts = []
+        service.monitor.subscribe_snapshots(
+            lambda snapshot: dirty_contracts.append(
+                {nft.contract for nft in snapshot.dirty_nfts}
+            )
+        )
         rng = random.Random(5)
         for _ in range(4):
             storm_tick(world, service, rng)
         contracts = service.query.collections()
-        venues = service.query.venues()
         assert contracts, "priming must have surfaced collections"
 
-        def walk():
-            service.query.funnel_stats()
+        untouched_seen = 0
+        for _ in range(16):
             for contract in contracts:
                 service.query.collection_rollup(contract)
-            for venue in venues:
-                service.query.marketplace_rollup(venue)
-
-        clean_shards_seen = 0
-        for tick in range(16):
-            walk()
-            before = [
-                (cache.stats.hits, cache.stats.misses, cache.stats.invalidated)
-                for cache in service.index.caches
-            ]
-            # Fine-grained strides keep per-tick dirty sets small -- the
-            # regime the per-shard caches are built for -- with a reorg
-            # every few ticks to keep retraction traffic in the mix.
+            # Fine-grained strides keep per-tick dirty sets small, with
+            # a reorg whenever ingest catches the head.
             if service.monitor.processed_block >= world.node.block_number:
                 apply_random_reorg(
                     world.chain, rng.randint(1, 6), rng, drop_probability=0.3
@@ -118,26 +87,12 @@ class TestShardSlicePrecision:
                     service.monitor.processed_block + rng.randint(2, 8),
                 )
             )
-            version = service.query.version()
-            walk()
-            for shard_version, cache, (hits, misses, invalidated) in zip(
-                version.shards, service.index.caches, before
-            ):
-                if shard_version.dirty_token_count == 0:
-                    clean_shards_seen += 1
-                    assert cache.stats.invalidated == invalidated, (
-                        "a tick must not evict entries in a shard its "
-                        "dirty slice never touched"
-                    )
-                    assert cache.stats.misses == misses, (
-                        "an untouched shard must re-answer every "
-                        "aggregate from cache"
-                    )
-                    if version.dirty_token_count > 0:
-                        # Some other shard was dirtied, so the walk had
-                        # to gather past the merged-result memo -- and
-                        # this shard answered its partials from cache.
-                        assert cache.stats.hits > hits
-        assert clean_shards_seen > 0, (
-            "the storm should have left some shard untouched at least once"
-        )
+            untouched = [c for c in contracts if c not in dirty_contracts[-1]]
+            misses = service.cache.stats.misses
+            for contract in untouched:
+                service.query.collection_rollup(contract)
+            assert service.cache.stats.misses == misses, (
+                "a tick must not evict a collection its dirty set never touched"
+            )
+            untouched_seen += len(untouched)
+        assert untouched_seen > 0

@@ -54,15 +54,13 @@ def wait_for_listen_line(proc) -> tuple:
 
 @pytest.fixture()
 def serving():
-    """A live ``serve --listen --shards 4`` subprocess with SLOs armed."""
+    """A live ``serve --listen`` subprocess with SLOs armed."""
     proc = spawn(
         "serve",
         "--preset",
         "tiny",
         "--step-blocks",
         "50",
-        "--shards",
-        "4",
         "--listen",
         "127.0.0.1:0",
         "--slo-latency-p95",
@@ -91,7 +89,12 @@ class TestProbe:
         health = json.loads(out)
         assert health["status"] == "ok"
         assert health["ingest"]["crashed"] is False
-        assert health["publish"]["shards"] == 4
+        assert set(health["publish"]) == {
+            "version",
+            "published_seq",
+            "log_seq",
+            "lag_alerts",
+        }
         assert "subscriber_queue_pressure" in health["wire"]
         assert set(health["slo"]) == {
             "alert-latency-total-p95",

@@ -8,6 +8,9 @@ invalidation, and the late-attach bootstrap.
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.chain.types import NFTKey
@@ -16,12 +19,16 @@ from repro.core.detectors.pipeline import WashTradingPipeline
 from repro.ingest.dataset import build_dataset
 from repro.serve import (
     AggregateCache,
+    ServeIndex,
     ServeService,
-    ShardedServeIndex,
     serving_parity_mismatches,
 )
 from repro.serve.cache import FUNNEL_SCOPE, collection_scope, venue_scope
 from repro.serve.query import QueryService
+from repro.serve.router import funnel_partial
+from repro.simulation.builder import build_default_world
+from repro.simulation.config import SimulationConfig
+from repro.simulation.reorg import ReorgStorm
 from repro.stream import StreamingMonitor
 
 
@@ -102,12 +109,86 @@ class TestVersions:
         # The monitor never saw the failure -- the index isolated it.
         assert service.monitor.subscriber_errors == []
 
+    def test_subscriber_receives_the_current_version(self, tiny_world):
+        """A version subscriber only ever sees the version that is
+        already ``current``, with the cache already invalidated for it:
+        an aggregate read from the callback answers for that version."""
+        service = ServeService.for_world(tiny_world)
+        seen = []
+
+        def check(version):
+            assert service.index.current is version
+            assert service.query.funnel_stats() == service.query.funnel_stats(
+                version=version
+            )
+            seen.append(version.version)
+
+        service.index.subscribe_versions(check)
+        head = tiny_world.node.block_number
+        while service.monitor.processed_block < head:
+            service.advance(min(head, service.monitor.processed_block + 29))
+            # Warm the cache between ticks, so a subscriber that ran
+            # before the invalidation would read this stale entry.
+            service.query.funnel_stats()
+        assert seen == list(range(1, service.monitor.tick_count + 1))
+        assert not service.index.subscriber_errors
+
+    def test_idle_tick_republishes_containers_by_reference(self, tiny_world):
+        """A tick that dirties nothing shares the previous version's
+        containers instead of copying them (the O(1) fast path)."""
+        service = ServeService.for_world(tiny_world)
+        service.run()
+        before = service.query.version()
+        # An empty advance (no new blocks) dirties nothing.
+        after = service.advance(service.monitor.processed_block)
+        assert after.version == before.version + 1
+        assert after.confirmed is before.confirmed
+        assert after.token_status is before.token_status
+        assert after.funnel is before.funnel
+
+    def test_maintained_funnel_matches_refold_through_a_storm(self):
+        """Every published version's maintained funnel is bit-equal to a
+        from-scratch fold over its token states.
+
+        The maintainer applies only per-tick dirty deltas (including
+        retire-only deltas for reorg-vanished tokens), so holding this
+        through a reorg storm proves the per-token stage statistics
+        really are invertible -- no drift, no residue from retracted
+        tokens.
+        """
+        world = build_default_world(SimulationConfig.tiny())
+        service = ServeService.for_world(world, max_reorg_depth=64)
+        checked = []
+
+        def check(version):
+            maintained = version.funnel
+            refold = funnel_partial(dataclasses.replace(version, funnel=None))
+            assert maintained.stages == refold.stages
+            assert maintained.candidate_count == refold.candidate_count
+            assert maintained.confirmed_count == refold.confirmed_count
+            checked.append(version.version)
+
+        service.index.subscribe_versions(check)
+        storm = ReorgStorm(
+            world,
+            random.Random(11),
+            reorg_probability=0.45,
+            max_depth=13,
+            drop_probability=0.3,
+            delay_probability=0.25,
+            max_shorten=2,
+            step_range=(5, 90),
+        )
+        assert storm.run(service.monitor), "the storm must actually reorg"
+        assert not service.index.subscriber_errors
+        assert checked == list(range(1, service.monitor.tick_count + 1))
+
     def test_late_attach_bootstrap(self, tiny_world, tiny_columnar_batch):
         """An index attached mid-follow adopts existing state and alerts."""
         monitor = StreamingMonitor.for_world(tiny_world)
         head = tiny_world.node.block_number
         monitor.run(to_block=head // 2, step_blocks=29)
-        index = ShardedServeIndex(monitor, shard_count=1)
+        index = ServeIndex(monitor)
         assert index.current.version == monitor.tick_count
         assert index.current.flagged_nfts == monitor.scheduler.flagged_nfts
         assert index.current.confirmed_activity_count == (
@@ -133,7 +214,7 @@ class TestVersions:
 
         monitor = StreamingMonitor.for_world(tiny_world)
         monitor.run(step_blocks=29)
-        late = QueryService(ShardedServeIndex(monitor, shard_count=1))
+        late = QueryService(ServeIndex(monitor))
 
         reference = {
             record.key: (record.seq, record.confirmed_at_block)
@@ -315,6 +396,7 @@ class TestAggregateCache:
         service = ServeService.for_world(tiny_world, use_cache=False)
         service.run(step_blocks=50)
         assert service.cache is None
+        assert service.cache_stats() is None
         first = service.query.funnel_stats()
         second = service.query.funnel_stats()
         assert first == second and first is not second

@@ -3,10 +3,10 @@
 The scheduler keeps one :class:`~repro.engine.refine.StageRecord` per
 funnel stage per token, and every token without a stage-1 component
 shares :data:`~repro.engine.refine.EMPTY_STAGES`.  Published serve
-versions, the sharded ``FunnelMaintainer`` and every funnel reader hold
-the same records, so none of them may change one: after a reorg storm,
+versions, the ``FunnelMaintainer`` and every funnel reader hold the
+same records, so none of them may change one: after a reorg storm,
 ``scheduler.result()``, a ``funnel_stats`` query and the maintained
-partials' refold, every record a tick ever installed still holds the
+funnel's refold, every record a tick ever installed still holds the
 values it was created with.
 """
 
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-
-import pytest
 
 from repro.core.detectors.pipeline import WashTradingPipeline
 from repro.engine.refine import EMPTY_STAGES, STAGE_NAMES, StageRecord
@@ -42,10 +40,9 @@ def record_values(stages):
     ]
 
 
-@pytest.mark.parametrize("shards", [1, 3])
-def test_stage_records_never_change_under_their_readers(shards):
+def test_stage_records_never_change_under_their_readers():
     world = build_default_world(SimulationConfig.tiny())
-    service = ServeService.for_world(world, max_reorg_depth=64, shards=shards)
+    service = ServeService.for_world(world, max_reorg_depth=64)
     scheduler = service.monitor.scheduler
     installed = {}
 
@@ -74,13 +71,12 @@ def test_stage_records_never_change_under_their_readers(shards):
     # Every reader folds the shared records.
     result = scheduler.result()
     funnel = service.query.funnel_stats()
-    global_version = service.query.version()
-    for shard_version in getattr(global_version, "shards", ()):
-        maintained = shard_version.funnel
-        refold = funnel_partial(dataclasses.replace(shard_version, funnel=None))
-        assert maintained.stages == refold.stages
-        assert maintained.candidate_count == refold.candidate_count
-        assert maintained.confirmed_count == refold.confirmed_count
+    version = service.query.version()
+    maintained = version.funnel
+    refold = funnel_partial(dataclasses.replace(version, funnel=None))
+    assert maintained.stages == refold.stages
+    assert maintained.candidate_count == refold.candidate_count
+    assert maintained.confirmed_count == refold.confirmed_count
 
     assert list(funnel.stages) == list(result.refinement.stages)
     batch = WashTradingPipeline(
@@ -95,24 +91,16 @@ def test_stage_records_never_change_under_their_readers(shards):
     assert record_values(EMPTY_STAGES) == [(name, 0, 0, []) for name in STAGE_NAMES]
 
 
-def test_single_shard_versions_share_unchanged_stage_account_sets():
-    """At N=1 the maintained funnel partial equals its refold after
-    every tick of a reorg storm, and a changed version whose dirty
-    tokens left a stage's account set as it was shares that stage's
-    frozenset with the version before it instead of copying it."""
+def test_versions_share_unchanged_stage_account_sets():
+    """Through a reorg storm, a changed version whose dirty tokens left
+    a stage's account set as it was shares that stage's frozenset with
+    the version before it instead of copying it."""
     world = build_default_world(SimulationConfig.tiny())
     service = ServeService.for_world(world, max_reorg_depth=64)
     published = []
 
     def capture(version):
-        (shard_version,) = version.shards
-        published.append(
-            (
-                shard_version.dirty_token_count,
-                shard_version.funnel,
-                funnel_partial(shard_version),
-            )
-        )
+        published.append((version.dirty_token_count, version.funnel))
 
     service.index.subscribe_versions(capture)
     storm = ReorgStorm(
@@ -129,13 +117,8 @@ def test_single_shard_versions_share_unchanged_stage_account_sets():
     assert not list(service.index.subscriber_errors)
     assert len(published) == service.monitor.tick_count
 
-    for _, maintained, refold in published:
-        assert maintained.stages == refold.stages
-        assert maintained.candidate_count == refold.candidate_count
-        assert maintained.confirmed_count == refold.confirmed_count
-
     shared = 0
-    for (_, before, _), (dirty, after, _) in zip(published, published[1:]):
+    for (_, before), (dirty, after) in zip(published, published[1:]):
         for old, new in zip(before.stages, after.stages):
             if new.account_ids == old.account_ids:
                 assert new.account_ids is old.account_ids

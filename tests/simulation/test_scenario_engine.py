@@ -132,13 +132,6 @@ class TestRunner:
         assert report.alert_log.endswith(b"\n")
         assert report.funnel_stats_json
 
-    def test_sharded_run_adds_shard_parity(self):
-        report = run_scenario(
-            FAST_SPEC, RunOptions(shards=3, **FAST_OPTIONS)
-        )
-        assert report.ok
-        assert "shards" in [check.name for check in report.parity]
-
     def test_progress_lines_are_emitted(self):
         lines = []
         report = run_scenario(

@@ -68,7 +68,6 @@ class TestParser:
         args = build_scenario_parser().parse_args(["reorg-storm-rush"])
         assert args.name == "reorg-storm-rush"
         assert args.speed is None and args.seed is None
-        assert args.shards == 1
         assert not args.no_wire and not args.no_verify and not args.no_slo
         assert not args.list_scenarios and not args.as_json and not args.quiet
 
@@ -77,12 +76,10 @@ class TestParser:
             [
                 "day-in-the-life",
                 "--speed", "500000", "--seed", "9",
-                "--shards", "4",
                 "--no-wire", "--no-slo", "--json", "--quiet",
             ]
         )
         assert args.speed == 500000.0 and args.seed == 9
-        assert args.shards == 4
         assert args.no_wire and args.no_slo and args.as_json and args.quiet
 
 
@@ -101,6 +98,13 @@ class TestParser:
             main([command, "--workers", "2"])
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve", "scenario"])
+    def test_shards_flag_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--shards", "4"])
+        assert excinfo.value.code == 2
+        assert "--shards" in capsys.readouterr().err
 
 
 class TestScenarioCommand:
