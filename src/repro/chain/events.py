@@ -25,32 +25,37 @@ from repro.utils.hashing import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Log:
-    """One event log entry, as a receipt would expose it."""
+    """One event log entry, as a receipt would expose it.
+
+    A log classifies itself once, at construction: ``is_erc721_transfer``
+    and ``is_erc20_transfer`` are stored, so the scan, the account index
+    and the money-flow extraction read a slot instead of re-deriving the
+    topic rule per visit.  They take no part in equality and cannot be
+    passed in; ``dataclasses.replace`` recomputes them.
+    """
 
     address: str
     topics: tuple[str, ...]
     data: Mapping[str, Any] = field(default_factory=dict)
+    #: The paper's rule: the ``ddf252ad…`` Transfer signature *and* four
+    #: topics (token id indexed).
+    is_erc721_transfer: bool = field(init=False, compare=False, repr=False)
+    #: The same signature with the ERC-20 layout: three topics (the
+    #: amount is not indexed).
+    is_erc20_transfer: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        topics = self.topics
+        transfer = bool(topics) and topics[0] == ERC721_TRANSFER_SIGNATURE
+        object.__setattr__(self, "is_erc721_transfer", transfer and len(topics) == 4)
+        object.__setattr__(self, "is_erc20_transfer", transfer and len(topics) == 3)
 
     @property
     def signature(self) -> str:
         """Topic 0: the event signature hash ('' if the log has no topics)."""
         return self.topics[0] if self.topics else ""
-
-    @property
-    def is_erc721_transfer(self) -> bool:
-        """True for Transfer events with the ERC-721 topic layout.
-
-        This is the paper's rule: the ``ddf252ad…`` signature *and* four
-        topics (token id indexed).
-        """
-        return self.signature == ERC721_TRANSFER_SIGNATURE and len(self.topics) == 4
-
-    @property
-    def is_erc20_transfer(self) -> bool:
-        """True for Transfer events with the ERC-20 topic layout (3 topics)."""
-        return self.signature == ERC721_TRANSFER_SIGNATURE and len(self.topics) == 3
 
     @property
     def is_erc1155_transfer(self) -> bool:

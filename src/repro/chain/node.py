@@ -94,12 +94,13 @@ class EthereumNode:
         matches: List[tuple[Transaction, Log]] = []
         for block in self.iter_blocks(from_block, to_block):
             for tx in block.transactions:
-                for log in tx.logs:
+                for log in tx.receipt.logs:
                     if address is not None and log.address != address:
                         continue
-                    if topic0 is not None and log.signature != topic0:
+                    topics = log.topics
+                    if topic0 is not None and (not topics or topics[0] != topic0):
                         continue
-                    if topic_count is not None and len(log.topics) != topic_count:
+                    if topic_count is not None and len(topics) != topic_count:
                         continue
                     matches.append((tx, log))
         return matches

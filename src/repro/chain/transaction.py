@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from repro.chain.events import Log
 from repro.chain.types import Call, ValueTransfer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Receipt:
     """Execution result of a transaction.
 
@@ -30,7 +31,7 @@ class Receipt:
         return self.status == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """One transaction as recorded on chain.
 
@@ -79,3 +80,8 @@ class Transaction:
     def interacted_contract(self) -> Optional[str]:
         """Address of the contract this transaction called, if any."""
         return self.to if self.call is not None else None
+
+
+#: Sort key for chain order: block number, then transaction hash.  Every
+#: per-account history is kept in this order.
+TX_CHAIN_ORDER = attrgetter("block_number", "hash")

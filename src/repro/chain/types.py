@@ -16,7 +16,7 @@ from typing import Any, Mapping
 NULL_ADDRESS = "0x" + "0" * 40
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class NFTKey:
     """Globally unique identifier of one NFT.
 
@@ -31,7 +31,7 @@ class NFTKey:
         return f"{self.contract}#{self.token_id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     """A contract call payload (the decoded ``input`` of a transaction).
 
@@ -49,7 +49,7 @@ class Call:
         return self.args.get(name, default)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueTransfer:
     """A single movement of ETH recorded while executing a transaction.
 

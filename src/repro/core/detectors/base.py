@@ -12,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Protocol, Set, Tuple
 
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import TX_CHAIN_ORDER, Transaction
 from repro.core.activity import CandidateComponent, DetectionEvidence, DetectionMethod
 from repro.ingest.dataset import NFTDataset
 from repro.services.labels import LabelRegistry
-from repro.utils.hashing import ERC721_TRANSFER_SIGNATURE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MoneyFlow:
     """A single inbound or outbound value movement of one account."""
 
@@ -124,17 +123,17 @@ class DetectionContext:
                     continue
                 seen.add(tx.hash)
                 collected.append(tx)
-        collected.sort(key=lambda tx: (tx.block_number, tx.hash))
+        collected.sort(key=TX_CHAIN_ORDER)
         return collected
 
     # -- money flows --------------------------------------------------------------
     @staticmethod
     def _tx_moves_an_nft(tx: Transaction) -> bool:
         """True if the transaction carries an ERC-721-shaped Transfer event."""
-        return any(
-            log.signature == ERC721_TRANSFER_SIGNATURE and len(log.topics) == 4
-            for log in tx.logs
-        )
+        for log in tx.logs:
+            if log.is_erc721_transfer:
+                return True
+        return False
 
     def incoming_flows(
         self, account: str, before_ts: Optional[int] = None, pure_transfers_only: bool = True

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 import networkx as nx
 
 from repro.chain.types import NFTKey
-from repro.ingest.records import NFTTransfer
+from repro.ingest.records import TRANSFER_TIME_ORDER, NFTTransfer
 
 
 @dataclass
@@ -111,7 +111,7 @@ def build_transaction_graph(
     plus a reference to the full transfer record.
     """
     graph = nx.MultiDiGraph()
-    ordered = sorted(transfers, key=lambda item: (item.timestamp, item.block_number, item.tx_hash))
+    ordered = sorted(transfers, key=TRANSFER_TIME_ORDER)
     for transfer in ordered:
         graph.add_node(transfer.sender)
         graph.add_node(transfer.recipient)

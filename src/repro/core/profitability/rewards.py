@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import TX_CHAIN_ORDER, Transaction
 from repro.core.activity import WashTradingActivity
 from repro.core.detectors.pipeline import PipelineResult
 from repro.core.profitability.context import MarketContext
@@ -116,7 +116,7 @@ def _claim_transactions(
         and tx.timestamp >= not_before_ts
         and tx.succeeded
     ]
-    claims.sort(key=lambda tx: (tx.block_number, tx.hash))
+    claims.sort(key=TX_CHAIN_ORDER)
     return claims
 
 

@@ -2,9 +2,8 @@
 
 The confirmation detectors re-derive the same per-account data for
 every component an account appears in: common-funder / common-exit
-re-walk the account's full transaction list to extract money flows
-(re-running the moves-an-NFT log scan each time), and zero-risk
-re-filters transaction lists per activity window.  Wash-trading
+re-walk the account's full transaction list to extract money flows,
+and zero-risk re-filters transaction lists per activity window.  Wash-trading
 accounts by construction appear in *many* components, so the columnar
 engine and the streaming scheduler wrap their :class:`DetectionContext`
 in a caching layer.  The legacy pipeline keeps the plain context as the
@@ -41,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import TX_CHAIN_ORDER, Transaction
 from repro.core.detectors.base import DetectionContext, MoneyFlow
 
 
@@ -74,7 +73,6 @@ class CachingDetectionContext(DetectionContext):
         #: checks it still wraps the context it was handed.
         self.base = base
         self._entries: Dict[str, _AccountEntry] = {}
-        self._moves_nft_cache: Dict[str, bool] = {}
 
     def refresh(self, changes: Mapping[str, Optional[int]]) -> None:
         """Bring the entries of changed accounts up to date.
@@ -84,12 +82,7 @@ class CachingDetectionContext(DetectionContext):
         changed anywhere (it was truncated or replaced).  A timestamp
         means the list only grew at its end: the new suffix is folded
         into the entry.  ``None`` drops the entry.
-
-        The moves-an-NFT memo is keyed by transaction, not account, so
-        it is cleared whole: cached flows never need it again, and it
-        only has to serve the flows built from now on.
         """
-        self._moves_nft_cache.clear()
         for account, since in changes.items():
             entry = self._entries.get(account)
             if entry is None:
@@ -129,16 +122,6 @@ class CachingDetectionContext(DetectionContext):
         timestamps.extend(added)
         for (direction, pure_transfers_only), flows in entry.flows.items():
             flows.extend(self._flows_over(direction, account, suffix, pure_transfers_only))
-
-    def _tx_moves_an_nft(self, tx: Transaction) -> bool:
-        """Memoized per transaction: the same transaction sits in both of
-        its endpoints' histories, so the base log scan runs twice or more
-        per tx; the answer is a pure function of the transaction."""
-        cached = self._moves_nft_cache.get(tx.hash)
-        if cached is None:
-            cached = DetectionContext._tx_moves_an_nft(tx)
-            self._moves_nft_cache[tx.hash] = cached
-        return cached
 
     # -- money flows -------------------------------------------------------
     def _flows_over(
@@ -205,5 +188,5 @@ class CachingDetectionContext(DetectionContext):
                     continue
                 seen.add(tx.hash)
                 collected.append(tx)
-        collected.sort(key=lambda tx: (tx.block_number, tx.hash))
+        collected.sort(key=TX_CHAIN_ORDER)
         return collected

@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.chain.types import NFTKey
-from repro.ingest.records import NFTTransfer
-
-
-def _row_sort_key(transfer: NFTTransfer) -> Tuple[int, int, str]:
-    """The row order shared by batch construction and streaming appends."""
-    return (transfer.timestamp, transfer.block_number, transfer.tx_hash)
+from repro.ingest.records import TRANSFER_TIME_ORDER, NFTTransfer
 
 
 @dataclass
@@ -103,7 +98,7 @@ class ColumnarTransferStore:
         out-of-order append fallback and the rollback path both rely on
         this aliasing guarantee.
         """
-        ordered = tuple(sorted(transfers, key=_row_sort_key))
+        ordered = tuple(sorted(transfers, key=TRANSFER_TIME_ORDER))
         # Comprehensions + array-from-list beat per-row appends; this is
         # the hottest loop of the store build.
         intern = self.intern
@@ -174,8 +169,8 @@ class ColumnarTransferStore:
         if columns is None:
             return self.add_token(nft, transfers)
 
-        ordered = sorted(transfers, key=_row_sort_key)
-        if columns.transfers and _row_sort_key(ordered[0]) < _row_sort_key(
+        ordered = sorted(transfers, key=TRANSFER_TIME_ORDER)
+        if columns.transfers and TRANSFER_TIME_ORDER(ordered[0]) < TRANSFER_TIME_ORDER(
             columns.transfers[-1]
         ):
             # Out-of-order arrival: rebuild the token's columns wholesale

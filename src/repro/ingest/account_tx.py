@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.chain.node import EthereumNode
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import TX_CHAIN_ORDER, Transaction
 
 
 def collect_account_transactions(
@@ -41,7 +41,5 @@ def collect_account_transactions(
             transactions = [
                 tx for tx in transactions if tx.block_number <= to_block
             ]
-        collected[account] = sorted(
-            transactions, key=lambda tx: (tx.block_number, tx.hash)
-        )
+        collected[account] = sorted(transactions, key=TX_CHAIN_ORDER)
     return collected

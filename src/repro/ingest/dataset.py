@@ -12,7 +12,7 @@ from repro.chain.types import NFTKey, NULL_ADDRESS
 from repro.ingest.account_tx import collect_account_transactions
 from repro.ingest.compliance import ComplianceReport, check_erc721_compliance
 from repro.ingest.marketplace_attribution import build_reverse_index
-from repro.ingest.records import ERC20Payment, NFTTransfer
+from repro.ingest.records import TRANSFER_CHAIN_ORDER, ERC20Payment, NFTTransfer
 from repro.ingest.transfer_scan import (
     TransferScanResult,
     decode_transfer_log,
@@ -157,29 +157,35 @@ def transfer_from_log(tx, log, venue_by_address: Mapping[str, str]) -> NFTTransf
     identical :class:`NFTTransfer` records for the same log.
     """
     sender, recipient, token_id = decode_transfer_log(log)
-    erc20_payments = tuple(
-        ERC20Payment(
-            token=other.address,
-            sender=other.topics[1],
-            recipient=other.topics[2],
-            amount=int(other.data.get("value", 0)),
+    logs = tx.receipt.logs
+    # The transfer's own log is not an ERC-20 move: a lone log carries none.
+    erc20_payments = (
+        tuple(
+            ERC20Payment(
+                other.address,
+                other.topics[1],
+                other.topics[2],
+                int(other.data.get("value", 0)),
+            )
+            for other in logs
+            if other.is_erc20_transfer
         )
-        for other in tx.logs
-        if other.is_erc20_transfer
+        if len(logs) > 1
+        else ()
     )
     return NFTTransfer(
-        nft=NFTKey(contract=log.address, token_id=token_id),
-        sender=sender,
-        recipient=recipient,
-        tx_hash=tx.hash,
-        block_number=tx.block_number,
-        timestamp=tx.timestamp,
-        price_wei=tx.value_wei,
-        gas_fee_wei=tx.fee_wei,
-        interacted_contract=tx.interacted_contract,
-        marketplace=venue_by_address.get(tx.to) if tx.to else None,
-        tx_sender=tx.sender,
-        erc20_payments=erc20_payments,
+        NFTKey(log.address, token_id),
+        sender,
+        recipient,
+        tx.hash,
+        tx.block_number,
+        tx.timestamp,
+        tx.value_wei,
+        tx.fee_wei,
+        tx.interacted_contract,
+        venue_by_address.get(tx.to) if tx.to else None,
+        tx.sender,
+        erc20_payments,
     )
 
 
@@ -209,15 +215,16 @@ def build_dataset(
     compliance = check_erc721_compliance(node, sorted(scan.emitting_contracts))
     venue_by_address = build_reverse_index(marketplace_addresses)
 
+    compliant = compliance.compliant
     transfers_by_nft: Dict[NFTKey, List[NFTTransfer]] = defaultdict(list)
     for tx, log in scan.matches:
-        if enforce_compliance and not compliance.is_compliant(log.address):
+        if enforce_compliance and log.address not in compliant:
             continue
         transfer = transfer_from_log(tx, log, venue_by_address)
         transfers_by_nft[transfer.nft].append(transfer)
 
     for transfers in transfers_by_nft.values():
-        transfers.sort(key=lambda item: (item.block_number, item.tx_hash))
+        transfers.sort(key=TRANSFER_CHAIN_ORDER)
 
     dataset = NFTDataset(
         transfers_by_nft=dict(transfers_by_nft),

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Tuple
 
 from repro.chain.types import NFTKey, NULL_ADDRESS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ERC20Payment:
     """An ERC-20 transfer observed in the same transaction as an NFT move.
 
@@ -22,7 +23,7 @@ class ERC20Payment:
     amount: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NFTTransfer:
     """One ERC-721 transfer, enriched with its transaction context.
 
@@ -76,3 +77,12 @@ class NFTTransfer:
     def is_self_transfer(self) -> bool:
         """True if source and recipient are the same account."""
         return self.sender == self.recipient
+
+
+#: Sort key for chain order of transfers: block number, then transaction
+#: hash -- the order of every per-NFT transfer list.
+TRANSFER_CHAIN_ORDER = attrgetter("block_number", "tx_hash")
+
+#: Sort key for the rows of one NFT's transaction graph and columnar
+#: store: timestamp first, then chain order.
+TRANSFER_TIME_ORDER = attrgetter("timestamp", "block_number", "tx_hash")

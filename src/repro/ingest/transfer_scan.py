@@ -30,9 +30,15 @@ class TransferScanResult:
     emitting_contracts: Set[str] = field(default_factory=set)
     #: Matches dropped from ``matches`` by a bounded-memory consumer
     #: (the streaming cursor's ``retain_scan_matches=False`` mode) after
-    #: their rows became permanent.  Counted so ``event_count`` stays the
-    #: true scan total even when the raw pairs are no longer held.
-    pruned_count: int = 0
+    #: their rows became permanent, counted per emitting contract so
+    #: ``event_count`` and ``events_by_contract`` stay the true scan
+    #: totals even when the raw pairs are no longer held.
+    pruned_by_contract: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def pruned_count(self) -> int:
+        """Number of matches dropped from ``matches``."""
+        return sum(self.pruned_by_contract.values())
 
     @property
     def event_count(self) -> int:
@@ -46,7 +52,7 @@ class TransferScanResult:
 
     def events_by_contract(self) -> Dict[str, int]:
         """Number of matching events per emitting contract."""
-        counts: Dict[str, int] = {}
+        counts = dict(self.pruned_by_contract)
         for _tx, log in self.matches:
             counts[log.address] = counts.get(log.address, 0) + 1
         return counts
@@ -60,17 +66,16 @@ def scan_erc721_transfer_logs(
     Mirrors the paper's first collection step, which found 52,871,559
     matching events from 26,737 contracts on the real chain.
     """
-    result = TransferScanResult()
     matches = node.get_logs(
         from_block=from_block,
         to_block=to_block,
         topic0=ERC721_TRANSFER_SIGNATURE,
         topic_count=4,
     )
-    for tx, log in matches:
-        result.matches.append((tx, log))
-        result.emitting_contracts.add(log.address)
-    return result
+    return TransferScanResult(
+        matches=matches,
+        emitting_contracts={log.address for _tx, log in matches},
+    )
 
 
 def decode_transfer_log(log: Log) -> tuple[str, str, int]:

@@ -51,13 +51,14 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tupl
 
 from repro.chain.index import transaction_parties
 from repro.chain.node import EthereumNode
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import TX_CHAIN_ORDER, Transaction
 from repro.chain.types import NFTKey, NULL_ADDRESS
 from repro.engine.store import ColumnarTransferStore
+from repro.ingest.account_tx import collect_account_transactions
 from repro.ingest.compliance import ComplianceReport, check_erc721_compliance
 from repro.ingest.dataset import NFTDataset, transfer_from_log
 from repro.ingest.marketplace_attribution import build_reverse_index
-from repro.ingest.records import NFTTransfer
+from repro.ingest.records import TRANSFER_CHAIN_ORDER, NFTTransfer
 from repro.ingest.transfer_scan import TransferScanResult, scan_erc721_transfer_logs
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
@@ -326,7 +327,8 @@ class DatasetCursor:
         #: :meth:`as_dataset`, and everything detection reads (store,
         #: transfer lists, account histories) is retained in full.  The
         #: retained match list then stays O(journal), not O(chain);
-        #: ``scan.event_count`` remains exact via ``scan.pruned_count``.
+        #: ``scan.event_count`` and ``scan.events_by_contract()`` remain
+        #: exact via ``scan.pruned_by_contract``.
         self.retain_scan_matches = retain_scan_matches
         self._venue_by_address = build_reverse_index(marketplace_addresses)
         #: Next block to ingest; everything below has been processed.
@@ -492,11 +494,13 @@ class DatasetCursor:
             transfer = transfer_from_log(tx, log, self._venue_by_address)
             new_by_nft.setdefault(transfer.nft, []).append(transfer)
         for chunk in new_by_nft.values():
-            chunk.sort(key=lambda item: (item.block_number, item.tx_hash))
+            chunk.sort(key=TRANSFER_CHAIN_ORDER)
 
         new_accounts = self._new_involved_accounts(new_by_nft)
         pending = self._stage_block_transactions(from_block, stop, new_accounts)
-        new_histories = self._stage_new_account_histories(new_accounts, stop)
+        new_histories = collect_account_transactions(
+            self.node, new_accounts, to_block=stop
+        )
         journal_entries = self._stage_journal(
             from_block, stop, tick_scan, unseen, new_by_nft, new_accounts,
             pending, new_histories,
@@ -557,8 +561,10 @@ class DatasetCursor:
         retained = sum(entry.match_count for entry in self._journal)
         drop = len(self.scan.matches) - retained
         if drop > 0:
+            pruned = self.scan.pruned_by_contract
+            for _tx, log in self.scan.matches[:drop]:
+                pruned[log.address] = pruned.get(log.address, 0) + 1
             del self.scan.matches[:drop]
-            self.scan.pruned_count += drop
 
     # -- reorg handling ----------------------------------------------------
     def _detect_divergence_and_rollback(self, head: int) -> _RollbackResult:
@@ -642,6 +648,8 @@ class DatasetCursor:
         removed_entries = self._journal[keep:]
 
         # Scan matches are block-ordered across ticks: drop the tail span.
+        # Pruned matches all predate the journal, so no rollback reaches
+        # them or their per-contract tally.
         removed_matches = sum(entry.match_count for entry in removed_entries)
         if removed_matches:
             del self.scan.matches[-removed_matches:]
@@ -846,26 +854,5 @@ class DatasetCursor:
                         continue
                     pending.setdefault(party, []).append(tx)
         for transactions in pending.values():
-            transactions.sort(key=lambda tx: (tx.block_number, tx.hash))
+            transactions.sort(key=TX_CHAIN_ORDER)
         return pending
-
-    def _stage_new_account_histories(
-        self, new_accounts: List[str], to_block: int
-    ) -> Dict[str, List[Transaction]]:
-        """Fetch the full history of newly involved accounts, clamped.
-
-        The clamp to ``to_block`` is what makes intermediate cursor
-        states equal to a batch build over the same prefix: the node
-        holds the whole simulated chain, but a monitor following the
-        head must not see transactions from blocks it has not reached.
-        """
-        histories: Dict[str, List[Transaction]] = {}
-        for account in new_accounts:
-            transactions = [
-                tx
-                for tx in self.node.get_transactions_of(account)
-                if tx.block_number <= to_block
-            ]
-            transactions.sort(key=lambda tx: (tx.block_number, tx.hash))
-            histories[account] = transactions
-        return histories

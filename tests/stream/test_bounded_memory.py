@@ -51,6 +51,7 @@ def assert_bounded_state_parity(cursor, dataset):
     assert cursor.compliance.non_compliant == dataset.compliance.non_compliant
     assert cursor.scan.emitting_contracts == dataset.scan.emitting_contracts
     assert cursor.scan.event_count == dataset.scan.event_count
+    assert cursor.scan.events_by_contract() == dataset.scan.events_by_contract()
     assert cursor.store.transfer_count == dataset.transfer_count
     assert len(cursor.scan.matches) == journaled_match_count(cursor)
     assert len(cursor.scan.matches) <= len(dataset.scan.matches)
@@ -93,6 +94,27 @@ class TestBoundedMemory:
         dataset, _ = batch_over(world)
         assert cursor.scan.matches == dataset.scan.matches
         assert cursor.scan.pruned_count == 0
+
+    def test_bounded_and_retaining_cursors_agree_after_full_replay(self):
+        """The scan's per-contract counts do not depend on retention."""
+        world = fresh_world()
+        bounded = DatasetCursor(
+            world.node, world.marketplace_addresses,
+            retain_scan_matches=False, max_reorg_depth=8,
+        )
+        retaining = DatasetCursor(world.node, world.marketplace_addresses)
+        head = world.node.block_number
+        for stop in range(0, head + 1, 7):
+            bounded.advance(stop)
+            retaining.advance(stop)
+        bounded.advance(head)
+        retaining.advance(head)
+        assert bounded.scan.pruned_count > 0
+        assert bounded.scan.event_count == retaining.scan.event_count
+        assert (
+            bounded.scan.events_by_contract()
+            == retaining.scan.events_by_contract()
+        )
 
     def test_reorg_rollback_still_works_when_bounded(self):
         """Rollbacks only ever touch journaled (still-retained) matches."""
