@@ -53,10 +53,6 @@ class TableThreeColumn:
     total_gain_or_loss_usd: float
 
 
-def _dataset_usd(dataset: NFTDataset, oracle: PriceOracle, volume_wei: int, reference_ts: int) -> float:
-    return oracle.wei_to_usd(volume_wei, reference_ts)
-
-
 def table_one(dataset: NFTDataset, oracle: PriceOracle) -> List[TableOneRow]:
     """Table I: per-venue activity, sorted by USD volume (largest first).
 

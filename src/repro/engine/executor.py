@@ -26,7 +26,6 @@ from repro.core.detectors.repeated_scc import confirm_repeated_components
 from repro.core.refine import RefinementResult
 from repro.engine.context import CachingDetectionContext
 from repro.engine.refine import refine_tokens
-from repro.engine.store import ColumnarTransferStore
 
 
 class AccountSetPredicate:
@@ -63,7 +62,6 @@ def run_columnar_pipeline(
     skip_service_removal: bool = False,
     skip_contract_removal: bool = False,
     skip_zero_volume_removal: bool = False,
-    store: Optional[ColumnarTransferStore] = None,
 ) -> Tuple[RefinementResult, List[WashTradingActivity], List[CandidateComponent]]:
     """Run the full engine pipeline and return its pieces.
 
@@ -73,8 +71,7 @@ def run_columnar_pipeline(
     :class:`CachingDetectionContext`, so each account's money flows are
     derived once however many components it sits in.
     """
-    if store is None:
-        store = dataset.columnar_store()
+    store = dataset.columnar_store()
     methods = (
         frozenset(enabled_methods)
         if enabled_methods is not None

@@ -11,9 +11,7 @@ share with readers that outlive the tick that captured them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
 
-from repro.chain.types import NFTKey
 from repro.engine.store import ColumnarTransferStore
 
 
@@ -33,11 +31,3 @@ class StoreStats:
             token_count=store.token_count,
             account_count=store.account_count,
         )
-
-
-def tokens_per_collection(token_order: Iterable[NFTKey]) -> Dict[str, int]:
-    """Token counts grouped by contract, from a captured token ordering."""
-    counts: Dict[str, int] = {}
-    for nft in token_order:
-        counts[nft.contract] = counts.get(nft.contract, 0) + 1
-    return counts

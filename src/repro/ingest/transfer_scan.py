@@ -16,7 +16,6 @@ from typing import Dict, List, Set, Tuple
 from repro.chain.events import Log
 from repro.chain.node import EthereumNode
 from repro.chain.transaction import Transaction
-from repro.chain.types import NFTKey
 from repro.utils.hashing import ERC721_TRANSFER_SIGNATURE
 
 
@@ -28,11 +27,11 @@ class TransferScanResult:
     matches: List[Tuple[Transaction, Log]] = field(default_factory=list)
     #: Addresses of the contracts that emitted at least one matching log.
     emitting_contracts: Set[str] = field(default_factory=set)
-    #: Matches dropped from ``matches`` by a bounded-memory consumer
-    #: (the streaming cursor's ``retain_scan_matches=False`` mode) after
-    #: their rows became permanent, counted per emitting contract so
-    #: ``event_count`` and ``events_by_contract`` stay the true scan
-    #: totals even when the raw pairs are no longer held.
+    #: Matches dropped from ``matches`` once their rows became permanent
+    #: (the streaming cursor prunes every block that left its rollback
+    #: journal), counted per emitting contract so ``event_count`` and
+    #: ``events_by_contract`` stay the true scan totals even when the
+    #: raw pairs are no longer held.  Always empty for a batch scan.
     pruned_by_contract: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -86,9 +85,3 @@ def decode_transfer_log(log: Log) -> tuple[str, str, int]:
     recipient = log.topics[2]
     token_id = int(log.topics[3], 16)
     return sender, recipient, token_id
-
-
-def nft_key_of(log: Log) -> NFTKey:
-    """The (contract, token id) pair of an ERC-721 Transfer log."""
-    _, _, token_id = decode_transfer_log(log)
-    return NFTKey(contract=log.address, token_id=token_id)

@@ -4,11 +4,14 @@
 :class:`~repro.stream.StreamingMonitor`, the versioned read model
 (:class:`~repro.serve.index.ServeIndex`) with its dirty-token-keyed
 :class:`~repro.serve.cache.AggregateCache`, and the
-:class:`~repro.serve.query.QueryService` -- and can drive the monitor
-either inline (:meth:`advance` / :meth:`run`, the deterministic path
-tests and benchmarks use) or on a background ingest thread
-(:meth:`start_background`, the ``python -m repro serve`` path) while
-any number of reader threads query concurrently.
+:class:`~repro.serve.query.QueryService` -- and drives the monitor
+through one tick path: every tick goes through :meth:`advance`, which
+also keeps the tick-latency histogram, the latency ledger's
+``block_seen`` mark and the health liveness watermark.  :meth:`run`
+follows the chain tick by tick, inline (the deterministic path tests
+and benchmarks use) or -- via :meth:`start_background`, the ``python
+-m repro serve`` path -- on a daemon thread while any number of reader
+threads query concurrently.
 
 Threading model: exactly one writer (whichever thread drives the
 monitor) mutates state; every read answers from an immutable published
@@ -56,9 +59,9 @@ class ServeService:
         #: The index's aggregate cache (None when uncached).
         self.cache: Optional[AggregateCache] = self.index.cache
         self.query = QueryService(self.index)
-        #: Per-tick wall-clock latency of background ingest, as a
-        #: bounded-reservoir histogram: exact count/sum, estimated
-        #: percentiles, O(1) memory however long the service runs.
+        #: Per-tick wall-clock latency of ingest, as a bounded-reservoir
+        #: histogram: exact count/sum, estimated percentiles, O(1)
+        #: memory however long the service runs.
         #: Recorded even without an external registry (a private one
         #: backs it), so the CLI summary always has percentiles.
         self._tick_registry = (
@@ -66,7 +69,7 @@ class ServeService:
         )
         self.tick_latency = self._tick_registry.histogram(
             "serve_tick_seconds",
-            "Wall-clock latency of each background ingest tick.",
+            "Wall-clock latency of each ingest tick.",
         )
         #: Set when the background ingest loop has finished (caught up,
         #: reached its target, was stopped -- or crashed; see
@@ -108,7 +111,7 @@ class ServeService:
 
     # -- introspection -----------------------------------------------------
     def tick_latency_snapshot(self) -> HistogramSnapshot:
-        """Percentiles of background ingest tick latency (CLI summary)."""
+        """Percentiles of ingest tick latency (CLI summary)."""
         return self.tick_latency.snapshot()
 
     def metrics_snapshot(self) -> Dict[str, Dict[str, Any]]:
@@ -206,48 +209,43 @@ class ServeService:
         self.slo_engine = engine
         self.monitor.attach_slo(engine)
 
-    def _mark_block_seen(self) -> None:
-        """Open the latency ledger entry for the *upcoming* tick.
+    # -- driving -----------------------------------------------------------
+    def advance(self, to_block: Optional[int] = None) -> ServeVersion:
+        """One monitor tick; returns the version it published.
 
-        Trace ids are deterministic (see ``StreamingMonitor.predict_trace``),
-        so the driving loop can timestamp "block seen" before the tick
-        runs.  Gated on an enabled registry: the bare path pays nothing.
+        Before the tick, opens its latency-ledger entry: trace ids are
+        deterministic (see ``StreamingMonitor.predict_trace``), so
+        "block seen" is stamped ahead of the run -- gated on an enabled
+        registry, so the bare path pays nothing.  After it, records the
+        tick's latency and the liveness watermark.
         """
         if self.registry.enabled:
             self.registry.latency.mark(self.monitor.predict_trace(), "block_seen")
-
-    def _note_tick(self) -> None:
-        self._last_tick_at = time.time()
-
-    # -- inline driving ----------------------------------------------------
-    def advance(self, to_block: Optional[int] = None) -> ServeVersion:
-        """One monitor tick; returns the version it published."""
-        self._mark_block_seen()
+        started = time.perf_counter()
         self.monitor.advance(to_block)
-        self._note_tick()
+        self.tick_latency.observe(time.perf_counter() - started)
+        self._last_tick_at = time.time()
         return self.index.current
 
     def run(
         self, to_block: Optional[int] = None, step_blocks: int = 25
     ) -> ServeVersion:
-        """Follow the chain inline to ``to_block`` (default: head)."""
-        self.monitor.run(to_block=to_block, step_blocks=step_blocks)
+        """Follow the chain to ``to_block`` (default: head), one
+        :meth:`advance` per step of :meth:`StreamingMonitor.tick_targets`,
+        checking the stop flag between ticks."""
+        for target in self.monitor.tick_targets(to_block, step_blocks):
+            if self._stop.is_set():
+                break
+            self.advance(target)
         return self.index.current
 
-    # -- background driving ------------------------------------------------
     def start_background(
-        self,
-        to_block: Optional[int] = None,
-        step_blocks: int = 25,
-        tick_delay: float = 0.0,
+        self, to_block: Optional[int] = None, step_blocks: int = 25
     ) -> threading.Thread:
-        """Drive the monitor on a daemon thread; readers query meanwhile.
+        """Run :meth:`run` on a daemon thread; readers query meanwhile.
 
-        Mirrors :meth:`StreamingMonitor.run` (including the final
-        explicit tick that performs the divergence check when there is
-        nothing to scan), with a stop flag checked between ticks and an
-        optional per-tick delay to shape ingest cadence.  ``done`` is
-        set when the loop exits for any reason.
+        :meth:`stop` ends it between ticks.  ``done`` is set when it
+        exits for any reason; a crash is kept in ``ingest_error``.
         """
         if self._thread is not None:
             raise RuntimeError("background ingest already started")
@@ -256,29 +254,7 @@ class ServeService:
 
         def drive() -> None:
             try:
-                ticked = False
-                while not self._stop.is_set():
-                    head = self.monitor.node.block_number
-                    target = head if to_block is None else min(to_block, head)
-                    if self.monitor.cursor.next_block > target:
-                        break
-                    upper = min(
-                        self.monitor.cursor.next_block + step_blocks - 1, target
-                    )
-                    self._mark_block_seen()
-                    started = time.perf_counter()
-                    self.monitor.advance(upper)
-                    self.tick_latency.observe(time.perf_counter() - started)
-                    self._note_tick()
-                    ticked = True
-                    if tick_delay:
-                        time.sleep(tick_delay)
-                if not ticked and not self._stop.is_set():
-                    self._mark_block_seen()
-                    started = time.perf_counter()
-                    self.monitor.advance(to_block)
-                    self.tick_latency.observe(time.perf_counter() - started)
-                    self._note_tick()
+                self.run(to_block, step_blocks)
             except BaseException as error:  # noqa: BLE001 - re-raised by join
                 self.ingest_error = error
             finally:

@@ -558,7 +558,7 @@ class WireConnectionHandler(socketserver.StreamRequestHandler):
                 subscriber.position = alert.seq
             if subscriber.overflowed and not subscriber.stopping.is_set():
                 # One typed goodbye carrying the resume cursor, then the
-                # connection is closed: bounded memory, no silent gaps.
+                # connection is closed: the queue stays bounded, no silent gaps.
                 self.server._count("overflows")
                 self._send_event(
                     {

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 from repro.core.detectors.pipeline import WashTradingPipeline
@@ -80,12 +80,6 @@ class RunOptions:
     progress: Optional[Callable[[str], None]] = None
     #: Raise ScenarioFailure when the report is not ok.
     raise_on_failure: bool = True
-
-
-@dataclass
-class _PhaseOutcome:
-    stats: PhaseStats
-    verdicts: List[PhaseVerdict] = field(default_factory=list)
 
 
 def _build_day_hooks(spec: ScenarioSpec, duration_days: int):

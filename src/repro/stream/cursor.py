@@ -41,7 +41,10 @@ Invariant: after advancing to block ``B`` of the *current canonical
 chain* -- through any sequence of advances and rollbacks -- the cursor's
 transfers, store and account transactions are exactly what
 ``build_dataset(node, to_block=B)`` would produce (the stream/batch
-parity tests, including the randomized reorg replays, pin this).
+parity tests, including the randomized reorg replays, pin this).  Raw
+scan matches are the one exception: only the journaled blocks' matches
+are kept, so a cursor that follows the head indefinitely holds
+O(journal) of them, not O(chain).
 """
 
 from __future__ import annotations
@@ -296,7 +299,10 @@ class DatasetCursor:
     The cursor owns the mutable counterparts of everything
     ``build_dataset`` returns: ``transfers_by_nft``, the compliance
     report, the accumulated scan result, ``account_transactions`` and the
-    columnar ``store`` the detection engine reads.  Requests to advance
+    columnar ``store`` the detection engine reads.  The scan result keeps
+    raw matches only while their blocks are journaled; older ones are
+    pruned into ``scan.pruned_by_contract``, so ``scan.event_count`` and
+    ``scan.events_by_contract()`` stay exact.  Requests to advance
     to a block at or behind the cursor are no-ops, so feeding the same
     head twice (an empty tick) or a stale/out-of-order target is safe --
     but a *head that itself moved backwards* is treated as the reorg it
@@ -309,27 +315,15 @@ class DatasetCursor:
         self,
         node: EthereumNode,
         marketplace_addresses: Mapping[str, str],
-        enforce_compliance: bool = True,
         start_block: int = 0,
         max_reorg_depth: int = DEFAULT_MAX_REORG_DEPTH,
-        retain_scan_matches: bool = True,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.registry = registry if registry is not None else NULL_REGISTRY
         self._metrics = _CursorMetrics(self.registry)
         self.node = node
         self.marketplace_addresses = dict(marketplace_addresses)
-        self.enforce_compliance = enforce_compliance
         self.max_reorg_depth = max(max_reorg_depth, 0)
-        #: Bounded-memory mode: when False, raw (transaction, log) scan
-        #: matches are dropped as soon as their blocks fall out of the
-        #: rollback journal -- they exist only for batch-view parity of
-        #: :meth:`as_dataset`, and everything detection reads (store,
-        #: transfer lists, account histories) is retained in full.  The
-        #: retained match list then stays O(journal), not O(chain);
-        #: ``scan.event_count`` and ``scan.events_by_contract()`` remain
-        #: exact via ``scan.pruned_by_contract``.
-        self.retain_scan_matches = retain_scan_matches
         self._venue_by_address = build_reverse_index(marketplace_addresses)
         #: Next block to ingest; everything below has been processed.
         self.next_block = max(start_block, 0)
@@ -394,7 +388,9 @@ class DatasetCursor:
         The view shares the cursor's dictionaries (it grows with further
         ticks) and carries the already-built columnar store, so batch
         consumers -- tables, figures, a one-off ``WashTradingPipeline``
-        run -- work on streamed data without any copying.
+        run -- work on streamed data without any copying.  Its
+        ``scan.matches`` covers only the journaled blocks; the scan's
+        event counts are exact.
         """
         dataset = NFTDataset(
             transfers_by_nft=self.transfers_by_nft,
@@ -489,7 +485,7 @@ class DatasetCursor:
 
         new_by_nft: Dict[NFTKey, List[NFTTransfer]] = {}
         for tx, log in tick_scan.matches:
-            if self.enforce_compliance and log.address not in compliant_view:
+            if log.address not in compliant_view:
                 continue
             transfer = transfer_from_log(tx, log, self._venue_by_address)
             new_by_nft.setdefault(transfer.nft, []).append(transfer)
@@ -530,8 +526,7 @@ class DatasetCursor:
         retain = self.max_reorg_depth + 1
         if len(self._journal) > retain:
             del self._journal[: len(self._journal) - retain]
-        if not self.retain_scan_matches:
-            self._prune_scan_matches()
+        self._prune_scan_matches()
         self.next_block = stop + 1
         self._pending_rollback = None
 

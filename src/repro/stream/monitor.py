@@ -21,7 +21,7 @@ against the *final canonical chain* -- see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Mapping, Optional, Set, Union
+from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Set, Union
 
 from repro.chain.node import EthereumNode
 from repro.core.activity import DetectionMethod
@@ -46,8 +46,8 @@ class SubscriberError:
     A raising subscriber must never abort the monitor tick or starve the
     subscribers after it: the tick's state transition is already
     committed when callbacks run, so the failure is *theirs*, not the
-    monitor's.  The error is recorded here (and handed to the monitor's
-    ``on_subscriber_error`` hook, if any) instead of propagating.
+    monitor's.  The error is recorded here (the monitor's
+    ``subscriber_errors``) instead of propagating.
     """
 
     callback: Callable
@@ -68,11 +68,8 @@ class StreamingMonitor:
         config: Optional[DetectionConfig] = None,
         enabled_methods: Optional[Iterable[DetectionMethod]] = None,
         watchlist: Optional[Iterable[str]] = None,
-        enforce_compliance: bool = True,
         start_block: int = 0,
         max_reorg_depth: int = DEFAULT_MAX_REORG_DEPTH,
-        retain_scan_matches: bool = True,
-        on_subscriber_error: Optional[Callable[[SubscriberError], None]] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.registry = registry if registry is not None else NULL_REGISTRY
@@ -80,17 +77,14 @@ class StreamingMonitor:
         self.cursor = DatasetCursor(
             node,
             marketplace_addresses,
-            enforce_compliance=enforce_compliance,
             start_block=start_block,
             max_reorg_depth=max_reorg_depth,
-            retain_scan_matches=retain_scan_matches,
             registry=self.registry,
         )
         self.scheduler = DirtyTokenScheduler(
             self.cursor.store,
             labels=labels,
             is_contract=is_contract,
-            config=config,
             enabled_methods=enabled_methods,
             registry=self.registry,
         )
@@ -109,7 +103,6 @@ class StreamingMonitor:
         #: DEFAULT_ERROR_RETENTION records are retained for the CLI
         #: report; ``subscriber_errors.total`` counts every failure ever.
         self.subscriber_errors: BoundedLog = BoundedLog(DEFAULT_ERROR_RETENTION)
-        self._on_subscriber_error = on_subscriber_error
         self._alert_subscribers: List[AlertCallback] = []
         self._snapshot_subscribers: List[SnapshotCallback] = []
         #: Trace id of the most recent tick ("" before the first).
@@ -343,42 +336,50 @@ class StreamingMonitor:
         """Deliver one event to one subscriber, isolating failures.
 
         The tick is already committed when subscribers run; a raising
-        callback is recorded (and reported through the
-        ``on_subscriber_error`` hook) without aborting the tick or
-        skipping the subscribers after it.
+        callback is recorded in ``subscriber_errors`` without aborting
+        the tick or skipping the subscribers after it.
         """
         try:
             callback(event)
         except Exception as error:  # noqa: BLE001 -- isolation is the point
-            record = SubscriberError(callback=callback, event=event, error=error)
-            self.subscriber_errors.append(record)
+            self.subscriber_errors.append(
+                SubscriberError(callback=callback, event=event, error=error)
+            )
             self._metric_subscriber_errors.inc()
-            handler = self._on_subscriber_error
-            if handler is not None:
-                try:
-                    handler(record)
-                except Exception:  # a broken error handler cannot break ticks
-                    pass
 
     def run(
         self, to_block: Optional[int] = None, step_blocks: int = 1
     ) -> List[MonitorSnapshot]:
         """Follow the chain from the cursor to ``to_block`` in fixed steps.
 
-        Replays history tick by tick -- the harness used by the examples,
-        the benchmark and the parity tests.  Returns every snapshot.
+        Replays history tick by tick (see :meth:`tick_targets`) -- the
+        harness used by the examples, the benchmark and the parity
+        tests.  Returns every snapshot.
+        """
+        return [
+            self.advance(target)
+            for target in self.tick_targets(to_block, step_blocks)
+        ]
 
-        The head and target are re-read every iteration: a reorg rolling
-        the cursor back mid-run simply re-enters the loop and re-ingests
-        the canonical branch.  If the loop has nothing to scan at all, a
-        single explicit tick still runs -- the head may have diverged or
+    def tick_targets(
+        self, to_block: Optional[int] = None, step_blocks: int = 1
+    ) -> Iterator[Optional[int]]:
+        """The ``advance`` targets that follow the chain from the cursor
+        to ``to_block`` (default: head) in ``step_blocks``-block ticks.
+
+        Lazy: each target is computed from the cursor after the caller
+        advanced to the previous one, and the head and target are
+        re-read every step, so a reorg rolling the cursor back mid-run
+        simply re-enters the loop and re-ingests the canonical branch.
+        If there is nothing to scan at all, one explicit ``to_block``
+        target is still produced -- the head may have diverged or
         regressed *at or below* the cursor, and only a tick performs the
         divergence check (a caught-up monitor on an untouched chain just
-        gets one empty snapshot).
+        gets one empty tick).
         """
         if step_blocks < 1:
             raise ValueError("step_blocks must be >= 1")
-        snapshots: List[MonitorSnapshot] = []
+        stepped = False
         while True:
             # Clamp to the current head: the cursor cannot advance past
             # mined blocks, so an over-the-head target would otherwise
@@ -387,11 +388,10 @@ class StreamingMonitor:
             target = head if to_block is None else min(to_block, head)
             if self.cursor.next_block > target:
                 break
-            upper = min(self.cursor.next_block + step_blocks - 1, target)
-            snapshots.append(self.advance(upper))
-        if not snapshots:
-            snapshots.append(self.advance(to_block))
-        return snapshots
+            yield min(self.cursor.next_block + step_blocks - 1, target)
+            stepped = True
+        if not stepped:
+            yield to_block
 
     # -- internals ---------------------------------------------------------
     def _alerts_for(

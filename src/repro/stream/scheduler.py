@@ -26,7 +26,12 @@ tick first folds the appended transactions of every changed account
 into its entry (and drops the entries of lists a rollback truncated),
 and an account leaves the cache when it leaves the member index, so a
 tick's detection work follows the new transactions, not the length of
-the histories.
+the histories.  Every call therefore reports its history changes
+(``process(touched=...)``).
+
+The live funnel is the paper's: service, contract and zero-volume
+removal always apply.  Ablating a stage is a batch study, run through
+``WashTradingPipeline``'s funnel switches.
 
 The global repeated-SCC rule (Sec. IV-C v) is maintained incrementally:
 a multiset of base-confirmed account sets is updated as tokens are
@@ -54,7 +59,7 @@ from repro.core.activity import (
     DetectionMethod,
     WashTradingActivity,
 )
-from repro.core.detectors.base import DetectionConfig, DetectionContext
+from repro.core.detectors.base import DetectionContext
 from repro.core.detectors.pipeline import (
     PipelineResult,
     build_detectors,
@@ -167,27 +172,19 @@ class DirtyTokenScheduler:
         store: ColumnarTransferStore,
         labels,
         is_contract: Callable[[str], bool],
-        config: Optional[DetectionConfig] = None,
         enabled_methods: Optional[Iterable[DetectionMethod]] = None,
-        skip_service_removal: bool = False,
-        skip_contract_removal: bool = False,
-        skip_zero_volume_removal: bool = False,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.store = store
         self.labels = labels
         self.is_contract = is_contract
-        self.config = config or DetectionConfig()
         self.methods = (
             frozenset(enabled_methods)
             if enabled_methods is not None
             else frozenset(DetectionMethod.paper_methods())
         )
         self.detectors = build_detectors(self.methods)
-        self.skip_service_removal = skip_service_removal
-        self.skip_contract_removal = skip_contract_removal
-        self.skip_zero_volume_removal = skip_zero_volume_removal
         self._repeat_enabled = DetectionMethod.REPEATED_SCC in self.methods
 
         #: Exclusion masks, grown as new accounts are interned.
@@ -293,7 +290,8 @@ class DirtyTokenScheduler:
         dirty_tokens: Iterable[NFTKey],
         context: DetectionContext,
         redetect: Iterable[NFTKey] = (),
-        touched: Optional[HistoryChanges] = None,
+        *,
+        touched: HistoryChanges,
     ) -> TickReport:
         """Re-refine and re-detect the dirty tokens, re-detect the
         ``redetect`` tokens on their held candidates; diff the outcome.
@@ -307,11 +305,11 @@ class DirtyTokenScheduler:
         changed since the previous call to the earliest timestamp of
         the change (``None``: anywhere), as
         :attr:`~repro.stream.cursor.CursorTick.touched_since` reports
-        it.  With it, the detection cache is kept across calls on the
-        same ``context`` (those accounts are refreshed first), and a
+        it.  The detection cache is kept across calls on the same
+        ``context`` (those accounts are refreshed first), and a
         history-only re-detection runs only the detectors that can see
-        the change.  Without it, the call gets a fresh cache and every
-        detector runs.
+        the change.  A caller whose histories never change passes
+        ``touched={}``.
 
         Dirty tokens no longer present in the store -- every one of
         their transfers was rolled back by a chain reorg -- are *fully
@@ -363,11 +361,8 @@ class DirtyTokenScheduler:
                 self._install_state(nft, state, flipped_sets)
             for nft in history:
                 old = self.states[nft]
-                if touched is None:
-                    evidence = self._collect(old.candidates, context)
-                else:
-                    evidence, token_skips = self._redetect(old, touched, context)
-                    skipped += token_skips
+                evidence, token_skips = self._redetect(old, touched, context)
+                skipped += token_skips
                 if evidence == old.evidence:
                     continue
                 # A fresh state object: published serve versions share
@@ -411,12 +406,11 @@ class DirtyTokenScheduler:
                 self._token_order.pop(nft, None)
 
         if self._departed:
-            if self._cache is not None:
-                self._cache.forget(
-                    account
-                    for account in self._departed
-                    if account not in self._member_index
-                )
+            self._cache.forget(
+                account
+                for account in self._departed
+                if account not in self._member_index
+            )
             self._departed.clear()
         self._metric_dirty.inc(report.dirty_token_count)
         self._metric_redetected.inc(len(history))
@@ -486,11 +480,9 @@ class DirtyTokenScheduler:
             return
         for account_id in range(self._classified_accounts, len(accounts)):
             address = accounts[account_id]
-            if not self.skip_service_removal and self.labels.is_graph_excluded_service(
-                address
-            ):
+            if self.labels.is_graph_excluded_service(address):
                 self._service_ids.add(account_id)
-            if not self.skip_contract_removal and self.is_contract(address):
+            if self.is_contract(address):
                 self._contract_ids.add(account_id)
         self._classified_accounts = len(accounts)
         self._masks = funnel_masks(
@@ -500,43 +492,25 @@ class DirtyTokenScheduler:
     def _refine_live(self, live: List[NFTKey]) -> List[TokenRefinement]:
         """Refine the tick's live dirty tokens one by one, in ``live`` order."""
         return [
-            refine_token(
-                self.store.accounts,
-                self.store.tokens[nft],
-                self._masks,
-                self.skip_zero_volume_removal,
-            )
+            refine_token(self.store.accounts, self.store.tokens[nft], self._masks)
             for nft in live
         ]
 
     def _detection_context(
-        self, base: DetectionContext, touched: Optional[HistoryChanges]
+        self, base: DetectionContext, touched: HistoryChanges
     ) -> DetectionContext:
         """The context this tick's detectors read: ``base`` behind the
         money-flow cache.
 
-        The cache is kept across calls only while every call reports its
-        history changes on the same base context; otherwise the call
-        gets a fresh one.
+        The cache is kept across calls on the same base context; a new
+        base context gets a fresh one.
         """
-        if touched is None:
-            self._cache = None
-            return CachingDetectionContext(base)
         cache = self._cache
         if cache is None or cache.base is not base:
             cache = self._cache = CachingDetectionContext(base)
         else:
             cache.refresh(touched)
         return cache
-
-    def _collect(
-        self, candidates: List[CandidateComponent], context: DetectionContext
-    ) -> List[List[DetectionEvidence]]:
-        """Run the per-component detectors over a token's candidates."""
-        return [
-            collect_evidence(self.detectors, component, context)
-            for component in candidates
-        ]
 
     def _redetect(
         self, state: TokenState, touched: HistoryChanges, context: DetectionContext
@@ -575,7 +549,10 @@ class DirtyTokenScheduler:
         return TokenState(
             stages=refinement.stages,
             candidates=refinement.candidates,
-            evidence=self._collect(refinement.candidates, context),
+            evidence=[
+                collect_evidence(self.detectors, component, context)
+                for component in refinement.candidates
+            ],
         )
 
     def _retire_state(

@@ -143,8 +143,8 @@ def replay_through_scheduler(histories, block_order):
         for transfer in transfers:
             by_block[transfer.block_number][nft].append(transfer)
     for block in block_order:
-        touched = store.extend(by_block.get(block, {}))
-        scheduler.process(touched, context)
+        dirty = store.extend(by_block.get(block, {}))
+        scheduler.process(dirty, context, touched={})
     return scheduler.result()
 
 

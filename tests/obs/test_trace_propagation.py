@@ -37,20 +37,18 @@ def fresh_world():
 
 
 def storm_snapshots(world, service, rng, ticks=40):
-    """Drive the monitor against a churning head; return the snapshots."""
+    """Drive the service against a churning head; return the snapshots."""
     snapshots = []
+    service.monitor.subscribe_snapshots(snapshots.append)
     for tick in range(ticks):
         if service.monitor.processed_block >= world.node.block_number:
             apply_random_reorg(
                 world.chain, rng.randint(1, 10), rng, drop_probability=0.35
             )
-        service._mark_block_seen()
-        snapshots.append(
-            service.monitor.advance(
-                min(
-                    world.node.block_number,
-                    service.monitor.processed_block + rng.randint(10, 60),
-                )
+        service.advance(
+            min(
+                world.node.block_number,
+                service.monitor.processed_block + rng.randint(10, 60),
             )
         )
         if tick % 3 == 2:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 
+from repro.obs import MetricsRegistry
 from repro.serve import ServeService
 from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
@@ -113,11 +114,26 @@ class TestConcurrentReads:
         assert final.block == head
 
     def test_stop_interrupts_background_ingest(self):
+        """The stop flag is checked between ticks: a stop requested
+        during the first tick ends ingest right after it."""
         world = build_default_world(SimulationConfig.tiny())
         service = ServeService.for_world(world)
-        service.start_background(step_blocks=1, tick_delay=0.005)
-        service.stop(timeout=120)
+        first_tick = threading.Event()
+        release = threading.Event()
+
+        @service.monitor.subscribe_snapshots
+        def hold(snapshot):
+            first_tick.set()
+            release.wait(timeout=120)
+
+        service.start_background(step_blocks=1)
+        assert first_tick.wait(timeout=120)
+        service.stop(timeout=0)  # sets the flag; the tick is still held
+        release.set()
+        assert service.join(timeout=120)
         assert service.done.is_set()
+        assert service.monitor.tick_count == 1
+        assert service.monitor.processed_block < world.node.block_number
         # A second service cannot reuse the thread slot.
         import pytest
 
@@ -155,3 +171,26 @@ class TestConcurrentReads:
         assert background.query.funnel_stats(version=left) == inline.query.funnel_stats(
             version=right
         )
+
+    def test_inline_run_keeps_the_tick_metrics_of_a_background_run(self):
+        """Inline and background runs tick through one path: both time
+        every tick, stamp the health liveness watermark and open each
+        tick's latency-ledger entry before it runs."""
+        world = build_default_world(SimulationConfig.tiny())
+
+        def schedule_count(service):
+            histograms = service.registry.snapshot()["histograms"]
+            return histograms['alert_latency_seconds{stage="schedule"}']["count"]
+
+        inline = ServeService.for_world(world, registry=MetricsRegistry())
+        inline.run()
+        background = ServeService.for_world(world, registry=MetricsRegistry())
+        background.start_background()
+        assert background.join(timeout=120)
+
+        ticks = inline.monitor.tick_count
+        assert ticks == background.monitor.tick_count > 1
+        assert inline.tick_latency_snapshot().count == ticks
+        health = inline.health_snapshot()["ingest"]
+        assert health["last_tick_age_seconds"] is not None
+        assert schedule_count(inline) == schedule_count(background) == ticks

@@ -1,12 +1,12 @@
-"""Bounded-memory cursor mode (``retain_scan_matches=False``).
+"""The cursor's bounded scan-match retention.
 
-The default cursor retains every raw (transaction, log) scan match for
-batch-view parity of ``as_dataset()`` -- O(chain) growth a long-running
-monitor cannot afford.  Bounded mode journals rows as usual but drops
-the raw matches once their blocks fall out of the rollback journal;
-the pinned contract: match retention stays O(journal) while *detection*
-parity (results, funnel, dataset rows, account histories, even the
-scan's event counter) holds exactly, reorgs included.
+A batch scan retains every raw (transaction, log) match -- O(chain)
+growth a monitor following the head indefinitely cannot afford.  The
+cursor journals rows as usual but drops the raw matches once their
+blocks fall out of the rollback journal; the pinned contract: match
+retention stays O(journal) while *detection* parity (results, funnel,
+dataset rows, account histories, even the scan's per-contract event
+counts) holds exactly, reorgs included.
 """
 
 from __future__ import annotations
@@ -62,9 +62,7 @@ class TestBoundedMemory:
     def test_retention_is_o_journal_with_full_parity(self, depth):
         """Block-by-block follow: matches stay O(journal), results exact."""
         world = fresh_world()
-        monitor = StreamingMonitor.for_world(
-            world, retain_scan_matches=False, max_reorg_depth=depth
-        )
+        monitor = StreamingMonitor.for_world(world, max_reorg_depth=depth)
         peak = 0
         for _ in range(world.node.block_number + 1):
             monitor.advance(monitor.cursor.next_block)
@@ -87,41 +85,27 @@ class TestBoundedMemory:
                 for block in range(world.node.block_number + 1)
             ) + 1
 
-    def test_default_mode_still_retains_everything(self):
-        world = fresh_world()
-        cursor = DatasetCursor(world.node, world.marketplace_addresses)
-        cursor.advance()
-        dataset, _ = batch_over(world)
-        assert cursor.scan.matches == dataset.scan.matches
-        assert cursor.scan.pruned_count == 0
-
     def test_bounded_and_retaining_cursors_agree_after_full_replay(self):
-        """The scan's per-contract counts do not depend on retention."""
+        """The scan's per-contract counts do not depend on retention: the
+        pruning cursor matches the batch scan, which retains every match."""
         world = fresh_world()
         bounded = DatasetCursor(
-            world.node, world.marketplace_addresses,
-            retain_scan_matches=False, max_reorg_depth=8,
+            world.node, world.marketplace_addresses, max_reorg_depth=8
         )
-        retaining = DatasetCursor(world.node, world.marketplace_addresses)
         head = world.node.block_number
         for stop in range(0, head + 1, 7):
             bounded.advance(stop)
-            retaining.advance(stop)
         bounded.advance(head)
-        retaining.advance(head)
+        retaining = build_dataset(world.node, world.marketplace_addresses).scan
+        assert retaining.pruned_count == 0
         assert bounded.scan.pruned_count > 0
-        assert bounded.scan.event_count == retaining.scan.event_count
-        assert (
-            bounded.scan.events_by_contract()
-            == retaining.scan.events_by_contract()
-        )
+        assert bounded.scan.event_count == retaining.event_count
+        assert bounded.scan.events_by_contract() == retaining.events_by_contract()
 
     def test_reorg_rollback_still_works_when_bounded(self):
         """Rollbacks only ever touch journaled (still-retained) matches."""
         world = fresh_world()
-        monitor = StreamingMonitor.for_world(
-            world, retain_scan_matches=False, max_reorg_depth=64
-        )
+        monitor = StreamingMonitor.for_world(world, max_reorg_depth=64)
         monitor.run(step_blocks=17)
         for seed, depth in ((1, 5), (2, 21), (3, 55)):
             apply_random_reorg(
@@ -138,9 +122,7 @@ class TestBoundedMemory:
 
     def test_randomized_storm_parity_when_bounded(self):
         world = fresh_world()
-        monitor = StreamingMonitor.for_world(
-            world, retain_scan_matches=False, max_reorg_depth=64
-        )
+        monitor = StreamingMonitor.for_world(world, max_reorg_depth=64)
         storm = ReorgStorm(
             world,
             random.Random(17),
@@ -157,13 +139,11 @@ class TestBoundedMemory:
         assert_bounded_state_parity(monitor.cursor, dataset)
 
     def test_serving_over_a_bounded_monitor(self):
-        """The serve layer composes with bounded-memory ingest."""
+        """The serve layer composes with bounded match retention."""
         from repro.serve import ServeService, serving_parity_mismatches
 
         world = fresh_world()
-        service = ServeService.for_world(
-            world, retain_scan_matches=False, max_reorg_depth=16
-        )
+        service = ServeService.for_world(world, max_reorg_depth=16)
         service.run(step_blocks=29)
         _, batch = batch_over(world)
         assert serving_parity_mismatches(service.query, batch) == []

@@ -120,20 +120,6 @@ class TestSubscriberIsolation:
         )
         assert len(monitor.subscriber_errors) == len(snapshots)
 
-    def test_error_hook_is_invoked_and_itself_isolated(self, tiny_world):
-        hooked = []
-
-        def hook(record):
-            hooked.append(record)
-            raise RuntimeError("the error hook is broken too")
-
-        monitor = StreamingMonitor.for_world(tiny_world, on_subscriber_error=hook)
-        monitor.subscribe(lambda alert: (_ for _ in ()).throw(KeyError("boom")))
-        monitor.run(step_blocks=50)
-        assert hooked == monitor.subscriber_errors
-        assert hooked  # the tiny world does raise alerts
-        assert monitor.result().activity_count > 0
-
 
 class TestWatchlist:
     def test_watchlist_hits_fire_for_confirmed_accounts(self, tiny_world, tiny_report):
@@ -271,7 +257,7 @@ class TestSchedulerOptions:
         store.extend(
             {nft_b: [transfer(nft_b, "0xx", "0xy", 1, 0), transfer(nft_b, "0xy", "0xx", 2, 1)]}
         )
-        report = scheduler.process([nft_b], context)
+        report = scheduler.process([nft_b], context, touched={})
         assert not report.newly_confirmed
         assert scheduler.result().activity_count == 0
 
@@ -285,7 +271,7 @@ class TestSchedulerOptions:
                 ]
             }
         )
-        report = scheduler.process([nft_a], context)
+        report = scheduler.process([nft_a], context, touched={})
         assert {a.nft for a in report.newly_confirmed} == {nft_a, nft_b}
         by_nft = {a.nft: a for a in report.newly_confirmed}
         assert by_nft[nft_b].methods == {DetectionMethod.REPEATED_SCC}
@@ -296,7 +282,7 @@ class TestSchedulerOptions:
         store.extend(
             {nft_a: [transfer(nft_a, "0xy", "0xz", 6, 5), transfer(nft_a, "0xz", "0xx", 7, 6)]}
         )
-        report = scheduler.process([nft_a], context)
+        report = scheduler.process([nft_a], context, touched={})
         assert report.retracted_count >= 1
         result = scheduler.result()
         assert {a.nft for a in result.activities} == {nft_a}

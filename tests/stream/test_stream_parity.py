@@ -127,11 +127,11 @@ def replay_through_scheduler(histories, block_order):
         for transfer in transfers:
             by_block[transfer.block_number][nft].append(transfer)
 
-    scheduler.process([], context)  # an empty tick before anything arrives
+    scheduler.process([], context, touched={})  # an empty tick before anything arrives
     for block in block_order:
-        touched = store.extend(by_block.get(block, {}))
-        scheduler.process(touched, context)
-        scheduler.process([], context)  # every other tick is empty
+        dirty = store.extend(by_block.get(block, {}))
+        scheduler.process(dirty, context, touched={})
+        scheduler.process([], context, touched={})  # every other tick is empty
     return scheduler.result()
 
 

@@ -106,6 +106,14 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "--shards" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["monitor", "serve"])
+    def test_bounded_memory_flag_is_rejected(self, command, capsys):
+        """Scan-match retention is always bounded; the flag is gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--bounded-memory"])
+        assert excinfo.value.code == 2
+        assert "--bounded-memory" in capsys.readouterr().err
+
 
 class TestScenarioCommand:
     def test_list_prints_catalogue(self, capsys):
