@@ -53,13 +53,6 @@ class SerialTraderStats:
             return 0.0
         return self.serial_traders_hitting_same_collection / self.serial_accounts
 
-    @property
-    def serial_only_collaboration_fraction(self) -> float:
-        """Share of serial traders collaborating exclusively with serials."""
-        if self.serial_accounts == 0:
-            return 0.0
-        return self.serial_only_collaborators / self.serial_accounts
-
 
 def serial_trader_stats(activities: Sequence[WashTradingActivity]) -> SerialTraderStats:
     """Compute every serial-trader statistic the paper reports."""

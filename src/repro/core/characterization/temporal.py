@@ -61,13 +61,6 @@ def purchase_to_start_delays(
     return delays
 
 
-def fraction_of_delays_within(delays: Sequence[float], days: float) -> float:
-    """Fraction of acquisition-to-start delays at most ``days`` days."""
-    if not delays:
-        return 0.0
-    return sum(1 for delay in delays if delay <= days) / len(delays)
-
-
 def creation_proximity(
     result: PipelineResult, creation_timestamps: Mapping[str, int]
 ) -> List[float]:

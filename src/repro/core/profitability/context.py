@@ -10,7 +10,7 @@ themselves, plus a USD price source.  The world builder produces one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.services.oracle import PriceOracle
 
@@ -43,10 +43,6 @@ class MarketContext:
             for name in self.marketplace_addresses
             if name not in self.distributor_addresses
         )
-
-    def treasury_of(self, venue: str) -> Optional[str]:
-        """Treasury address of a venue, if known."""
-        return self.treasury_addresses.get(venue)
 
     def all_treasuries(self) -> set[str]:
         """Every known treasury address."""

@@ -54,16 +54,6 @@ class RefinementResult:
                 return stage
         raise KeyError(f"no funnel stage named {name!r}")
 
-    @property
-    def final_nft_count(self) -> int:
-        """NFTs that still have a candidate component after refinement."""
-        return len({candidate.nft for candidate in self.candidates})
-
-    @property
-    def final_account_count(self) -> int:
-        """Accounts involved in the final candidates."""
-        return len({account for candidate in self.candidates for account in candidate.accounts})
-
 
 class RefinementFunnel:
     """Runs the candidate search and the three refinement steps."""

@@ -149,8 +149,3 @@ def strongly_connected_components(
         if graph.has_edge(only, only):
             kept.append(component)
     return kept
-
-
-def has_suspicious_component(graph: nx.DiGraph | nx.MultiDiGraph) -> bool:
-    """True if the graph has at least one SCC under the paper's definition."""
-    return bool(strongly_connected_components(graph))

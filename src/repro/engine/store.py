@@ -74,6 +74,12 @@ class ColumnarTransferStore:
         #: longer correspond to append order, so rollback consumers must
         #: re-columnarize them instead of truncating by row count.
         self.rebuilt_tokens: Set[NFTKey] = set()
+        #: Bumped whenever a token leaves :attr:`tokens` (the rollback
+        #: and rebuild paths both go through :meth:`remove_token`).
+        #: Between bumps the token order only grows at its end, so a
+        #: reader holding an ordering with the same epoch can extend it
+        #: from its old length instead of re-reading every token.
+        self.order_epoch = 0
         #: Running total of rows across every token, kept current by
         #: each mutator so :attr:`transfer_count` is O(1).
         self._row_total = 0
@@ -275,6 +281,7 @@ class ColumnarTransferStore:
         columns = self.tokens.pop(nft, None)
         if columns is not None:
             self._row_total -= columns.row_count
+            self.order_epoch += 1
         self.rebuilt_tokens.discard(nft)
 
     # -- queries -----------------------------------------------------------

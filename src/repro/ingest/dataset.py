@@ -81,10 +81,6 @@ class NFTDataset:
         """Every collection (contract address) in the dataset."""
         return {nft.contract for nft in self.transfers_by_nft}
 
-    def nfts_of_collection(self, contract: str) -> List[NFTKey]:
-        """The NFTs of one collection present in the dataset."""
-        return [nft for nft in self.transfers_by_nft if nft.contract == contract]
-
     def involved_accounts(self) -> Set[str]:
         """Every account appearing as source or recipient of a transfer."""
         accounts: Set[str] = set()

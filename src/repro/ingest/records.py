@@ -62,11 +62,6 @@ class NFTTransfer:
         return self.sender == NULL_ADDRESS
 
     @property
-    def is_burn(self) -> bool:
-        """True if the transfer sends the NFT to the null address."""
-        return self.recipient == NULL_ADDRESS
-
-    @property
     def has_payment(self) -> bool:
         """True if any ETH or ERC-20 value moved in the carrying transaction."""
         if self.price_wei > 0:

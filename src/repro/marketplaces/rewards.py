@@ -99,10 +99,6 @@ class RewardProgram:
         """Record that an account has claimed everything before ``through_day``."""
         self._claimed_day[account] = max(self._claimed_day[account], through_day - 1)
 
-    def active_days(self) -> list[int]:
-        """Days with any booked volume."""
-        return sorted(self._volume.keys())
-
 
 class RewardDistributor(Contract):
     """The claim contract users call to redeem accrued reward tokens.

@@ -36,9 +36,11 @@ subscription cursors), the version subscribers and the serve metrics.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.chain.types import NFTKey
+from repro.engine.store import ColumnarTransferStore
 from repro.engine.views import StoreStats
 from repro.obs.bounded import DEFAULT_ERROR_RETENTION, BoundedLog
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
@@ -133,11 +135,15 @@ class ServeIndex:
         self._token_status: Dict[NFTKey, TokenStatus] = {}
         self._account_records: Dict[str, Dict[RecordKey, ActivityRecord]] = {}
         self._profiles: Dict[str, AccountProfile] = {}
+        #: Bumped whenever the key set of ``_profiles`` changes.
+        self._accounts_epoch = 0
         #: The scheduler's token states, kept current from each tick's
         #: dirty set (the scheduler re-installs a state for every token
         #: it reports dirty).
         self._token_states: Dict[NFTKey, TokenState] = {}
         self.funnel_state = FunnelMaintainer()
+        #: The newest published version (None only until bootstrap).
+        self._current: Optional[ServeVersion] = None
 
         self._bootstrap()
         monitor.subscribe_snapshots(self._on_snapshot)
@@ -310,8 +316,11 @@ class ServeIndex:
     def _rebuild_profile(self, account: str) -> None:
         holders = self._account_records.get(account)
         if not holders:
-            self._profiles.pop(account, None)
+            if self._profiles.pop(account, None) is not None:
+                self._accounts_epoch += 1
             return
+        if account not in self._profiles:
+            self._accounts_epoch += 1
         self._profiles[account] = AccountProfile(
             address=account,
             records=tuple(sorted(holders.values(), key=_confirmation_order)),
@@ -324,10 +333,12 @@ class ServeIndex:
         """Assemble one immutable version (``snapshot`` is None only at
         bootstrap).
 
-        The scalars, the store's token order and its size are always
-        fresh.  A tick with no dirty token shares the previous version's
-        containers instead of copying them: they are immutable, and the
-        index only replaces (never mutates) its own working containers.
+        The scalars and the store's size are always fresh.  A tick with
+        no dirty token shares the previous version's containers instead
+        of copying them: they are immutable, and the index only replaces
+        (never mutates) its own working containers.  The token order is
+        shared too while the store's ``order_epoch`` holds and no token
+        was added, and only extended when tokens were appended.
         """
         store = self.monitor.cursor.store
         scalars = dict(
@@ -340,7 +351,9 @@ class ServeIndex:
             newly_confirmed_count=(
                 0 if snapshot is None else snapshot.newly_confirmed_count
             ),
-            token_order=tuple(store.tokens),
+            token_order=self._token_order(store),
+            token_order_epoch=store.order_epoch,
+            accounts_epoch=self._accounts_epoch,
             store_stats=StoreStats.capture(store),
         )
         if snapshot is not None and not snapshot.dirty_nfts:
@@ -355,6 +368,17 @@ class ServeIndex:
             token_states=dict(self._token_states),
             **scalars,
         )
+
+    def _token_order(self, store: ColumnarTransferStore) -> Tuple[NFTKey, ...]:
+        """The store's token order, reusing the current version's tuple
+        when the store's ``order_epoch`` says it is still a prefix."""
+        previous = self._current
+        if previous is None or previous.token_order_epoch != store.order_epoch:
+            return tuple(store.tokens)
+        order = previous.token_order
+        if len(order) == len(store.tokens):
+            return order
+        return order + tuple(itertools.islice(store.tokens, len(order), None))
 
     def _note_published(self) -> None:
         self.versions_published += 1

@@ -266,6 +266,12 @@ class ServeVersion:
     account_profiles: Mapping[str, AccountProfile]
     #: The store's token ordering at publish time.
     token_order: Tuple[NFTKey, ...] = field(repr=False)
+    #: The store's ``order_epoch`` at publish time: two versions with
+    #: the same epoch have token orders where the shorter is a prefix
+    #: of the longer.
+    token_order_epoch: int
+    #: Changes whenever the key set of ``account_profiles`` changes.
+    accounts_epoch: int
     #: The store's size at publish time.
     store_stats: StoreStats
     #: The differentially maintained funnel, frozen at publish time

@@ -65,6 +65,10 @@ class WireClient:
         self._rfile = None
         self._wfile = None
         self._next_id = 0
+        #: Counts successful connects, so per-connection client state
+        #: (:class:`RemoteQueryService`'s version cache) can tell a
+        #: reconnect from the connection it was filled on.
+        self.connection_id = 0
         self._streaming = False
         self._lock = threading.Lock()
         #: The ``trace`` echoed on the most recent response (None when
@@ -78,6 +82,7 @@ class WireClient:
         sock = socket.create_connection((self.host, self.port), self.timeout)
         sock.settimeout(self.timeout)
         self._sock = sock
+        self.connection_id += 1
         self._rfile = sock.makefile("rb")
         self._wfile = sock.makefile("wb")
         return self
@@ -161,8 +166,10 @@ class WireClient:
     def release(self, version: int) -> bool:
         return bool(self.request("release", version=version)["released"])
 
-    def token_order(self, version: Optional[int] = None) -> Dict[str, Any]:
-        return self.request("token_order", version=version)
+    def token_order(
+        self, version: Optional[int] = None, offset: Optional[int] = None
+    ) -> Dict[str, Any]:
+        return self.request("token_order", version=version, offset=offset)
 
     def accounts(self, version: Optional[int] = None) -> Dict[str, Any]:
         return self.request("accounts", version=version)
@@ -366,8 +373,12 @@ class RemoteQueryService:
     pages keep their ``records`` / ``next_cursor`` shape.
 
     ``version()`` pins server-side and caches the version's token
-    ordering and account listing client-side (one fetch per new
-    version, not per query).
+    ordering and account listing client-side, refreshing them by
+    change: the token order is re-read only from where the cached one
+    ends while the server's ``token_order_epoch`` holds (in full when
+    it moves), and the account listing only when ``accounts_epoch``
+    moves.  Epochs restart with a server, so the cache is dropped on
+    reconnect.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
@@ -375,23 +386,45 @@ class RemoteQueryService:
         self.port = port
         self.client = WireClient(host, port, timeout=timeout).connect()
         self._cached_version: Optional[RemoteVersion] = None
+        #: The :attr:`WireClient.connection_id` the cache was filled on.
+        self._cached_connection = self.client.connection_id
         self._cursors: List[RemoteReplayCursor] = []
 
     # -- versions ----------------------------------------------------------
     def version(self) -> RemoteVersion:
         info = self.client.version()
+        if self._cached_connection != self.client.connection_id:
+            self._cached_version = None
+            self._cached_connection = self.client.connection_id
         cached = self._cached_version
         if cached is not None and cached.version == info["version"]:
             return cached
         number = info["version"]
-        token_order = tuple(
-            codec.decode_nft(item)
-            for item in self.client.token_order(version=number)["tokens"]
-        )
-        accounts = tuple(self.client.accounts(version=number)["accounts"])
-        fresh = RemoteVersion(info, token_order, accounts)
+        if cached is not None and (
+            cached.info["accounts_epoch"] == info["accounts_epoch"]
+        ):
+            accounts = cached.account_profiles
+        else:
+            accounts = tuple(self.client.accounts(version=number)["accounts"])
+        fresh = RemoteVersion(info, self._token_order(cached, info), accounts)
         self._cached_version = fresh
         return fresh
+
+    def _token_order(
+        self, cached: Optional[RemoteVersion], info: Dict[str, Any]
+    ) -> Tuple[NFTKey, ...]:
+        """The token order at ``info``'s version: the cached tuple, the
+        cached tuple plus the fetched suffix, or a full fetch."""
+        held: Tuple[NFTKey, ...] = ()
+        if cached is not None and (
+            cached.info["token_order_epoch"] == info["token_order_epoch"]
+        ):
+            # Within one epoch the order only grows at its end.
+            held = cached.token_order
+        if len(held) == info["store"]["token_count"]:
+            return held
+        suffix = self.client.token_order(version=info["version"], offset=len(held))
+        return held + tuple(codec.decode_nft(item) for item in suffix["tokens"])
 
     # -- point lookups -----------------------------------------------------
     def token_status(

@@ -292,13 +292,27 @@ def encode_version_info(version: ServeVersion) -> Dict[str, Any]:
         "retracted_count": version.retracted_count,
         "newly_confirmed_count": version.newly_confirmed_count,
         "confirmed_activity_count": version.confirmed_activity_count,
-        "flagged_nft_count": len(version.flagged_nfts),
+        "flagged_nft_count": len(version.token_status),
         "is_revision": version.is_revision,
+        "token_order_epoch": version.token_order_epoch,
+        "accounts_epoch": version.accounts_epoch,
         "store": {
             "transfer_count": version.store_stats.transfer_count,
             "token_count": version.store_stats.token_count,
             "account_count": version.store_stats.account_count,
         },
+    }
+
+
+def encode_token_order(version: ServeVersion, offset: int = 0) -> Dict[str, Any]:
+    """The version's token order from ``offset`` on (the ``token_order``
+    answer).  ``epoch`` and ``size`` let a client that holds the first
+    ``offset`` tokens of the same epoch fetch only the suffix."""
+    return {
+        "version": version.version,
+        "epoch": version.token_order_epoch,
+        "size": len(version.token_order),
+        "tokens": [encode_nft(nft) for nft in version.token_order[offset:]],
     }
 
 

@@ -304,10 +304,11 @@ class WireConnectionHandler(socketserver.StreamRequestHandler):
 
     def _verb_token_order(self, params: Dict[str, Any]):
         version = self._resolve_version(params)
-        return {
-            "version": version.version,
-            "tokens": [codec.encode_nft(nft) for nft in version.token_order],
-        }
+        offset = _optional(params, "offset", int, "integer")
+        offset = 0 if offset is None else offset
+        if offset < 0:
+            raise RequestError("bad-request", "'offset' must be >= 0")
+        return codec.encode_token_order(version, offset)
 
     def _verb_accounts(self, params: Dict[str, Any]):
         version = self._resolve_version(params)

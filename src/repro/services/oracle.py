@@ -91,7 +91,3 @@ class PriceOracle:
     def wei_to_usd(self, amount_wei: int, timestamp: int) -> float:
         """Convert an ETH amount in wei to USD at a timestamp."""
         return wei_to_eth(amount_wei) * self.usd_price("ETH", timestamp)
-
-    def eth_to_usd(self, amount_eth: float, timestamp: int) -> float:
-        """Convert an ETH amount to USD at a timestamp."""
-        return amount_eth * self.usd_price("ETH", timestamp)

@@ -96,19 +96,9 @@ class GroundTruth:
         """Planted activities of one kind."""
         return [item for item in self.activities if item.kind == kind]
 
-    def on_venue(self, venue: str) -> List[PlannedActivity]:
-        """Planted activities on one venue."""
-        return [item for item in self.activities if item.venue == venue]
-
     def washed_nfts(self) -> Set[NFTKey]:
         """NFTs targeted by detectable planted activities."""
         return {item.nft for item in self.detectable()}
-
-    def colluding_accounts(self) -> Set[str]:
-        """Accounts participating in detectable planted activities."""
-        return {
-            account for item in self.detectable() for account in item.accounts
-        }
 
     # -- scoring against a pipeline run ----------------------------------------------
     def match_against(

@@ -78,7 +78,3 @@ class SimulatedClock:
         self._sleep(delay)
         self.total_slept += delay
         return delay
-
-    def wall_elapsed(self) -> float:
-        """Wall seconds since the clock started."""
-        return self._wall() - self._wall_start

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.chain.chain import Chain
 from repro.chain.node import EthereumNode
@@ -55,13 +55,6 @@ class World:
     def is_contract(self, address: str) -> bool:
         """Bytecode check used by the refinement step."""
         return self.chain.state.is_contract(address)
-
-    def collection_by_address(self, address: str) -> Optional[DeployedCollection]:
-        """Look up a deployed collection by contract address."""
-        for collection in self.collections:
-            if collection.address == address:
-                return collection
-        return None
 
     def collection_creation_timestamps(self) -> Dict[str, int]:
         """Collection contract address -> creation timestamp."""

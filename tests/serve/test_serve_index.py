@@ -30,6 +30,7 @@ from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
 from repro.simulation.reorg import ReorgStorm
 from repro.stream import StreamingMonitor
+from tests.serve.storm import follow_storm
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +146,36 @@ class TestVersions:
         assert after.confirmed is before.confirmed
         assert after.token_status is before.token_status
         assert after.funnel is before.funnel
+
+    def test_token_order_and_account_epochs_through_a_storm(self):
+        """Each version's token order is the store's at publish time; it
+        is shared while the order epoch and the token count hold, and
+        the account epoch moves exactly when the account key set does."""
+        world = build_default_world(SimulationConfig.tiny())
+        service = ServeService.for_world(world, max_reorg_depth=64)
+        store = service.monitor.cursor.store
+        seen = [service.index.current]
+
+        def check(version):
+            previous = seen[-1]
+            assert version.token_order == tuple(store.tokens)
+            assert version.token_order_epoch == store.order_epoch
+            if version.token_order_epoch == previous.token_order_epoch:
+                assert version.token_order[: len(previous.token_order)] == (
+                    previous.token_order
+                )
+                if len(version.token_order) == len(previous.token_order):
+                    assert version.token_order is previous.token_order
+            assert (version.accounts_epoch == previous.accounts_epoch) == (
+                version.account_profiles.keys() == previous.account_profiles.keys()
+            )
+            seen.append(version)
+
+        service.index.subscribe_versions(check)
+        assert follow_storm(world, service.monitor, random.Random(3))
+        assert not service.index.subscriber_errors
+        assert store.order_epoch > 0, "the storm must remove a token"
+        assert len({v.accounts_epoch for v in seen}) > 1
 
     def test_maintained_funnel_matches_refold_through_a_storm(self):
         """Every published version's maintained funnel is bit-equal to a

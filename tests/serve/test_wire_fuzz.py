@@ -189,6 +189,19 @@ class TestRequestLevelAttacks:
         self.assert_code(client, "unknown-version", "funnel_stats", version=12345)
         self.assert_code(client, "bad-request", "release")
 
+    def test_bad_token_order_offsets(self, client):
+        """Negative and non-integer offsets are typed errors; an offset
+        past the end is an empty suffix; the connection survives all."""
+        for offset in (-1, -(2**70), 1.5, "3", True, [2]):
+            self.assert_code(client, "bad-request", "token_order", offset=offset)
+        size = client.token_order()["size"]
+        assert size > 0
+        for offset in (size, size + 1, 2**70):
+            answer = client.token_order(offset=offset)
+            assert answer["tokens"] == []
+            assert answer["size"] == size
+        assert client.ping()["pong"] is True
+
     def test_internal_errors_are_typed_not_fatal(self, client, monkeypatch):
         """A handler bug surfaces as internal-error on that request only."""
         from repro.serve.wire.server import WireConnectionHandler
