@@ -36,7 +36,6 @@ subscription cursors), the version subscribers and the serve metrics.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.chain.types import NFTKey
@@ -338,7 +337,7 @@ class ServeIndex:
         of copying them: they are immutable, and the index only replaces
         (never mutates) its own working containers.  The token order is
         shared too while the store's ``order_epoch`` holds and no token
-        was added, and only extended when tokens were appended.
+        was added; otherwise it is rebuilt from the store.
         """
         store = self.monitor.cursor.store
         scalars = dict(
@@ -371,14 +370,15 @@ class ServeIndex:
 
     def _token_order(self, store: ColumnarTransferStore) -> Tuple[NFTKey, ...]:
         """The store's token order, reusing the current version's tuple
-        when the store's ``order_epoch`` says it is still a prefix."""
+        while the store's ``order_epoch`` and token count both hold."""
         previous = self._current
-        if previous is None or previous.token_order_epoch != store.order_epoch:
-            return tuple(store.tokens)
-        order = previous.token_order
-        if len(order) == len(store.tokens):
-            return order
-        return order + tuple(itertools.islice(store.tokens, len(order), None))
+        if (
+            previous is not None
+            and previous.token_order_epoch == store.order_epoch
+            and len(previous.token_order) == len(store.tokens)
+        ):
+            return previous.token_order
+        return tuple(store.tokens)
 
     def _note_published(self) -> None:
         self.versions_published += 1
