@@ -4,8 +4,9 @@ Three acceptance checks for the serving layer (:mod:`repro.serve`):
 
 * ``test_cached_aggregates_beat_recompute`` drives an identical mixed
   point/aggregate query workload against two services over the same
-  world -- one with the dirty-token-keyed :class:`AggregateCache`, one
-  recomputing every aggregate per query -- and asserts the cached
+  world -- one answering through the dirty-token-keyed
+  :class:`AggregateCache`, one pinning every aggregate to a version so
+  it is recomputed per query -- and asserts the cached
   service wins the wall clock while serving identical answers.  It
   reports sustained queries/sec alongside per-tick ingest latency.
 * ``test_served_answers_match_batch_at_every_version`` replays a chain
@@ -103,18 +104,25 @@ def tick_boundaries(head: int, windows: int = WINDOW_COUNT):
     return sorted({max(head * (w + 1) // windows, 0) for w in range(windows)})
 
 
-def query_sweep(query, rng, aggregate_repeats: int, point_queries: int) -> int:
-    """The per-tick mixed workload of the cache comparison; returns count."""
+def query_sweep(
+    query, rng, aggregate_repeats: int, point_queries: int, pin: bool = False
+) -> int:
+    """The per-tick mixed workload of the cache comparison; returns count.
+
+    With ``pin`` every aggregate is pinned to the sweep's version, which
+    computes it from that version and skips the aggregate cache.
+    """
     served = 0
     version = query.version()
+    pinned = {"version": version} if pin else {}
     for _ in range(aggregate_repeats):
-        query.funnel_stats()
+        query.funnel_stats(**pinned)
         served += 1
         for contract in query.collections():
-            query.collection_rollup(contract)
+            query.collection_rollup(contract, **pinned)
             served += 1
         for venue in query.venues():
-            query.marketplace_rollup(venue)
+            query.marketplace_rollup(venue, **pinned)
             served += 1
     for _ in range(point_queries):
         roll = rng.random()
@@ -135,8 +143,8 @@ def test_cached_aggregates_beat_recompute(serve_profile):
     boundaries = tick_boundaries(head)
 
     results = {}
-    for label, use_cache in (("cached", True), ("recompute", False)):
-        service = ServeService.for_world(world, use_cache=use_cache)
+    for label, pin in (("cached", False), ("recompute", True)):
+        service = ServeService.for_world(world)
         rng = random.Random(7)
         query_time = 0.0
         served = 0
@@ -151,6 +159,7 @@ def test_cached_aggregates_beat_recompute(serve_profile):
                 rng,
                 serve_profile["aggregate_repeats"],
                 serve_profile["point_queries"],
+                pin,
             )
             query_time += time.perf_counter() - started
         results[label] = {

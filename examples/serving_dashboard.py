@@ -127,12 +127,11 @@ def main() -> None:
         f"{retractions_seen} retractions folded, mirror "
         f"{'matches' if reconciled else 'DIVERGES FROM'} the served state"
     )
-    if service.cache is not None:
-        stats = service.cache.stats
-        print(
-            f"aggregate cache: {stats.hits} hits / {stats.lookups} lookups "
-            f"({stats.hit_rate:.1%})"
-        )
+    stats = service.cache.stats
+    print(
+        f"aggregate cache: {stats.hits} hits / {stats.lookups} lookups "
+        f"({stats.hit_rate:.1%})"
+    )
     if not reconciled:
         raise SystemExit("replay mirror diverged from the served state")
 

@@ -309,12 +309,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="rollback journal window passed to the monitor",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the dirty-token-keyed aggregate cache (recompute "
-        "every aggregate per query)",
-    )
-    parser.add_argument(
         "--watch",
         action="append",
         default=[],
@@ -965,11 +959,7 @@ def run_serve(argv: Sequence[str]) -> int:
             enabled_methods=_enabled_methods(args),
             registry=obs.registry,
         )
-        service = ServeService(
-            monitor,
-            use_cache=not args.no_cache,
-            registry=obs.registry,
-        )
+        service = ServeService(monitor, registry=obs.registry)
         query = service.query
 
         objectives = []
@@ -1113,7 +1103,7 @@ def run_serve(argv: Sequence[str]) -> int:
             status = max(status, 1)
 
         cache_stats = service.cache_stats()
-        if not args.quiet and cache_stats is not None:
+        if not args.quiet:
             print(
                 f"aggregate cache: {cache_stats.hits} hits / "
                 f"{cache_stats.lookups} lookups ({cache_stats.hit_rate:.1%}), "

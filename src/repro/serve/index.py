@@ -1,26 +1,29 @@
 """The versioned read model over a live streaming monitor.
 
 :class:`ServeIndex` subscribes to a :class:`~repro.stream.StreamingMonitor`
-and, after every tick, publishes a fresh immutable
-:class:`~repro.serve.model.ServeVersion`.  The contract:
+before its first tick and, after every tick, publishes a fresh
+immutable :class:`~repro.serve.model.ServeVersion`.  The contract:
 
 * **Versions are immutable and monotone.**  A tick never mutates a
   published version; it builds a new one and swaps the ``current``
   reference (a single atomic assignment).  Queries that pinned an older
-  version keep a fully consistent pre-tick view.
+  version keep a fully consistent pre-tick view.  Version 0 is the
+  empty pre-ingest state.
 * **Reorg retractions publish a revision, not an edit.**  A rollback
   tick produces a version whose ``retracted_count``/``reorg_depth``
   mark it as a revision; the retracted activities are simply absent
   from it, while the alert log keeps the explicit ``ACTIVITY_RETRACTED``
   events a replaying consumer needs.
-* **The rebuild is incremental.**  Only the tick's dirty tokens are
-  re-read from the scheduler (via
+* **The current version is the only record.**  The index keeps no
+  served state beside it: a tick copies the current version's
+  ``token_status`` and ``account_profiles``, re-derives only its dirty
+  tokens from the scheduler (via
   :meth:`~repro.stream.scheduler.DirtyTokenScheduler.confirmed_activities`,
   which also captures evidence drift the alert stream deliberately does
-  not re-announce); per-account profiles are rebuilt only for accounts
-  whose record set changed, and the funnel is maintained by dirty
-  deltas (:mod:`repro.serve.funnel`).  A tick with no dirty token
-  republishes the previous version's containers by reference.
+  not re-announce) and the profiles of the accounts their records
+  touch, and maintains the funnel by dirty deltas
+  (:mod:`repro.serve.funnel`).  A tick with no dirty token republishes
+  the previous version's containers by reference.
 * **Publish, then invalidate.**  The new version becomes ``current``
   before the aggregate cache drops the scopes the tick's dirty set can
   have moved, so a reader racing the tick can only have a freshly
@@ -36,6 +39,7 @@ subscription cursors), the version subscribers and the serve metrics.
 from __future__ import annotations
 
 import dataclasses
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.chain.types import NFTKey
@@ -54,7 +58,6 @@ from repro.serve.funnel import FunnelMaintainer
 from repro.serve.model import (
     AccountProfile,
     ActivityRecord,
-    RecordKey,
     ServeVersion,
     TokenStatus,
     record_key,
@@ -65,21 +68,10 @@ from repro.stream.scheduler import TokenState
 
 VersionCallback = Callable[[ServeVersion], None]
 
-#: record identity -> (seq, block) of its latest confirmation alert.
-ConfirmationInfo = Dict[RecordKey, Tuple[int, int]]
-
-
-def confirmation_info(alerts: List[Alert]) -> ConfirmationInfo:
-    """Where each confirmed identity in ``alerts`` was last announced."""
-    info: ConfirmationInfo = {}
-    for alert in alerts:
-        if alert.kind is AlertKind.ACTIVITY_CONFIRMED:
-            info[record_key(alert.activity)] = (alert.seq, alert.block)
-    return info
-
-
-def _confirmation_order(record: ActivityRecord) -> Tuple[int, RecordKey]:
-    return record.seq, record.key
+#: Confirmation order.  Every record carries its own confirmation
+#: alert's ``seq``, so seqs are unique and this is the ``(seq, key)``
+#: order of the read model.
+_by_seq = attrgetter("seq")
 
 
 class ServeIndex:
@@ -88,21 +80,23 @@ class ServeIndex:
     def __init__(
         self,
         monitor: StreamingMonitor,
-        use_cache: bool = True,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
+        if monitor.tick_count:
+            raise ValueError(
+                "ServeIndex must attach before the monitor's first tick"
+            )
         self.monitor = monitor
         self.registry = (
             registry
             if registry is not None
             else getattr(monitor, "registry", None) or NULL_REGISTRY
         )
-        #: The dirty-token-keyed aggregate cache (None when uncached).
-        self.cache: Optional[AggregateCache] = AggregateCache() if use_cache else None
+        #: The dirty-token-keyed aggregate cache.
+        self.cache = AggregateCache()
         #: Append-only copy of every alert the monitor published
-        #: (``alert_log[seq].seq == seq``).  Attaching to a monitor that
-        #: already ran adopts its alerts, so replay sees the history.
-        self.alert_log: List[Alert] = list(monitor.alerts)
+        #: (``alert_log[seq].seq == seq``).
+        self.alert_log: List[Alert] = []
         self.versions_published = 0
         self._version_subscribers: List[VersionCallback] = []
         #: Recent version-subscriber failures, isolated like the
@@ -125,26 +119,24 @@ class ServeIndex:
         self._metric_confirmed = self.registry.gauge(
             "serve_confirmed_records", "Confirmed activity records being served."
         )
-        if self.cache is not None:
-            self.cache.register_metrics(self.registry)
+        self.cache.register_metrics(self.registry)
 
-        self._records: Dict[RecordKey, ActivityRecord] = {}
-        self._token_records: Dict[NFTKey, Dict[RecordKey, ActivityRecord]] = {}
-        self._token_retractions: Dict[NFTKey, int] = {}
-        self._token_status: Dict[NFTKey, TokenStatus] = {}
-        self._account_records: Dict[str, Dict[RecordKey, ActivityRecord]] = {}
-        self._profiles: Dict[str, AccountProfile] = {}
-        #: Bumped whenever the key set of ``_profiles`` changes.
-        self._accounts_epoch = 0
-        #: The scheduler's token states, kept current from each tick's
-        #: dirty set (the scheduler re-installs a state for every token
-        #: it reports dirty).
-        self._token_states: Dict[NFTKey, TokenState] = {}
         self.funnel_state = FunnelMaintainer()
-        #: The newest published version (None only until bootstrap).
+        #: The scheduler state each token's funnel contribution was
+        #: installed from -- what a later dirty tick retires.
+        self._funnel_states: Dict[NFTKey, TokenState] = {}
+        #: The newest published version (None only while version 0,
+        #: the empty version, is built).
         self._current: Optional[ServeVersion] = None
-
-        self._bootstrap()
+        self._current = ServeVersion(
+            confirmed=(),
+            token_status={},
+            account_profiles={},
+            accounts_epoch=0,
+            funnel=self.funnel_state.partial(0, 0),
+            **self._scalars(0, None),
+        )
+        self._note_published()
         monitor.subscribe_snapshots(self._on_snapshot)
 
     # -- public surface ----------------------------------------------------
@@ -175,38 +167,14 @@ class ServeIndex:
             return tuple(self.alert_log[start:])
         return tuple(self.alert_log[start : start + limit])
 
-    # -- bootstrap ---------------------------------------------------------
-    def _bootstrap(self) -> None:
-        """Build version 0 from whatever the monitor already holds.
-
-        Normally that is the empty pre-ingest state; attaching to a
-        monitor that already ran some ticks is supported: the adopted
-        alerts are folded into per-identity confirmation coordinates,
-        so adopted records carry the ``seq``/block of their *latest*
-        confirmation exactly as if the index had been attached from
-        the start.
-        """
-        scheduler = self.monitor.scheduler
-        confirmed = confirmation_info(self.alert_log)
-        for nft in sorted(scheduler.flagged_nfts, key=scheduler.order_of):
-            self._rebuild_token(nft, confirmed, set(), set())
-        for account in list(self._account_records):
-            self._rebuild_profile(account)
-        self._token_states = dict(scheduler.states)
-        self.funnel_state.rebuild(self._token_states.values())
-        self._current = self._build_version(self.monitor.tick_count)
-        self._note_published()
-
     # -- tick application --------------------------------------------------
     def _on_snapshot(self, snapshot: MonitorSnapshot) -> None:
         """Fold one monitor tick in, publish, then invalidate the cache."""
         with self.registry.span("publish", dirty=snapshot.dirty_token_count):
             self.alert_log.extend(snapshot.alerts)
-            scopes = self._apply_snapshot(snapshot)
-            version = self._build_version(snapshot.tick, snapshot)
+            version, scopes = self._build_version(snapshot)
             self._current = version
-            if self.cache is not None:
-                self.cache.invalidate(scopes)
+            self.cache.invalidate(scopes)
             # The tick's alerts are readable from here on.
             self.registry.latency.mark(snapshot.trace, "publish")
         self._note_published()
@@ -219,128 +187,133 @@ class ServeIndex:
                 self.subscriber_errors.append((callback, version, error))
                 self._metric_subscriber_errors.inc()
 
-    def _apply_snapshot(self, snapshot: MonitorSnapshot) -> Set[Scope]:
-        """Fold the tick's dirty set into the working maps.
+    def _build_version(
+        self, snapshot: MonitorSnapshot
+    ) -> Tuple[ServeVersion, Set[Scope]]:
+        """The tick's version and the cache scopes the tick can have moved.
 
-        Nothing a reader can observe changes here: the working maps are
-        private until :meth:`_build_version` copies them.  Returns the
-        cache scopes the tick can have moved.
+        Nothing a reader can observe changes here.  A tick with no dirty
+        token shares the previous version's containers: they are
+        immutable, and new or rolled-back tokens are always dirty.
+        Otherwise each dirty token's records are re-derived from the
+        scheduler: surviving identities keep their confirmation
+        coordinates but refresh their payload (evidence drift), new
+        identities take their ``seq``/block from this tick's
+        confirmation alert, and removed identities are dropped and
+        counted as retractions.
         """
-        confirmed = confirmation_info(snapshot.alerts)
+        previous = self._current
+        scalars = self._scalars(snapshot.tick, snapshot)
+        dirty = snapshot.dirty_nfts
+        if not dirty:
+            return dataclasses.replace(previous, **scalars), set()
+
+        announced = {
+            record_key(alert.activity): (alert.seq, alert.block)
+            for alert in snapshot.alerts
+            if alert.kind is AlertKind.ACTIVITY_CONFIRMED
+        }
+        scheduler = self.monitor.scheduler
+        token_status = dict(previous.token_status)
+        refreshed: List[ActivityRecord] = []
         touched_accounts: Set[str] = set()
         changed_venues: Set[str] = set()
-        for nft in snapshot.dirty_nfts:
-            self._rebuild_token(nft, confirmed, touched_accounts, changed_venues)
-        for account in touched_accounts:
-            self._rebuild_profile(account)
+        for nft in dirty:
+            status = token_status.pop(nft, None)
+            old = {} if status is None else {r.key: r for r in status.records}
+            fresh: List[ActivityRecord] = []
+            for activity in scheduler.confirmed_activities(nft).values():
+                key = record_key(activity)
+                prior = old.pop(key, None)
+                if prior is None:
+                    seq, block = announced[key]
+                else:
+                    seq, block = prior.seq, prior.confirmed_at_block
+                record = ActivityRecord.from_activity(activity, seq, block, key)
+                fresh.append(record)
+                if record != prior:
+                    changed_venues.add(record.venue)
+                    touched_accounts.update(record.accounts)
+            for retracted in old.values():
+                changed_venues.add(retracted.venue)
+                touched_accounts.update(retracted.accounts)
+            if fresh:
+                # The count restarts whenever the token had no
+                # confirmed activity (``status`` is then None).
+                retractions = len(old) + (
+                    0 if status is None else status.retraction_count
+                )
+                fresh.sort(key=_by_seq)
+                token_status[nft] = TokenStatus(nft, tuple(fresh), retractions)
+                refreshed.extend(fresh)
+
+        dirty_set = set(dirty)
+        confirmed = [r for r in previous.confirmed if r.nft not in dirty_set]
+        confirmed.extend(refreshed)
+        confirmed.sort(key=_by_seq)
+
+        # A touched account's profile is re-read from the new statuses
+        # of the tokens it had records on and of the dirty tokens it
+        # has records on now.
+        tokens_of: Dict[str, Set[NFTKey]] = {a: set() for a in touched_accounts}
+        for record in refreshed:
+            for account in record.accounts:
+                nfts = tokens_of.get(account)
+                if nfts is not None:
+                    nfts.add(record.nft)
+        profiles = dict(previous.account_profiles)
+        accounts_moved = False
+        for account, nfts in tokens_of.items():
+            profile = profiles.get(account)
+            if profile is not None:
+                nfts.update(profile.nfts)
+            mine = [
+                record
+                for nft in nfts
+                if nft in token_status
+                for record in token_status[nft].records
+                if account in record.accounts
+            ]
+            if mine:
+                mine.sort(key=_by_seq)
+                profiles[account] = AccountProfile(account, tuple(mine))
+                accounts_moved |= profile is None
+            elif profile is not None:
+                del profiles[account]
+                accounts_moved = True
 
         # Retire each dirty token's previous funnel contribution and
         # install the fresh one -- the full delta, because the
         # scheduler reports every re-installed state as dirty.
-        states = self.monitor.scheduler.states
-        working = self._token_states
-        for nft in snapshot.dirty_nfts:
-            old = working.get(nft)
+        states = scheduler.states
+        installed = self._funnel_states
+        for nft in dirty:
             new = states.get(nft)
-            self.funnel_state.apply(old, new)
+            self.funnel_state.apply(installed.get(nft), new)
             if new is not None:
-                working[nft] = new
-            elif old is not None:
-                del working[nft]
-        return _scopes_for(snapshot.dirty_nfts, changed_venues)
-
-    def _rebuild_token(
-        self,
-        nft: NFTKey,
-        confirmed: ConfirmationInfo,
-        touched_accounts: Set[str],
-        changed_venues: Set[str],
-    ) -> None:
-        """Re-derive one dirty token's records from the scheduler.
-
-        Surviving identities keep their confirmation coordinates but
-        refresh their payload (evidence drift); new identities take
-        their ``seq``/block from this tick's confirmation alert;
-        removed identities are dropped and counted as retractions.
-        """
-        old = self._token_records.get(nft, {})
-        fresh: Dict[RecordKey, ActivityRecord] = {}
-        for activity in self.monitor.scheduler.confirmed_activities(nft).values():
-            key = record_key(activity)
-            previous = old.get(key)
-            if previous is not None:
-                seq, block = previous.seq, previous.confirmed_at_block
+                installed[nft] = new
             else:
-                seq, block = confirmed.get(key, (-1, self.monitor.processed_block))
-            record = ActivityRecord.from_activity(activity, seq, block, key)
-            fresh[key] = record
-            if previous is None or record != previous:
-                changed_venues.add(record.venue)
-                touched_accounts.update(record.accounts)
+                installed.pop(nft, None)
 
-        removed = [key for key in old if key not in fresh]
-        for key in removed:
-            record = old[key]
-            changed_venues.add(record.venue)
-            touched_accounts.update(record.accounts)
-
-        # Swap the global and per-account record maps.
-        for key, record in old.items():
-            del self._records[key]
-            for account in record.accounts:
-                holders = self._account_records.get(account)
-                if holders is not None:
-                    holders.pop(key, None)
-                    if not holders:
-                        del self._account_records[account]
-        for key, record in fresh.items():
-            self._records[key] = record
-            for account in record.accounts:
-                self._account_records.setdefault(account, {})[key] = record
-
-        if not fresh:
-            self._token_records.pop(nft, None)
-            self._token_status.pop(nft, None)
-            self._token_retractions.pop(nft, None)
-            return
-        retractions = self._token_retractions.get(nft, 0) + len(removed)
-        self._token_records[nft] = fresh
-        self._token_retractions[nft] = retractions
-        self._token_status[nft] = TokenStatus(
-            nft=nft,
-            records=tuple(sorted(fresh.values(), key=_confirmation_order)),
-            retraction_count=retractions,
+        version = ServeVersion(
+            confirmed=tuple(confirmed),
+            token_status=token_status,
+            account_profiles=profiles,
+            accounts_epoch=previous.accounts_epoch + int(accounts_moved),
+            funnel=self.funnel_state.partial(snapshot.tick, len(confirmed)),
+            **scalars,
         )
+        return version, _scopes_for(dirty, changed_venues)
 
-    def _rebuild_profile(self, account: str) -> None:
-        holders = self._account_records.get(account)
-        if not holders:
-            if self._profiles.pop(account, None) is not None:
-                self._accounts_epoch += 1
-            return
-        if account not in self._profiles:
-            self._accounts_epoch += 1
-        self._profiles[account] = AccountProfile(
-            address=account,
-            records=tuple(sorted(holders.values(), key=_confirmation_order)),
-        )
-
-    # -- publishing --------------------------------------------------------
-    def _build_version(
-        self, tick: int, snapshot: Optional[MonitorSnapshot] = None
-    ) -> ServeVersion:
-        """Assemble one immutable version (``snapshot`` is None only at
-        bootstrap).
-
-        The scalars and the store's size are always fresh.  A tick with
-        no dirty token shares the previous version's containers instead
-        of copying them: they are immutable, and the index only replaces
-        (never mutates) its own working containers.  The token order is
-        shared too while the store's ``order_epoch`` holds and no token
-        was added; otherwise it is rebuilt from the store.
-        """
+    def _scalars(
+        self, tick: int, snapshot: Optional[MonitorSnapshot]
+    ) -> Dict[str, object]:
+        """The fields every version refreshes (``snapshot`` is None only
+        for version 0).  The token order is shared with the current
+        version while the store's ``order_epoch`` and token count hold;
+        otherwise it is rebuilt from the store."""
         store = self.monitor.cursor.store
-        scalars = dict(
+        return dict(
             version=tick,
             block=self.monitor.processed_block,
             last_seq=len(self.alert_log) - 1,
@@ -352,25 +325,10 @@ class ServeIndex:
             ),
             token_order=self._token_order(store),
             token_order_epoch=store.order_epoch,
-            accounts_epoch=self._accounts_epoch,
             store_stats=StoreStats.capture(store),
-        )
-        if snapshot is not None and not snapshot.dirty_nfts:
-            # New or rolled-back tokens are always in the dirty set.
-            return dataclasses.replace(self._current, **scalars)
-        confirmed = tuple(sorted(self._records.values(), key=_confirmation_order))
-        return ServeVersion(
-            confirmed=confirmed,
-            token_status=dict(self._token_status),
-            account_profiles=dict(self._profiles),
-            funnel=self.funnel_state.partial(tick, len(confirmed)),
-            token_states=dict(self._token_states),
-            **scalars,
         )
 
     def _token_order(self, store: ColumnarTransferStore) -> Tuple[NFTKey, ...]:
-        """The store's token order, reusing the current version's tuple
-        while the store's ``order_epoch`` and token count both hold."""
         previous = self._current
         if (
             previous is not None

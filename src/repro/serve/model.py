@@ -19,7 +19,6 @@ from repro.core.activity import DetectionMethod, WashTradingActivity
 from repro.core.refine import FunnelStage
 from repro.engine.views import StoreStats
 from repro.serve.funnel import FunnelPartial
-from repro.stream.scheduler import TokenState
 
 #: Venue name used for confirmed activities whose dominant marketplace
 #: is None (the component traded without touching a known venue).
@@ -65,8 +64,7 @@ class ActivityRecord:
     marketplace: Optional[str]
     #: Head block of the tick that confirmed this identity.
     confirmed_at_block: int
-    #: Alert sequence number of the confirmation (-1 only when the
-    #: serving index attached after the identity was already confirmed).
+    #: Alert sequence number of the identity's ACTIVITY_CONFIRMED alert.
     seq: int
     #: The full activity object, for drill-down queries and parity
     #: checks (compared by identity key, not by value).
@@ -115,9 +113,10 @@ class TokenStatus:
     #: Currently confirmed activities of this token, in confirmation
     #: (seq) order.  Empty means "clean as of this version".
     records: Tuple[ActivityRecord, ...] = ()
-    #: Lifetime retractions this token has been through (reset when the
-    #: token empties out entirely -- a reorg-vanished token that
-    #: reappears is a brand-new token, matching the scheduler).
+    #: Retractions this token has been through since it last had no
+    #: confirmed activity: the count restarts at 0 whenever a tick
+    #: leaves the token with no confirmed activity, whether or not the
+    #: token left the store.
     retraction_count: int = 0
 
     @property
@@ -257,7 +256,7 @@ class ServeVersion:
     reorg_depth: int
     retracted_count: int
     newly_confirmed_count: int
-    #: Every currently confirmed activity, ordered by (seq, key).
+    #: Every currently confirmed activity, in confirmation (seq) order.
     confirmed: Tuple[ActivityRecord, ...]
     #: Wash status per flagged token (clean tokens are absent; use
     #: :meth:`status_of` for a uniform answer).
@@ -277,9 +276,6 @@ class ServeVersion:
     #: The differentially maintained funnel, frozen at publish time
     #: (see :mod:`repro.serve.funnel`).
     funnel: FunnelPartial = field(repr=False, compare=False)
-    #: Per-token scheduler states captured at publish time (shared
-    #: immutable-by-convention references; the funnel's refold source).
-    token_states: Mapping[NFTKey, TokenState] = field(repr=False, default_factory=dict)
 
     @property
     def is_revision(self) -> bool:

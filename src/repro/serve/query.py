@@ -234,7 +234,6 @@ class QueryService:
         """
         if version is not None:
             return compute(version)
-        cache = self.index.cache
-        if cache is None:
-            return compute(self.version())
-        return cache.get_or_compute(key, (scope,), lambda: compute(self.version()))
+        return self.index.cache.get_or_compute(
+            key, (scope,), lambda: compute(self.version())
+        )

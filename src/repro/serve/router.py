@@ -13,8 +13,9 @@ from-scratch refold the tests hold that maintained funnel against.
 from __future__ import annotations
 
 from collections import Counter
-from typing import List
+from typing import List, Mapping
 
+from repro.chain.types import NFTKey
 from repro.engine.refine import STAGE_NAMES, StageAccumulator
 from repro.serve.funnel import FunnelPartial
 from repro.serve.model import (
@@ -24,14 +25,19 @@ from repro.serve.model import (
     MarketplaceRollup,
     ServeVersion,
 )
+from repro.stream.scheduler import TokenState
 
 
-def funnel_partial(version: ServeVersion) -> FunnelPartial:
-    """The version's funnel, refolded from its token states (the oracle
-    for the maintained ``version.funnel``)."""
+def funnel_partial(
+    version: ServeVersion, states: Mapping[NFTKey, TokenState]
+) -> FunnelPartial:
+    """The version's funnel, refolded from the scheduler's token
+    ``states`` as they stood when ``version`` was published (read them
+    from a version subscriber) -- the oracle for the maintained
+    ``version.funnel``."""
     merged = [StageAccumulator(name=name) for name in STAGE_NAMES]
     candidate_count = 0
-    for state in version.token_states.values():
+    for state in states.values():
         candidate_count += len(state.candidates)
         for accumulator, record in zip(merged, state.stages):
             accumulator.fold(record)
@@ -78,7 +84,7 @@ def collection_rollup(version: ServeVersion, contract: str) -> CollectionRollup:
     return CollectionRollup(
         contract=contract,
         version=version.version,
-        token_count=sum(1 for nft in version.token_states if nft.contract == contract),
+        token_count=sum(1 for nft in version.token_order if nft.contract == contract),
         flagged_token_count=len({record.nft for record in records}),
         activity_count=len(records),
         volume_wei=sum(record.volume_wei for record in records),

@@ -44,7 +44,6 @@ class ServeService:
     def __init__(
         self,
         monitor: StreamingMonitor,
-        use_cache: bool = True,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.monitor = monitor
@@ -55,9 +54,9 @@ class ServeService:
             if registry is not None
             else getattr(monitor, "registry", None) or NULL_REGISTRY
         )
-        self.index = ServeIndex(monitor, use_cache=use_cache, registry=self.registry)
-        #: The index's aggregate cache (None when uncached).
-        self.cache: Optional[AggregateCache] = self.index.cache
+        self.index = ServeIndex(monitor, registry=self.registry)
+        #: The index's aggregate cache.
+        self.cache: AggregateCache = self.index.cache
         self.query = QueryService(self.index)
         #: Per-tick wall-clock latency of ingest, as a bounded-reservoir
         #: histogram: exact count/sum, estimated percentiles, O(1)
@@ -96,7 +95,6 @@ class ServeService:
     def for_world(
         cls,
         world,
-        use_cache: bool = True,
         registry: Optional[MetricsRegistry] = None,
         **monitor_kwargs,
     ) -> "ServeService":
@@ -105,7 +103,6 @@ class ServeService:
             monitor_kwargs.setdefault("registry", registry)
         return cls(
             StreamingMonitor.for_world(world, **monitor_kwargs),
-            use_cache=use_cache,
             registry=registry,
         )
 
@@ -195,11 +192,9 @@ class ServeService:
         health["status"] = status
         return health
 
-    def cache_stats(self) -> Optional[CacheStats]:
+    def cache_stats(self) -> CacheStats:
         """A copy of the aggregate-cache counters (what the CLI summary
-        and the benchmark report); None when caching is disabled."""
-        if self.cache is None:
-            return None
+        and the benchmark report)."""
         return dataclasses.replace(self.cache.stats)
 
     def attach_slo(self, engine) -> None:

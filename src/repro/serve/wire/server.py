@@ -447,8 +447,7 @@ class WireConnectionHandler(socketserver.StreamRequestHandler):
         # append-only log, so a reverse scan can stop at the first
         # non-matching alert after the block.
         alert_seqs: List[int] = []
-        log = self.server.index.alerts_since(-1)
-        for alert in reversed(log):
+        for alert in reversed(self.server.index.alert_log):
             if alert.trace == trace:
                 alert_seqs.append(alert.seq)
             elif alert_seqs:

@@ -1,9 +1,10 @@
 """Behavioural tests of the serving layer's read model and query API.
 
 Serving parity (every answer vs a batch build) is the acceptance bar;
-on top of it this file pins the version/snapshot contract, pagination
-and filter semantics, replay cursors, the aggregate cache's precise
-invalidation, and the late-attach bootstrap.
+on top of it this file pins the version/snapshot contract (an index
+attaches before the monitor's first tick), pagination and filter
+semantics, replay cursors and the aggregate cache's precise
+invalidation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.serve import (
     serving_parity_mismatches,
 )
 from repro.serve.cache import FUNNEL_SCOPE, collection_scope, venue_scope
-from repro.serve.query import QueryService
 from repro.serve.router import funnel_partial
 from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
@@ -179,7 +179,8 @@ class TestVersions:
 
     def test_maintained_funnel_matches_refold_through_a_storm(self):
         """Every published version's maintained funnel is bit-equal to a
-        from-scratch fold over its token states.
+        from-scratch fold over the scheduler's token states at publish
+        time.
 
         The maintainer applies only per-tick dirty deltas (including
         retire-only deltas for reorg-vanished tokens), so holding this
@@ -193,7 +194,7 @@ class TestVersions:
 
         def check(version):
             maintained = version.funnel
-            refold = funnel_partial(dataclasses.replace(version, funnel=None))
+            refold = funnel_partial(version, service.monitor.scheduler.states)
             assert maintained.stages == refold.stages
             assert maintained.candidate_count == refold.candidate_count
             assert maintained.confirmed_count == refold.confirmed_count
@@ -214,60 +215,14 @@ class TestVersions:
         assert not service.index.subscriber_errors
         assert checked == list(range(1, service.monitor.tick_count + 1))
 
-    def test_late_attach_bootstrap(self, tiny_world, tiny_columnar_batch):
-        """An index attached mid-follow adopts existing state and alerts."""
+    def test_index_refuses_a_monitor_that_already_ticked(self, tiny_world):
+        """Version 0 is the empty version, so the index must see every
+        tick: attaching after the first one is an error."""
         monitor = StreamingMonitor.for_world(tiny_world)
-        head = tiny_world.node.block_number
-        monitor.run(to_block=head // 2, step_blocks=29)
-        index = ServeIndex(monitor)
-        assert index.current.version == monitor.tick_count
-        assert index.current.flagged_nfts == monitor.scheduler.flagged_nfts
-        assert index.current.confirmed_activity_count == (
-            monitor.scheduler.confirmed_activity_count
-        )
-        assert len(index.alert_log) == len(monitor.alerts)
-        monitor.run(step_blocks=29)
-        query = QueryService(index)
-        assert serving_parity_mismatches(query, tiny_columnar_batch) == []
-        # Replay from scratch still covers the pre-attach history.
-        assert len(query.replay().poll()) == len(monitor.alerts)
-
-    def test_late_attach_keeps_confirmation_coordinates(self, tiny_world):
-        """Adopted records carry their true confirmation seq/block.
-
-        The regression: bootstrapping with empty confirmation info
-        stamped every pre-attach record with seq -1 and the attach-time
-        head block, so ``list_confirmed(since_block=)`` filtered on the
-        wrong coordinates.  The alerts are adopted anyway -- fold them.
-        """
-        from_start = ServeService.for_world(tiny_world)
-        from_start.run(step_blocks=29)
-
-        monitor = StreamingMonitor.for_world(tiny_world)
-        monitor.run(step_blocks=29)
-        late = QueryService(ServeIndex(monitor))
-
-        reference = {
-            record.key: (record.seq, record.confirmed_at_block)
-            for record in from_start.query.version().confirmed
-        }
-        adopted = {
-            record.key: (record.seq, record.confirmed_at_block)
-            for record in late.version().confirmed
-        }
-        assert adopted == reference
-        midpoint = from_start.query.version().block // 2
-        assert [
-            r.key
-            for r in late.list_confirmed(
-                since_block=midpoint, limit=10_000
-            ).records
-        ] == [
-            r.key
-            for r in from_start.query.list_confirmed(
-                since_block=midpoint, limit=10_000
-            ).records
-        ]
+        monitor.advance(tiny_world.node.block_number // 4)
+        assert monitor.tick_count > 0
+        with pytest.raises(ValueError):
+            ServeIndex(monitor)
 
 
 class TestPointLookups:
@@ -423,11 +378,32 @@ class TestAggregateCache:
         assert service.query.funnel_stats() is first
         assert service.cache.stats.hits == hits_before + 2
 
-    def test_uncached_service_still_answers(self, tiny_world):
-        service = ServeService.for_world(tiny_world, use_cache=False)
+    def test_pinned_aggregates_bypass_the_cache(self, tiny_world):
+        """An aggregate pinned to a version is computed from it directly:
+        it equals the cached answer (up to the computed-at version) and
+        leaves the cache's hit and miss counts as they were."""
+        service = ServeService.for_world(tiny_world)
         service.run(step_blocks=50)
-        assert service.cache is None
-        assert service.cache_stats() is None
-        first = service.query.funnel_stats()
-        second = service.query.funnel_stats()
-        assert first == second and first is not second
+        query = service.query
+        version = query.version()
+
+        def normalised(answer):
+            return dataclasses.replace(answer, version=0)
+
+        cached = [query.funnel_stats()]
+        cached += [query.collection_rollup(c) for c in query.collections()]
+        cached += [query.marketplace_rollup(v) for v in query.venues()]
+        stats = service.cache_stats()
+        pinned = [query.funnel_stats(version=version)]
+        pinned += [
+            query.collection_rollup(c, version=version)
+            for c in query.collections(version=version)
+        ]
+        pinned += [
+            query.marketplace_rollup(v, version=version)
+            for v in query.venues(version=version)
+        ]
+        assert len(pinned) > 2
+        assert [normalised(a) for a in pinned] == [normalised(a) for a in cached]
+        after = service.cache_stats()
+        assert (after.hits, after.misses) == (stats.hits, stats.misses)

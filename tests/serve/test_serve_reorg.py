@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+from repro.chain.block import Block
 from repro.chain.node import EthereumNode
 from repro.core.detectors.pipeline import WashTradingPipeline
 from repro.ingest.dataset import build_dataset
@@ -20,6 +21,7 @@ from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
 from repro.simulation.reorg import ReorgStorm, apply_random_reorg
 from repro.stream import AlertKind
+from tests.serve.storm import follow_storm
 
 
 def fresh_world():
@@ -66,6 +68,15 @@ def fold_alerts(alerts):
     return +folded
 
 
+def retracted_alerts(service, nft):
+    """How many ACTIVITY_RETRACTED alerts ``nft`` has had."""
+    return sum(
+        1
+        for alert in service.index.alert_log
+        if alert.kind is AlertKind.ACTIVITY_RETRACTED and alert.nft == nft
+    )
+
+
 class TestServeUnderReorgStorm:
     def test_revision_stream_is_consistent_at_every_version(self):
         """Fold(alert log up to version.last_seq) == version.confirmed."""
@@ -100,6 +111,74 @@ class TestServeUnderReorgStorm:
             labels=world.labels, is_contract=world.is_contract, engine="columnar"
         ).run(build_dataset(world.node, world.marketplace_addresses))
         assert serving_parity_mismatches(service.query, batch) == []
+
+    def test_retraction_and_token_counts_at_every_version(self):
+        """Through head-following reorg storms, at every published
+        version: a token's ``retraction_count`` is its retraction alerts
+        since it last had no confirmed activity, and a collection's
+        ``token_count`` and ``retraction_count`` are its store tokens and
+        the sum over its tokens' statuses."""
+        world = fresh_world()
+        service = ServeService.for_world(
+            world, max_reorg_depth=world.node.block_number + 2
+        )
+        store = service.monitor.cursor.store
+        retractions: Counter = Counter()
+        seen = {"last_seq": -1, "statuses": 0, "retracted": 0}
+
+        def check(version):
+            log = service.index.alert_log
+            for alert in log[seen["last_seq"] + 1 : version.last_seq + 1]:
+                if alert.kind is AlertKind.ACTIVITY_RETRACTED:
+                    retractions[alert.nft] += 1
+            seen["last_seq"] = version.last_seq
+            for nft in list(retractions):
+                if nft not in version.token_status:
+                    del retractions[nft]
+            for nft, status in version.token_status.items():
+                assert status.retraction_count == retractions[nft], (
+                    f"version {version.version}: {nft}"
+                )
+                seen["statuses"] += 1
+                seen["retracted"] += status.retraction_count
+            for contract in service.query.collections(version=version):
+                rollup = service.query.collection_rollup(contract, version=version)
+                assert rollup.token_count == sum(
+                    1 for nft in store.tokens if nft.contract == contract
+                )
+                assert rollup.retraction_count == sum(
+                    status.retraction_count
+                    for nft, status in version.token_status.items()
+                    if nft.contract == contract
+                )
+
+        service.index.subscribe_versions(check)
+        assert follow_storm(world, service.monitor, random.Random(3))
+        assert seen["statuses"] > 0 and seen["retracted"] > 0
+
+        # Empty every block holding a flagged token's activities, then
+        # bring them back: the token is clean in between, so its count
+        # restarts although it was retracted.
+        statuses = service.index.current.token_status
+        nft = max(
+            statuses,
+            key=lambda n: min(r.first_block for r in statuses[n].records),
+        )
+        depth = world.node.block_number - min(
+            record.first_block for record in statuses[nft].records
+        ) + 1
+        orphaned = world.chain.reorg(
+            depth,
+            [
+                Block(number=block.number, timestamp=block.timestamp)
+                for block in world.chain.blocks[-depth:]
+            ],
+        )
+        assert nft not in service.advance().token_status
+        world.chain.reorg(depth, orphaned)
+        status = service.advance().token_status[nft]
+        assert status.retraction_count == 0 < retracted_alerts(service, nft)
+        assert not service.index.subscriber_errors
 
     def test_every_version_matches_clamped_batch_build(self):
         """The acceptance criterion: per-version batch parity mid-storm."""
@@ -170,7 +249,6 @@ class TestServeUnderReorgStorm:
         head = world.node.block_number
         service = ServeService.for_world(world, max_reorg_depth=head + 2)
         service.run(step_blocks=29)
-        from repro.chain.block import Block
 
         target = max(
             service.result().activities,
@@ -190,9 +268,8 @@ class TestServeUnderReorgStorm:
         world.chain.reorg(depth, orphaned)  # the branch comes back
         version = service.advance()
         status = service.query.token_status(target.nft, version=version)
-        # Re-confirmed after the flip, and the retraction is on record
-        # (unless the token vanished entirely mid-flip, which resets it).
+        # Re-confirmed after the flip, with every retraction on record.
         assert status.is_washed
-        assert status.retraction_count >= 0
+        assert status.retraction_count == retracted_alerts(service, target.nft) == 4
         replayed = fold_alerts(service.index.alert_log)
         assert replayed == Counter(record.key for record in version.confirmed)
