@@ -12,9 +12,11 @@ backpressure.
 Layers (bytes up):
 
 * :mod:`~repro.serve.wire.framing` -- 4-byte big-endian length prefix +
-  UTF-8 JSON object; the recoverable/unrecoverable error taxonomy.
+  UTF-8 JSON object; the recoverable/unrecoverable error taxonomy;
+  splicing of pre-encoded JSON text into a frame.
 * :mod:`~repro.serve.wire.codec` -- deterministic JSON encodings of the
-  read model (and alert decoding for stream consumers).
+  read model (and alert decoding for stream consumers); each record and
+  alert is encoded to frame text once.
 * :mod:`~repro.serve.wire.server` -- :class:`WireServer`, a threaded
   ``socketserver`` front end with per-connection version pins, bounded
   subscriber queues and graceful draining shutdown.

@@ -8,6 +8,12 @@ values -- which is what makes wire parity checkable: the over-the-wire
 answer must equal the *encoding of* the in-process answer at the same
 version, byte for byte after JSON normalization.
 
+The ``encode_*`` functions are the reference.  The server sends
+records and alerts as :func:`record_fragment` / :func:`alert_fragment`:
+the same encoding, turned into frame text the first time any response
+needs it and kept on the (frozen) object, so each is encoded once
+however many pages, lookups and subscribers carry it.
+
 Alerts additionally have a decoder (:func:`decode_alert`) because the
 subscription stream is consumed programmatically: a remote mirror folds
 confirmations and retractions by
@@ -21,7 +27,7 @@ reconciliation logic as an in-process consumer.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.chain.types import NFTKey
 from repro.core.activity import (
@@ -42,6 +48,7 @@ from repro.serve.model import (
     TokenStatus,
 )
 from repro.serve.query import ConfirmedPage, PageCursor
+from repro.serve.wire.framing import RawJSON, dumps
 from repro.stream.alerts import Alert, AlertKind
 
 #: Protocol revision announced by ``ping``; bump on breaking changes.
@@ -196,7 +203,14 @@ def encode_record(record: ActivityRecord) -> Dict[str, Any]:
     }
 
 
-def encode_token_status(status: TokenStatus) -> Dict[str, Any]:
+#: How a record is written into a composite answer: the reference
+#: :func:`encode_record` or the server's cached :func:`record_fragment`.
+RecordEncoder = Callable[[ActivityRecord], Any]
+
+
+def encode_token_status(
+    status: TokenStatus, record: RecordEncoder = encode_record
+) -> Dict[str, Any]:
     return {
         "nft": encode_nft(status.nft),
         "is_washed": status.is_washed,
@@ -205,11 +219,13 @@ def encode_token_status(status: TokenStatus) -> Dict[str, Any]:
         "methods": sorted(method.value for method in status.methods),
         "volume_wei": status.volume_wei,
         "last_confirmed_block": status.last_confirmed_block,
-        "records": [encode_record(record) for record in status.records],
+        "records": [record(item) for item in status.records],
     }
 
 
-def encode_account_profile(profile: AccountProfile) -> Dict[str, Any]:
+def encode_account_profile(
+    profile: AccountProfile, record: RecordEncoder = encode_record
+) -> Dict[str, Any]:
     return {
         "address": profile.address,
         "is_implicated": profile.is_implicated,
@@ -218,14 +234,16 @@ def encode_account_profile(profile: AccountProfile) -> Dict[str, Any]:
         "volume_wei": profile.volume_wei,
         "nfts": sorted(encode_nft(nft) for nft in profile.nfts),
         "partners": sorted(profile.partners),
-        "records": [encode_record(record) for record in profile.records],
+        "records": [record(item) for item in profile.records],
     }
 
 
 # -- listings --------------------------------------------------------------
-def encode_page(page: ConfirmedPage) -> Dict[str, Any]:
+def encode_page(
+    page: ConfirmedPage, record: RecordEncoder = encode_record
+) -> Dict[str, Any]:
     return {
-        "records": [encode_record(record) for record in page.records],
+        "records": [record(item) for item in page.records],
         "next_cursor": encode_page_cursor(page.next_cursor),
         "total_matched": page.total_matched,
         "version": page.version,
@@ -335,6 +353,38 @@ def encode_alert(alert: Alert) -> Dict[str, Any]:
         "budget_used": alert.budget_used,
         "detail": alert.detail,
     }
+
+
+# -- encode once ----------------------------------------------------------
+#: Instance-dict key of an object's cached fragment.
+_FRAGMENT = "_wire_fragment"
+
+
+def _fragment(obj: Any, encode: Callable[[Any], Dict[str, Any]]) -> RawJSON:
+    """``obj``'s wire encoding as frame text, encoded on first use.
+
+    Records and alerts are frozen and nothing changes their activities
+    in place, so the text never goes stale.  It is kept on the object,
+    which keys it by identity: record equality ignores ``activity``, so
+    two equal records may carry different evidence.  The write goes to
+    the instance dict, as ``functools.cached_property`` does on frozen
+    dataclasses; threads that race here encode the same text and
+    either write wins.
+    """
+    fragment = obj.__dict__.get(_FRAGMENT)
+    if fragment is None:
+        fragment = obj.__dict__[_FRAGMENT] = RawJSON(dumps(encode(obj)))
+    return fragment
+
+
+def record_fragment(record: ActivityRecord) -> RawJSON:
+    """:func:`encode_record` of ``record``, encoded once."""
+    return _fragment(record, encode_record)
+
+
+def alert_fragment(alert: Alert) -> RawJSON:
+    """:func:`encode_alert` of ``alert``, encoded once."""
+    return _fragment(alert, encode_alert)
 
 
 def decode_alert(data: Dict[str, Any]) -> Alert:

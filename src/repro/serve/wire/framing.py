@@ -21,13 +21,18 @@ or *unrecoverable* outcome:
   Nothing can be sent back; close quietly.
 * :class:`ConnectionClosed` -- clean EOF exactly at a frame boundary:
   the normal end of a connection, not an error.
+
+A payload may hold :class:`RawJSON` fragments: JSON text encoded once
+and spliced into every frame that carries it (the server's cached
+record and alert encodings).  The frame is byte-identical to the one
+the decoded values would give.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, BinaryIO, Dict
+from typing import Any, BinaryIO, Callable, Dict, List, Optional
 
 #: Frames above this many payload bytes are rejected unless the caller
 #: raises the limit.  Generous for the serving answers (a full confirmed
@@ -79,9 +84,78 @@ class FrameDecodeError(WireError):
     code = "bad-json"
 
 
+def dumps(value: Any, default: Optional[Callable[[Any], Any]] = None) -> str:
+    """The canonical frame text of one JSON value."""
+    return json.dumps(value, separators=(",", ":"), sort_keys=True, default=default)
+
+
+class RawJSON:
+    """One JSON value already encoded as frame text.
+
+    ``text`` must be ``dumps(value)`` of a JSON value (see :func:`dumps`);
+    :func:`encode_frame` splices it in verbatim.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+#: What a fragment stands in as while the rest of the frame is encoded.
+#: The JSON encoder escapes the NUL, so the placeholder shows up in the
+#: text as ``_MARK``; a user string can spell it too, which the count
+#: check in :func:`_splice` catches.
+_PLACEHOLDER = "\x00wire-fragment"
+_MARK = dumps(_PLACEHOLDER)
+
+
+def _splice(body: str, fragments: List[str]) -> Optional[str]:
+    """``body`` with each placeholder replaced by its fragment's text, in
+    order; None when some other string in the frame spells the mark.
+
+    The encoder emits fragments in output order, so the k-th mark is the
+    k-th fragment.  The mark's only quotes are its first and last
+    characters and a closed JSON string is followed by ``,``, ``:``,
+    ``]`` or ``}``, so no two marks overlap: exactly ``len(fragments)``
+    of them means every one is a placeholder.
+    """
+    pieces = body.split(_MARK)
+    if len(pieces) != len(fragments) + 1:
+        return None
+    out = [pieces[0]]
+    for text, piece in zip(fragments, pieces[1:]):
+        out.append(text)
+        out.append(piece)
+    return "".join(out)
+
+
+def _fragment_text(value: Any) -> str:
+    if isinstance(value, RawJSON):
+        return value.text
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def encode_frame(payload: Dict[str, Any]) -> bytes:
-    """Serialize one JSON object into a complete frame (prefix + body)."""
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    """Serialize one JSON object into a complete frame (prefix + body).
+
+    :class:`RawJSON` values anywhere in ``payload`` are spliced in as
+    their text; a payload without them is encoded in one pass.
+    """
+    fragments: List[str] = []
+
+    def placeholder(value: Any) -> str:
+        fragments.append(_fragment_text(value))
+        return _PLACEHOLDER
+
+    text = dumps(payload, placeholder)
+    if fragments:
+        spliced = _splice(text, fragments)
+        if spliced is None:
+            # A user string spelled the mark: decode the fragments instead.
+            spliced = dumps(payload, lambda value: json.loads(_fragment_text(value)))
+        text = spliced
+    body = text.encode("utf-8")
     return _LENGTH.pack(len(body)) + body
 
 

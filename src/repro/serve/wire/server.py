@@ -30,6 +30,11 @@ Three protocol decisions worth knowing:
   was actually sent, then disconnected.  Reconnecting with that cursor
   resumes exactly where delivery stopped.
 
+Records and alerts go out as text encoded once per object
+(:func:`~repro.serve.wire.codec.record_fragment`,
+:func:`~repro.serve.wire.codec.alert_fragment`); the frames are
+byte-identical to encoding the in-process answers afresh.
+
 Failure containment is the other half of the contract: a malformed
 frame, an unknown verb, bad parameters or a handler bug yield a typed
 error response (or a clean close when the byte stream itself is
@@ -324,13 +329,14 @@ class WireConnectionHandler(socketserver.StreamRequestHandler):
         status = self.server.query.token_status(
             contract, token_id, version=version
         )
-        return codec.encode_token_status(status)
+        return codec.encode_token_status(status, record=codec.record_fragment)
 
     def _verb_account_profile(self, params: Dict[str, Any]):
         version = self._resolve_pin(params)
         address = _require(params, "address", str, "string")
         return codec.encode_account_profile(
-            self.server.query.account_profile(address, version=version)
+            self.server.query.account_profile(address, version=version),
+            record=codec.record_fragment,
         )
 
     def _verb_list_confirmed(self, params: Dict[str, Any]):
@@ -365,7 +371,7 @@ class WireConnectionHandler(socketserver.StreamRequestHandler):
             cursor=cursor,
             version=version,
         )
-        return codec.encode_page(page)
+        return codec.encode_page(page, record=codec.record_fragment)
 
     def _verb_collections(self, params: Dict[str, Any]):
         version = self._resolve_version(params)
@@ -411,7 +417,7 @@ class WireConnectionHandler(socketserver.StreamRequestHandler):
             raise RequestError("bad-request", "'limit' must be >= 1")
         batch = self.server.index.alerts_since(since_seq, limit)
         return {
-            "alerts": [codec.encode_alert(alert) for alert in batch],
+            "alerts": [codec.alert_fragment(alert) for alert in batch],
             "last_seq": self.server.index.last_seq,
         }
 
@@ -585,7 +591,7 @@ class WireConnectionHandler(socketserver.StreamRequestHandler):
         the frame and closes the latency ledger after the write."""
         payload: Dict[str, Any] = {
             "event": "alert",
-            "alert": codec.encode_alert(alert),
+            "alert": codec.alert_fragment(alert),
         }
         if alert.trace:
             payload["trace"] = alert.trace

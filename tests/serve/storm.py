@@ -5,7 +5,8 @@ tests repeat: when the monitor has caught the head, reorganize the tail
 so there is always something adversarial to ingest, then advance a
 random bounded stride (with an optional extra mid-sequence reorg).
 :func:`follow_storm` is the in-process variant for head-following
-checks: it holds the tail back and mines it in under reorg storms.
+checks: it holds the tail back and mines it in under reorg storms, and
+:class:`CheckedMonitor` runs a check after each of its ticks.
 """
 
 from __future__ import annotations
@@ -75,3 +76,21 @@ def follow_storm(world, monitor, rng) -> int:
         )
         reorgs += len(storm.run(monitor))
     return reorgs
+
+
+class CheckedMonitor:
+    """A monitor stand-in for :func:`follow_storm` that runs a check
+    after every tick."""
+
+    def __init__(self, monitor, after_tick) -> None:
+        self._monitor = monitor
+        self._after_tick = after_tick
+
+    @property
+    def processed_block(self) -> int:
+        return self._monitor.processed_block
+
+    def advance(self, to_block=None):
+        snapshot = self._monitor.advance(to_block)
+        self._after_tick()
+        return snapshot

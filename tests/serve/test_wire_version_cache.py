@@ -19,25 +19,7 @@ from repro.serve import ServeService
 from repro.serve.wire import RemoteQueryService
 from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
-from tests.serve.storm import follow_storm
-
-
-class CheckedMonitor:
-    """A monitor stand-in for :func:`follow_storm` that runs a check
-    after every tick."""
-
-    def __init__(self, monitor, after_tick) -> None:
-        self._monitor = monitor
-        self._after_tick = after_tick
-
-    @property
-    def processed_block(self) -> int:
-        return self._monitor.processed_block
-
-    def advance(self, to_block=None):
-        snapshot = self._monitor.advance(to_block)
-        self._after_tick()
-        return snapshot
+from tests.serve.storm import CheckedMonitor, follow_storm
 
 
 class Harness:
