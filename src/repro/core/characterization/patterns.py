@@ -22,8 +22,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.core.activity import CandidateComponent, WashTradingActivity
 
 
@@ -38,6 +36,8 @@ class PatternSpec:
 
     def as_graph(self) -> nx.DiGraph:
         """The canonical shape as a NetworkX digraph."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(range(self.node_count))
         graph.add_edges_from(self.edges)
@@ -95,6 +95,8 @@ PATTERN_LIBRARY: Tuple[PatternSpec, ...] = (
 
 def component_shape(component: CandidateComponent) -> nx.DiGraph:
     """Collapse a component's transfers into a simple directed shape graph."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(component.accounts)
     for transfer in component.transfers:
@@ -104,6 +106,8 @@ def component_shape(component: CandidateComponent) -> nx.DiGraph:
 
 def classify_component(component: CandidateComponent) -> Optional[int]:
     """Return the matching pattern id, or None if outside the library."""
+    import networkx as nx
+
     shape = component_shape(component)
     for spec in PATTERN_LIBRARY:
         if shape.number_of_nodes() != spec.node_count:

@@ -13,8 +13,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.chain.types import NFTKey
 from repro.ingest.records import TRANSFER_TIME_ORDER, NFTTransfer
 
@@ -110,6 +108,8 @@ def build_transaction_graph(
     Edges carry the paper's ``(t, h, s, p)`` annotation as attributes
     plus a reference to the full transfer record.
     """
+    import networkx as nx
+
     graph = nx.MultiDiGraph()
     ordered = sorted(transfers, key=TRANSFER_TIME_ORDER)
     for transfer in ordered:

@@ -5,8 +5,10 @@ implemented by the Python library NetworkX" and then keeps the SCCs with
 at least two nodes **plus** single nodes that carry a self-loop (a
 self-trade is a one-node wash trade).  This module provides both an
 independent iterative Tarjan implementation and a NetworkX-backed one;
-tests cross-check them against each other, and the pipeline uses the
-NetworkX path by default, as the paper does.
+tests cross-check them against each other.  Only the legacy oracle
+pipeline takes the NetworkX path, as the paper does; networkx is
+imported on that path alone, so the columnar engine's adjacency Tarjan
+never loads it.
 
 The iterative Tarjan is split in two layers: a flat, integer-indexed
 adjacency-list core (:func:`tarjan_scc_adjacency`) used directly by the
@@ -17,8 +19,6 @@ columnar detection engine, and a thin graph-object wrapper
 from __future__ import annotations
 
 from typing import Hashable, List, Sequence, Set
-
-import networkx as nx
 
 
 def tarjan_scc_adjacency(
@@ -136,6 +136,8 @@ def strongly_connected_components(
     whose node has a self-loop.
     """
     if use_networkx:
+        import networkx as nx
+
         raw = [set(component) for component in nx.strongly_connected_components(graph)]
     else:
         raw = tarjan_scc(graph)

@@ -22,6 +22,7 @@ from repro.serve import (
     AggregateCache,
     ServeIndex,
     ServeService,
+    record_key,
     serving_parity_mismatches,
 )
 from repro.serve.cache import FUNNEL_SCOPE, collection_scope, venue_scope
@@ -30,7 +31,21 @@ from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
 from repro.simulation.reorg import ReorgStorm
 from repro.stream import StreamingMonitor
+from repro.stream.alerts import AlertKind
 from tests.serve.storm import follow_storm
+
+
+def confirmation_coordinates(alerts):
+    """Record key -> ``(seq, block)`` folded from an alert log: each
+    ACTIVITY_CONFIRMED sets its identity's coordinates and a later
+    ACTIVITY_RETRACTED of that identity removes them."""
+    coordinates = {}
+    for alert in alerts:
+        if alert.kind is AlertKind.ACTIVITY_CONFIRMED:
+            coordinates[record_key(alert.activity)] = (alert.seq, alert.block)
+        elif alert.kind is AlertKind.ACTIVITY_RETRACTED:
+            del coordinates[record_key(alert.activity)]
+    return coordinates
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +192,30 @@ class TestVersions:
         assert store.order_epoch > 0, "the storm must remove a token"
         assert len({v.accounts_epoch for v in seen}) > 1
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_confirmation_coordinates_fold_the_alert_log(self, seed):
+        """Through a reorg storm, every published version serves each
+        confirmed identity at the seq and block of the confirmation
+        alert that is still live in the log up to its ``last_seq``."""
+        world = build_default_world(SimulationConfig.tiny())
+        service = ServeService.for_world(world, max_reorg_depth=64)
+        index = service.index
+        checked = []
+
+        def check(version):
+            served = {
+                r.key: (r.seq, r.confirmed_at_block) for r in version.confirmed
+            }
+            assert served == confirmation_coordinates(
+                index.alert_log[: version.last_seq + 1]
+            )
+            checked.append(version.version)
+
+        index.subscribe_versions(check)
+        assert follow_storm(world, service.monitor, random.Random(seed))
+        assert not index.subscriber_errors
+        assert len(checked) == service.monitor.tick_count > 100
+
     def test_maintained_funnel_matches_refold_through_a_storm(self):
         """Every published version's maintained funnel is bit-equal to a
         from-scratch fold over the scheduler's token states at publish
@@ -230,8 +269,12 @@ class TestPointLookups:
         nft = tiny_columnar_batch.activities[0].nft
         status = served.query.token_status(nft)
         assert status.is_washed
-        assert status.records[0].confirmed_at_block >= 0
-        assert status.records[0].seq >= 0
+        version = served.query.version()
+        expected = confirmation_coordinates(
+            served.index.alert_log[: version.last_seq + 1]
+        )
+        for record in status.records:
+            assert (record.seq, record.confirmed_at_block) == expected[record.key]
         by_parts = served.query.token_status(nft.contract, nft.token_id)
         assert by_parts == status
 
