@@ -23,6 +23,8 @@ The package is organised in layers:
   versioned, snapshot-isolated read model, a concurrent wash-status
   query API with dirty-token-keyed aggregate caching, and replayable
   alert subscription cursors.
+* :mod:`repro.verify` -- the one answer-parity check: the legacy oracle's
+  reference result and the comparator every parity check decides with.
 * :mod:`repro.simulation` -- a seeded synthetic workload generator that
   plants ground-truth wash trading in a full synthetic world.
 * :mod:`repro.analysis` -- regenerates every table and figure of the

@@ -14,7 +14,7 @@ Two subcommands share the synthetic-world presets:
   together (:mod:`repro.serve`): an ingest thread follows the chain
   while query workers hammer the versioned wash-status API, then
   reports throughput, cache efficiency and (with ``--verify``) full
-  serving parity against a batch build.  With ``--listen HOST:PORT``
+  serving parity against the legacy oracle's batch build.  With ``--listen HOST:PORT``
   it additionally serves the wire protocol
   (:mod:`repro.serve.wire`) beside ingest and keeps serving until
   interrupted; ``SIGINT``/``SIGTERM`` trigger a graceful shutdown --
@@ -330,10 +330,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--verify",
         action="store_true",
         help=(
-            "after ingest, check every query answer against a fresh batch "
-            "pipeline build -- and, with --listen, every wire answer "
-            "against the in-process service through the socket (exit 2 "
-            "on any mismatch)"
+            "after ingest, check the live result and every query answer "
+            "against the legacy oracle's batch build -- and, with --listen, "
+            "every wire answer against the in-process service through the "
+            "socket (exit 2 on any mismatch)"
         ),
     )
     parser.add_argument(
@@ -927,9 +927,8 @@ def run_serve(argv: Sequence[str]) -> int:
     """The query-service subcommand: threaded ingest + query workers."""
     from repro.serve import ServeService, serving_parity_mismatches
     from repro.serve.load import LoadGenerator
-    from repro.core.detectors.pipeline import WashTradingPipeline
-    from repro.ingest.dataset import build_dataset
     from repro.stream import StreamingMonitor
+    from repro.verify import reference, result_mismatches
 
     args = build_serve_parser().parse_args(argv)
     config = PRESETS[args.preset]()
@@ -1066,13 +1065,13 @@ def run_serve(argv: Sequence[str]) -> int:
                 file=sys.stderr,
             )
         if args.verify and not interrupted.is_set():
-            batch = WashTradingPipeline(
-                labels=world.labels,
-                is_contract=world.is_contract,
-                engine="columnar",
-            enabled_methods=_enabled_methods(args),
-            ).run(build_dataset(world.node, world.marketplace_addresses))
-            mismatches = serving_parity_mismatches(query, batch)
+            oracle = reference(
+                world,
+                to_block=monitor.processed_block,
+                enabled_methods=_enabled_methods(args),
+            )
+            mismatches = result_mismatches(result, oracle)
+            mismatches += serving_parity_mismatches(query, oracle)
             if mismatches:
                 for mismatch in mismatches:
                     print(f"parity mismatch: {mismatch}", file=sys.stderr)

@@ -31,10 +31,12 @@ wallet actually calls:
 
 Parity bar (pinned by ``tests/serve`` and
 ``benchmarks/bench_serve_load.py``): at every published version --
-including mid-reorg-storm -- every query answer equals a fresh batch
-``WashTradingPipeline(engine="columnar")`` build over the same chain
-prefix; :func:`~repro.serve.parity.serving_parity_mismatches` is that
-self-check.
+including mid-reorg-storm -- every query answer equals the reference
+over the same chain prefix;
+:func:`~repro.serve.parity.serving_parity_mismatches` is that
+self-check.  ``serve --verify`` and the scenario runner check the final
+version against the legacy networkx oracle
+(:func:`repro.verify.reference`).
 """
 
 from repro.serve.cache import AggregateCache, CacheStats

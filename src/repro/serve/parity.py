@@ -1,15 +1,17 @@
-"""Serving-parity self-check: every query answer vs a batch build.
+"""Serving-parity self-check: every query answer vs the legacy oracle.
 
 The acceptance bar of the serving layer mirrors the streaming stack's:
 at every published version, every :class:`~repro.serve.query.QueryService`
-answer must equal what a fresh batch
-``WashTradingPipeline(engine="columnar")`` build over the same chain
-prefix would say.  :func:`serving_parity_mismatches` walks the whole
-query surface -- the confirmed listing (including its pagination),
-point lookups, account profiles, funnel statistics and both rollup
-families -- and returns a human-readable description of every
-divergence (empty list = parity).  Shared by ``tests/serve`` and
-``benchmarks/bench_serve_load.py``, and exposed to operators through
+answer must equal what the reference says over the same chain prefix.
+The operator and scenario checks pass the legacy oracle's answer
+(:func:`repro.verify.reference`); per-version checks in tests may pass
+a columnar batch build at that version.
+:func:`serving_parity_mismatches` walks the whole query surface -- the
+confirmed listing (including its pagination), point lookups, account
+profiles, funnel statistics and both rollup families -- and returns a
+human-readable description of every divergence (empty list = parity).
+Shared by ``tests/serve``, ``benchmarks/bench_serve_load.py`` and
+``perfbench``, and exposed to operators through
 ``python -m repro serve --verify``.
 """
 
@@ -22,23 +24,7 @@ from repro.core.activity import WashTradingActivity
 from repro.core.detectors.pipeline import PipelineResult
 from repro.serve.model import OFF_MARKET, ServeVersion
 from repro.serve.query import QueryService
-
-
-def activity_fingerprint(activity: WashTradingActivity) -> Tuple:
-    """Full value identity of one activity (evidence details included)."""
-    return (
-        activity.nft.contract,
-        activity.nft.token_id,
-        tuple(sorted(activity.accounts)),
-        tuple(sorted(method.value for method in activity.methods)),
-        tuple(sorted(t.tx_hash for t in activity.component.transfers)),
-        tuple(
-            sorted(
-                repr(sorted(evidence.details.items()))
-                for evidence in activity.evidence
-            )
-        ),
-    )
+from repro.verify import activity_fingerprint
 
 
 def _venue_of(activity: WashTradingActivity) -> str:

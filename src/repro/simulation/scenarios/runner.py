@@ -12,7 +12,8 @@ model, the wire tier -- under a
    width, paced by the accelerated clock, injecting the phase's reorg
    profile between ticks, with the phase's SLOs armed on the monitor;
 3. at the end the run settles to head and the three parity bars are
-   checked -- stream-vs-batch, serve-vs-batch, wire-vs-in-process --
+   checked -- stream-vs-batch and serve-vs-batch against the legacy
+   oracle's batch build (:mod:`repro.verify`), wire-vs-in-process --
    plus one typed verdict per phase SLO.
 
 A run that misses any bar raises
@@ -27,11 +28,9 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
-from repro.core.detectors.pipeline import WashTradingPipeline
-from repro.ingest.dataset import build_dataset
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SLOEngine, latency_objective
-from repro.serve.parity import activity_fingerprint, serving_parity_mismatches
+from repro.serve.parity import serving_parity_mismatches
 from repro.serve.service import ServeService
 from repro.simulation.reorg import apply_random_reorg
 from repro.simulation.scenarios.clock import SimulatedClock
@@ -48,6 +47,7 @@ from repro.simulation.scenarios.spec import (
 )
 from repro.stream.alerts import AlertKind
 from repro.utils.rng import DeterministicRNG
+from repro.verify import reference, result_mismatches
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import; a real
     # one would close the builder <-> scenarios package cycle (the
@@ -258,27 +258,6 @@ def _block_timestamp(node, number: int) -> Optional[int]:
         return None
 
 
-def _stream_batch_mismatches(stream, batch) -> List[str]:
-    """Structural stream-vs-batch divergence, as readable strings."""
-    problems: List[str] = []
-    if stream.refinement.stages != batch.refinement.stages:
-        problems.append("refinement funnel stages diverge")
-    stream_acts = sorted(map(activity_fingerprint, stream.activities))
-    batch_acts = sorted(map(activity_fingerprint, batch.activities))
-    if stream_acts != batch_acts:
-        problems.append(
-            f"confirmed activities diverge: stream {len(stream_acts)}, "
-            f"batch {len(batch_acts)}"
-        )
-    if stream.count_by_method() != batch.count_by_method():
-        problems.append("per-method confirmation counts diverge")
-    if stream.venn_counts() != batch.venn_counts():
-        problems.append("method venn counts diverge")
-    if stream.washed_nfts() != batch.washed_nfts():
-        problems.append("washed NFT sets diverge")
-    return problems
-
-
 def _encode_alert_log(alerts) -> bytes:
     """Canonical bytes of the detection-alert stream.
 
@@ -441,26 +420,18 @@ def run_scenario(
         report.funnel_stats_json = _encode_funnel(service.query)
 
         if options.verify_parity:
-            say("verifying parity against a batch build...")
-            stream_result = service.monitor.result()
-            dataset = build_dataset(
-                world.node, world.marketplace_addresses
-            )
-            batch = WashTradingPipeline(
-                labels=world.labels,
-                is_contract=world.is_contract,
-                engine="columnar",
-            ).run(dataset)
+            say("verifying parity against the legacy oracle...")
+            oracle = reference(world, to_block=service.monitor.processed_block)
             report.parity.append(
                 ParityCheck(
                     "stream-vs-batch",
-                    tuple(_stream_batch_mismatches(stream_result, batch)),
+                    tuple(result_mismatches(service.result(), oracle)),
                 )
             )
             report.parity.append(
                 ParityCheck(
                     "serve-vs-batch",
-                    tuple(serving_parity_mismatches(service.query, batch)),
+                    tuple(serving_parity_mismatches(service.query, oracle)),
                 )
             )
             if options.wire:

@@ -116,7 +116,7 @@ NO_NUMPY_SCRIPT = textwrap.dedent(
 
     from repro.core.detectors.pipeline import WashTradingPipeline
     from repro.ingest.dataset import build_dataset
-    from repro.serve.parity import activity_fingerprint
+    from repro.verify import result_mismatches
     from repro.simulation.builder import build_default_world
     from repro.simulation.config import SimulationConfig
     from repro.stream import StreamingMonitor
@@ -127,20 +127,16 @@ NO_NUMPY_SCRIPT = textwrap.dedent(
     cache = monitor.scheduler._cache
     dataset = build_dataset(world.node, world.marketplace_addresses)
 
-    def answer(engine):
-        result = WashTradingPipeline(
+    def run(engine):
+        return WashTradingPipeline(
             labels=world.labels, is_contract=world.is_contract, engine=engine
         ).run(dataset)
-        return (
-            result.refinement.stages,
-            sorted(map(activity_fingerprint, result.activities)),
-        )
 
-    legacy = answer("legacy")
+    legacy = run("legacy")
     print(json.dumps({
         "cached_accounts": 0 if cache is None else len(cache._entries),
-        "columnar_equals_legacy": answer("columnar") == legacy,
-        "activities": len(legacy[1]),
+        "columnar_equals_legacy": result_mismatches(run("columnar"), legacy) == [],
+        "activities": len(legacy.activities),
     }))
     """
 )

@@ -33,11 +33,10 @@ from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
 from repro.simulation.reorg import ReorgStorm
 from repro.stream import DirtyTokenScheduler, StreamingMonitor
+from repro.verify import component_fingerprint, result_mismatches
 from tests.engine.test_parity import (
     CONTRACT_SET,
     REGULARS,
-    activity_key,
-    candidate_key,
     make_labels,
     make_transfer,
     minimal_dataset,
@@ -53,23 +52,9 @@ def stages_of(refinement):
 
 def assert_refinements_equal(single, batch):
     assert stages_of(single) == stages_of(batch)
-    assert list(map(candidate_key, single.candidates)) == list(
-        map(candidate_key, batch.candidates)
+    assert list(map(component_fingerprint, single.candidates)) == list(
+        map(component_fingerprint, batch.candidates)
     )
-
-
-def assert_full_parity(engine, legacy):
-    assert engine.refinement.stages == legacy.refinement.stages
-    assert sorted(map(candidate_key, engine.refinement.candidates)) == sorted(
-        map(candidate_key, legacy.refinement.candidates)
-    )
-    assert sorted(map(activity_key, engine.activities)) == sorted(
-        map(activity_key, legacy.activities)
-    )
-    assert len(engine.unconfirmed) == len(legacy.unconfirmed)
-    assert engine.count_by_method() == legacy.count_by_method()
-    assert engine.venn_counts() == legacy.venn_counts()
-    assert engine.washed_nfts() == legacy.washed_nfts()
 
 
 # -- refinement-layer parity ---------------------------------------------------
@@ -211,7 +196,7 @@ class TestVolumeMatchParity:
         columnar = run_backend(
             tiny_world, tiny_dataset, enabled_methods=self.METHODS, engine="columnar"
         )
-        assert_full_parity(columnar, legacy)
+        assert result_mismatches(columnar, legacy) == []
         assert DetectionMethod.VOLUME_MATCH in columnar.count_by_method()
 
     def test_streaming_agrees_with_batch_with_volume_match(

@@ -23,6 +23,7 @@ from repro.engine.store import ColumnarTransferStore
 from repro.ingest.dataset import NFTDataset, build_dataset
 from repro.ingest.records import NFTTransfer
 from repro.services.labels import LabelRegistry
+from repro.verify import component_fingerprint, result_mismatches
 
 REGULARS = [f"0xa{index}" for index in range(8)]
 SERVICES = ["0xsvc0", "0xsvc1"]
@@ -60,15 +61,6 @@ def minimal_dataset(transfers_by_nft) -> NFTDataset:
         scan=None,
         account_transactions={},
         marketplace_addresses={},
-    )
-
-
-def candidate_key(component):
-    return (
-        component.nft.contract,
-        component.nft.token_id,
-        tuple(sorted(component.accounts)),
-        tuple(sorted(transfer.tx_hash for transfer in component.transfers)),
     )
 
 
@@ -113,8 +105,8 @@ def test_masked_refinement_matches_legacy_funnel(histories):
     )
 
     assert [stage.to_stage() for stage in engine.stages] == legacy.stages
-    assert sorted(map(candidate_key, engine.candidates)) == sorted(
-        map(candidate_key, legacy.candidates)
+    assert sorted(map(component_fingerprint, engine.candidates)) == sorted(
+        map(component_fingerprint, legacy.candidates)
     )
 
 
@@ -152,8 +144,8 @@ def test_masked_refinement_matches_legacy_with_skips(
     )
 
     assert [stage.to_stage() for stage in engine.stages] == legacy.stages
-    assert sorted(map(candidate_key, engine.candidates)) == sorted(
-        map(candidate_key, legacy.candidates)
+    assert sorted(map(component_fingerprint, engine.candidates)) == sorted(
+        map(component_fingerprint, legacy.candidates)
     )
 
 
@@ -172,40 +164,11 @@ def run_backend(world, dataset, **kwargs):
     return pipeline.run(dataset)
 
 
-def activity_key(activity):
-    return (
-        activity.nft.contract,
-        activity.nft.token_id,
-        tuple(sorted(activity.accounts)),
-        tuple(sorted(method.value for method in activity.methods)),
-        tuple(sorted(t.tx_hash for t in activity.component.transfers)),
-        tuple(
-            sorted(
-                repr(sorted(evidence.details.items()))
-                for evidence in activity.evidence
-            )
-        ),
-    )
-
-
 class TestFullPipelineParity:
     def test_engine_matches_legacy_on_tiny_world(self, tiny_world, tiny_dataset):
         legacy = run_backend(tiny_world, tiny_dataset)
         engine = run_backend(tiny_world, tiny_dataset, engine="columnar")
-
-        assert engine.refinement.stages == legacy.refinement.stages
-        assert sorted(map(candidate_key, engine.refinement.candidates)) == sorted(
-            map(candidate_key, legacy.refinement.candidates)
-        )
-        assert sorted(map(activity_key, engine.activities)) == sorted(
-            map(activity_key, legacy.activities)
-        )
-        assert len(engine.unconfirmed) == len(legacy.unconfirmed)
-        assert engine.count_by_method() == legacy.count_by_method()
-        assert engine.venn_counts() == legacy.venn_counts()
-        assert engine.funder_kind_counts() == legacy.funder_kind_counts()
-        assert engine.exit_kind_counts() == legacy.exit_kind_counts()
-        assert engine.washed_nfts() == legacy.washed_nfts()
+        assert result_mismatches(engine, legacy) == []
 
     def test_engine_respects_enabled_methods(self, tiny_world, tiny_dataset):
         from repro.core.activity import DetectionMethod
@@ -215,10 +178,7 @@ class TestFullPipelineParity:
         engine = run_backend(
             tiny_world, tiny_dataset, enabled_methods=methods, engine="columnar"
         )
-        assert sorted(map(activity_key, engine.activities)) == sorted(
-            map(activity_key, legacy.activities)
-        )
-        assert engine.count_by_method() == legacy.count_by_method()
+        assert result_mismatches(engine, legacy) == []
 
     def test_unknown_engine_rejected(self, tiny_world):
         with pytest.raises(ValueError):

@@ -213,3 +213,24 @@ class TestRunner:
         )
         assert not report.ok
         assert any(not verdict.ok for verdict in report.verdicts)
+
+
+#: Every registered scenario but the paced soak: each replays unpaced in
+#: well under a second.
+UNPACED_SCENARIOS = [
+    name for name in scenario_names() if "soak" not in get_scenario(name).tags
+]
+
+
+@pytest.mark.parametrize("name", UNPACED_SCENARIOS)
+def test_registered_scenario_agrees_with_the_oracle(name):
+    report = run_scenario(
+        name,
+        RunOptions(speed=0, wire=False, evaluate_slos=False, raise_on_failure=False),
+    )
+    assert report.ok
+    assert [check.name for check in report.parity] == [
+        "stream-vs-batch",
+        "serve-vs-batch",
+    ]
+    assert all(check.mismatches == () for check in report.parity)

@@ -27,6 +27,7 @@ from repro.ingest.dataset import NFTDataset, build_dataset
 from repro.ingest.records import NFTTransfer
 from repro.services.labels import LabelRegistry
 from repro.stream import DatasetCursor, DirtyTokenScheduler, StreamingMonitor
+from repro.verify import activity_fingerprint, component_fingerprint, result_mismatches
 
 REGULARS = [f"0xa{index}" for index in range(8)]
 SERVICES = ["0xsvc0", "0xsvc1"]
@@ -63,31 +64,6 @@ def minimal_dataset(transfers_by_nft) -> NFTDataset:
         scan=None,
         account_transactions={},
         marketplace_addresses={},
-    )
-
-
-def candidate_key(component):
-    return (
-        component.nft.contract,
-        component.nft.token_id,
-        tuple(sorted(component.accounts)),
-        tuple(sorted(transfer.tx_hash for transfer in component.transfers)),
-    )
-
-
-def activity_key(activity):
-    return (
-        activity.nft.contract,
-        activity.nft.token_id,
-        tuple(sorted(activity.accounts)),
-        tuple(sorted(method.value for method in activity.methods)),
-        tuple(sorted(t.tx_hash for t in activity.component.transfers)),
-        tuple(
-            sorted(
-                repr(sorted(evidence.details.items()))
-                for evidence in activity.evidence
-            )
-        ),
     )
 
 
@@ -136,27 +112,16 @@ def replay_through_scheduler(histories, block_order):
 
 
 def assert_results_match(stream, batch, ordered=False):
-    assert stream.refinement.stages == batch.refinement.stages
+    """``result_mismatches`` decides parity; ``ordered`` also pins that
+    the stream keeps candidates and activities in batch order."""
+    assert result_mismatches(stream, batch) == []
     if ordered:
-        assert list(map(candidate_key, stream.refinement.candidates)) == list(
-            map(candidate_key, batch.refinement.candidates)
+        assert list(map(component_fingerprint, stream.refinement.candidates)) == list(
+            map(component_fingerprint, batch.refinement.candidates)
         )
-        assert list(map(activity_key, stream.activities)) == list(
-            map(activity_key, batch.activities)
+        assert list(map(activity_fingerprint, stream.activities)) == list(
+            map(activity_fingerprint, batch.activities)
         )
-    else:
-        assert sorted(map(candidate_key, stream.refinement.candidates)) == sorted(
-            map(candidate_key, batch.refinement.candidates)
-        )
-        assert sorted(map(activity_key, stream.activities)) == sorted(
-            map(activity_key, batch.activities)
-        )
-    assert sorted(map(candidate_key, stream.unconfirmed)) == sorted(
-        map(candidate_key, batch.unconfirmed)
-    )
-    assert stream.count_by_method() == batch.count_by_method()
-    assert stream.venn_counts() == batch.venn_counts()
-    assert stream.washed_nfts() == batch.washed_nfts()
 
 
 def run_batch_columnar(histories):

@@ -30,7 +30,8 @@ from repro.stream import (
     ReorgTooDeepError,
     StreamingMonitor,
 )
-from tests.stream.test_stream_parity import activity_key, assert_results_match
+from repro.verify import activity_fingerprint
+from tests.stream.test_stream_parity import assert_results_match
 
 
 def identity_key(activity):
@@ -237,7 +238,7 @@ class TestRevisionSemantics:
                 t.block_number for t in activity.component.transfers
             ),
         )
-        target_key = activity_key(target)
+        target_key = activity_fingerprint(target)
         last_block = max(t.block_number for t in target.component.transfers)
         depth = head - last_block + 1
 
@@ -252,13 +253,13 @@ class TestRevisionSemantics:
         kinds = [alert.kind for alert in snap.alerts]
         assert kinds[0] is AlertKind.REORG_DETECTED
         retracted_keys = {
-            activity_key(alert.activity)
+            activity_fingerprint(alert.activity)
             for alert in snap.alerts
             if alert.kind is AlertKind.ACTIVITY_RETRACTED
         }
         assert target_key in retracted_keys
         assert target_key not in {
-            activity_key(a) for a in monitor.result().activities
+            activity_fingerprint(a) for a in monitor.result().activities
         }
 
         # Reorg 2: the original branch returns; the activity must too.
@@ -266,7 +267,7 @@ class TestRevisionSemantics:
         snap = monitor.advance()
         assert snap.reorg_depth == depth
         confirmed_keys = {
-            activity_key(alert.activity)
+            activity_fingerprint(alert.activity)
             for alert in snap.alerts
             if alert.kind is AlertKind.ACTIVITY_CONFIRMED
         }

@@ -4,9 +4,10 @@ The legacy pipeline and the Fig. 7 pattern analysis import networkx
 where they call it; the columnar engine, the stream and serve layers and
 the wire front end run on the stdlib alone.  Whether a
 module is loaded is process state, so the check runs in a fresh
-interpreter: it drives the whole production path, asserts networkx is
-still absent, then runs the legacy oracle over the same dataset and
-asserts networkx is now loaded and both answers agree.
+interpreter: it imports the parity checks (:mod:`repro.verify`) and
+drives the whole production path, asserts networkx is still absent,
+then runs the legacy oracle (:func:`repro.verify.reference`) and asserts
+networkx is now loaded and both answers agree.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ PRODUCTION_THEN_ORACLE = textwrap.dedent(
     from repro.core.detectors.pipeline import WashTradingPipeline
     from repro.ingest.dataset import build_dataset
     from repro.serve import ServeService
-    from repro.serve.parity import activity_fingerprint
     from repro.serve.wire import RemoteQueryService
     from repro.simulation.builder import build_default_world
     from repro.simulation.config import SimulationConfig
+    from repro.verify import reference, result_mismatches
+
+    assert "networkx" not in sys.modules, "importing the checks loaded networkx"
 
     world = build_default_world(SimulationConfig.tiny())
     head = world.node.block_number
@@ -61,25 +64,15 @@ PRODUCTION_THEN_ORACLE = textwrap.dedent(
         remote.close()
         service.shutdown()
 
-    def run(engine):
-        pipeline = WashTradingPipeline(
-            labels=world.labels, is_contract=world.is_contract, engine=engine
-        )
-        return pipeline.run(dataset)
-
-    dataset = build_dataset(world.node, world.marketplace_addresses)
-    columnar = run("columnar")
+    columnar = WashTradingPipeline(
+        labels=world.labels, is_contract=world.is_contract, engine="columnar"
+    ).run(build_dataset(world.node, world.marketplace_addresses))
     assert "networkx" not in sys.modules, "production path loaded networkx"
 
-    legacy = run("legacy")
+    legacy = reference(world)
     assert "networkx" in sys.modules, "legacy oracle ran without networkx"
-    assert columnar.refinement.stages == legacy.refinement.stages
-    assert sorted(map(activity_fingerprint, columnar.activities)) == sorted(
-        map(activity_fingerprint, legacy.activities)
-    )
+    assert result_mismatches(columnar, legacy) == []
     assert columnar.activities
-    assert len(columnar.unconfirmed) == len(legacy.unconfirmed)
-    assert columnar.count_by_method() == legacy.count_by_method()
     print("ok", len(columnar.activities))
     """
 )
