@@ -11,13 +11,16 @@ can never create a new cycle, so they can never re-enter the funnel.
 
 The funnel produces exactly the same :class:`CandidateComponent` objects
 and per-stage statistics as the legacy path; ``tests/engine`` holds the
-parity proofs.
+parity proofs.  Per-token stage records fold into batch totals through
+:class:`StageAccumulator`, and into the live scheduler's running totals
+through :class:`FunnelMaintainer`, which also un-folds them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.activity import CandidateComponent
 from repro.core.refine import FunnelStage, RefinementFunnel
@@ -114,6 +117,128 @@ class StageAccumulator:
     def to_stage(self) -> FunnelStage:
         """Freeze into the report-facing statistics record."""
         return self.freeze().to_stage()
+
+
+class _StageCounts:
+    """Invertible statistics of one funnel stage across every token."""
+
+    __slots__ = (
+        "nft_count",
+        "component_count",
+        "account_tokens",
+        "_crossed",
+        "_record",
+    )
+
+    def __init__(self) -> None:
+        self.nft_count = 0
+        self.component_count = 0
+        #: account id -> number of tokens contributing it;
+        #: the key set is exactly the stage's distinct account union.
+        self.account_tokens: Counter = Counter()
+        #: Account ids that joined or left the key set since the last
+        #: :meth:`materialize` (a retire-then-install of the same token
+        #: crosses and re-crosses, so only a recheck tells a net move).
+        self._crossed: Set[int] = set()
+        self._record: Optional[StageRecord] = None
+
+    def apply(self, stage: StageRecord, sign: int) -> None:
+        if not stage.nft_count:
+            return
+        self.nft_count += sign * stage.nft_count
+        self.component_count += sign * stage.component_count
+        counts = self.account_tokens
+        crossed = self._crossed
+        for account_id in stage.account_ids:
+            fresh = counts[account_id] + sign
+            if fresh:
+                counts[account_id] = fresh
+                if fresh == 1 and sign > 0:
+                    crossed.add(account_id)
+            else:
+                del counts[account_id]
+                crossed.add(account_id)
+
+    def materialize(self, name: str) -> StageRecord:
+        """The stage as a record; while the account key set is
+        unchanged the previous record's frozenset is shared (and the
+        whole record, when the counts did not move either)."""
+        record = self._record
+        counts = self.account_tokens
+        if record is None or any(
+            (account_id in counts) != (account_id in record.account_ids)
+            for account_id in self._crossed
+        ):
+            accounts = frozenset(counts)
+        else:
+            accounts = record.account_ids
+        self._crossed.clear()
+        if (
+            record is None
+            or accounts is not record.account_ids
+            or record.nft_count != self.nft_count
+            or record.component_count != self.component_count
+        ):
+            record = StageRecord(
+                name, self.nft_count, self.component_count, accounts
+            )
+            self._record = record
+        return record
+
+
+class FunnelMaintainer:
+    """The funnel over a changing set of token states, kept by deltas.
+
+    Folding every token's stage records is O(tokens); the live path
+    instead applies only what a tick changed.  Every per-token stage
+    statistic is invertible -- ``nft_count`` and ``component_count``
+    subtract, and the distinct-account union becomes a multiset
+    (account id -> number of contributing tokens) whose key set *is*
+    the union.  ``apply(old, new)`` retires one token's previous state
+    and installs its replacement (either side None for an appearing or
+    vanishing token; a state is anything with ``stages`` and
+    ``candidates``).  :meth:`materialize` freezes the totals into one
+    :class:`StageRecord` per stage.  The maintainer is exact: applied
+    at every replacement of a token's state, it equals the full refold
+    (:class:`StageAccumulator` over every state).
+    """
+
+    def __init__(self) -> None:
+        self._stages: List[_StageCounts] = [
+            _StageCounts() for _ in STAGE_NAMES
+        ]
+        self.candidate_count = 0
+
+    def apply(self, old: Optional[object], new: Optional[object]) -> None:
+        """Replace one token's contribution (None = absent on that side).
+
+        Only the stages whose record changed value are retired and
+        re-installed: a re-refined token whose funnel statistics did not
+        move costs one record comparison per stage, and leaves the
+        stage's account set untouched.
+        """
+        if old is new:
+            return
+        before = EMPTY_STAGES if old is None else old.stages
+        after = EMPTY_STAGES if new is None else new.stages
+        self.candidate_count += (0 if new is None else len(new.candidates)) - (
+            0 if old is None else len(old.candidates)
+        )
+        if before is after:
+            return
+        for counts, retired, installed in zip(self._stages, before, after):
+            if retired != installed:
+                counts.apply(retired, -1)
+                counts.apply(installed, 1)
+
+    def materialize(self) -> Tuple[StageRecord, ...]:
+        """The maintained totals, one record per stage.  A stage whose
+        statistics did not move since the previous call returns the
+        same record (and so the same account-id frozenset)."""
+        return tuple(
+            counts.materialize(name)
+            for counts, name in zip(self._stages, STAGE_NAMES)
+        )
 
 
 def token_components(

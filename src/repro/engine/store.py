@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.chain.types import NFTKey
 from repro.ingest.records import TRANSFER_TIME_ORDER, NFTTransfer
@@ -58,8 +58,12 @@ class TokenColumns:
 class ColumnarTransferStore:
     """Every NFT's transfers in interned, columnar form.
 
-    Built once per dataset; the refinement funnel and the executor only
-    ever read it.  Token insertion order matches the dataset's
+    A batch run builds one per dataset and only reads it.  The live
+    cursor (:class:`~repro.stream.cursor.DatasetCursor`) keeps its
+    transfers nowhere else: it grows the store tick by tick through
+    :meth:`append_token_transfers`, which only ever appends in row
+    order, and undoes a reorg by row-count watermarks through
+    :meth:`truncate_token`.  Token insertion order matches the dataset's
     ``transfers_by_nft`` iteration order so the engine's candidates line
     up with the legacy pipeline's candidate order.
     """
@@ -69,13 +73,8 @@ class ColumnarTransferStore:
         self.accounts: List[str] = []
         self._ids: Dict[str, int] = {}
         self.tokens: Dict[NFTKey, TokenColumns] = {}
-        #: Tokens whose columns went through the out-of-order rebuild
-        #: fallback since their creation.  Row positions of such tokens no
-        #: longer correspond to append order, so rollback consumers must
-        #: re-columnarize them instead of truncating by row count.
-        self.rebuilt_tokens: Set[NFTKey] = set()
-        #: Bumped whenever a token leaves :attr:`tokens` (the rollback
-        #: and rebuild paths both go through :meth:`remove_token`).
+        #: Bumped whenever a token leaves :attr:`tokens` (a rollback
+        #: that empties a token goes through :meth:`remove_token`).
         #: Between bumps the token order only grows at its end, so a
         #: reader holding an ordering with the same epoch can extend it
         #: from its old length instead of re-reading every token.
@@ -96,49 +95,32 @@ class ColumnarTransferStore:
         return new_id
 
     def add_token(self, nft: NFTKey, transfers: Sequence[NFTTransfer]) -> TokenColumns:
-        """Intern and columnarize the transfers of one NFT.
-
-        If the token already exists its :class:`TokenColumns` object is
-        rewritten *in place*, so every caller holding a previously
-        returned columns reference keeps seeing current rows -- the
-        out-of-order append fallback and the rollback path both rely on
-        this aliasing guarantee.
-        """
+        """Intern and columnarize the transfers of one NFT new to the store."""
+        if nft in self.tokens:
+            raise ValueError(
+                f"{nft} is already stored; append_token_transfers extends it"
+            )
         ordered = tuple(sorted(transfers, key=TRANSFER_TIME_ORDER))
         # Comprehensions + array-from-list beat per-row appends; this is
         # the hottest loop of the store build.
         intern = self.intern
         sender_ids = [intern(transfer.sender) for transfer in ordered]
         recipient_ids = [intern(transfer.recipient) for transfer in ordered]
-        timestamps = array("q", [transfer.timestamp for transfer in ordered])
-        senders = array("q", sender_ids)
-        recipients = array("q", recipient_ids)
-        payment_flags = bytes(
-            1 if transfer.has_payment else 0 for transfer in ordered
-        )
         token_ids = set(sender_ids)
         token_ids.update(recipient_ids)
-        columns = self.tokens.get(nft)
-        self._row_total += len(ordered)
-        if columns is not None:
-            self._row_total -= columns.row_count
-            columns.transfers = ordered
-            columns.timestamps = timestamps
-            columns.senders = senders
-            columns.recipients = recipients
-            columns.payment_flags = payment_flags
-            columns.account_ids = frozenset(token_ids)
-            return columns
         columns = TokenColumns(
             nft=nft,
             transfers=ordered,
-            timestamps=timestamps,
-            senders=senders,
-            recipients=recipients,
-            payment_flags=payment_flags,
+            timestamps=array("q", [transfer.timestamp for transfer in ordered]),
+            senders=array("q", sender_ids),
+            recipients=array("q", recipient_ids),
+            payment_flags=bytes(
+                1 if transfer.has_payment else 0 for transfer in ordered
+            ),
             account_ids=frozenset(token_ids),
         )
         self.tokens[nft] = columns
+        self._row_total += len(ordered)
         return columns
 
     @classmethod
@@ -160,14 +142,15 @@ class ColumnarTransferStore:
     def append_token_transfers(
         self, nft: NFTKey, transfers: Sequence[NFTTransfer]
     ) -> Optional[TokenColumns]:
-        """Append new transfers to one token, keeping row order intact.
+        """Append new transfers to one token, extending its columns in place.
 
-        This is the streaming ingest path: when the new rows all sort
-        after the token's current tail (the common case -- blocks arrive
-        in order), the columns are extended in place; otherwise the token
-        is re-columnarized from scratch, so the result is always
-        identical to an :meth:`add_token` over the union.  An empty
-        chunk never creates a token (None for an unknown ``nft``).
+        This is the streaming ingest path.  The chain's blocks carry
+        non-decreasing timestamps, so new rows always sort at or after
+        the token's current tail; rows sorting before it are an input
+        error (``ValueError``, the columns untouched), which keeps row
+        positions equal to append order -- the watermark rollback of
+        :meth:`truncate_token` relies on it.  An empty chunk never
+        creates a token (None for an unknown ``nft``).
         """
         if not transfers:
             return self.tokens.get(nft)
@@ -179,11 +162,10 @@ class ColumnarTransferStore:
         if columns.transfers and TRANSFER_TIME_ORDER(ordered[0]) < TRANSFER_TIME_ORDER(
             columns.transfers[-1]
         ):
-            # Out-of-order arrival: rebuild the token's columns wholesale
-            # (in place -- add_token rewrites the existing TokenColumns,
-            # so column references held by callers stay live).
-            self.rebuilt_tokens.add(nft)
-            return self.add_token(nft, tuple(columns.transfers) + tuple(ordered))
+            raise ValueError(
+                f"transfers of {nft} arrive out of order: the first new row "
+                f"sorts before the stored tail"
+            )
 
         new_flags = bytearray(len(ordered))
         new_ids: set[int] = set()
@@ -219,24 +201,17 @@ class ColumnarTransferStore:
     def truncate_token(self, nft: NFTKey, row_count: int) -> int:
         """Drop every row of a token past ``row_count``, in place.
 
-        This is the reorg rollback fast path: streaming appends arrive in
-        row order, so per-append row-count watermarks identify exactly
-        the rows a rolled-back block contributed.  The existing
+        This is the reorg rollback: streaming appends arrive in row
+        order, so per-append row-count watermarks identify exactly the
+        rows a rolled-back block contributed.  The existing
         :class:`TokenColumns` object is mutated (aliases stay live);
         truncating to zero rows removes the token entirely.  Returns the
-        number of rows removed.  Tokens in :attr:`rebuilt_tokens` must be
-        re-columnarized through :meth:`rebuild_token` instead -- their
-        row order no longer matches append order.
+        number of rows removed.
 
         Interned accounts are never un-interned: ids are append-only and
         rows simply stop referencing them, which keeps every mask and id
         handed out earlier valid.
         """
-        if nft in self.rebuilt_tokens:
-            raise ValueError(
-                f"{nft} went through the out-of-order rebuild fallback; "
-                f"roll it back via rebuild_token, not truncate_token"
-            )
         columns = self.tokens[nft]
         if row_count < 0 or row_count > columns.row_count:
             raise ValueError(
@@ -260,29 +235,12 @@ class ColumnarTransferStore:
         )
         return removed
 
-    def rebuild_token(self, nft: NFTKey, transfers: Sequence[NFTTransfer]) -> Optional[TokenColumns]:
-        """Re-columnarize one token from an authoritative transfer list.
-
-        The rollback slow path, for tokens whose columns went through the
-        out-of-order rebuild fallback: row positions of such tokens no
-        longer encode append order, so the caller supplies the surviving
-        transfers wholesale.  Rewrites the existing columns object in
-        place (or removes the token if no transfers survive) and clears
-        the token's rebuilt mark -- the fresh columns are canonical.
-        """
-        self.rebuilt_tokens.discard(nft)
-        if not transfers:
-            self.remove_token(nft)
-            return None
-        return self.add_token(nft, transfers)
-
     def remove_token(self, nft: NFTKey) -> None:
         """Forget a token entirely (all of its rows were rolled back)."""
         columns = self.tokens.pop(nft, None)
         if columns is not None:
             self._row_total -= columns.row_count
             self.order_epoch += 1
-        self.rebuilt_tokens.discard(nft)
 
     # -- queries -----------------------------------------------------------
     @property

@@ -7,8 +7,9 @@ wallet actually calls:
 * :mod:`repro.serve.index` -- :class:`ServeIndex`, the versioned read
   model: rebuilt incrementally from each tick's dirty set, it publishes
   one immutable :class:`~repro.serve.model.ServeVersion` per monitor
-  tick, carrying the differentially maintained funnel
-  (:mod:`repro.serve.funnel`), and owns the append-only alert log.
+  tick, carrying the scheduler's differentially maintained funnel, and
+  serves the monitor's append-only alert log up to the published
+  version.
   Reorg retractions publish a *revision* and never mutate a served
   snapshot, so queries get snapshot isolation without locks.
 * :mod:`repro.serve.query` -- :class:`QueryService`: point lookups

@@ -14,6 +14,12 @@ immutable :class:`~repro.serve.model.ServeVersion`.  The contract:
   mark it as a revision; the retracted activities are simply absent
   from it, while the alert log keeps the explicit ``ACTIVITY_RETRACTED``
   events a replaying consumer needs.
+* **Reads never run ahead of the published version.**  The alert log
+  is the monitor's own append-only list (:attr:`StreamingMonitor.alerts
+  <repro.stream.monitor.StreamingMonitor.alerts>`); :meth:`alerts_since`
+  and :attr:`last_seq` cut it off at the current version's
+  ``last_seq``, so a tick's alerts become readable in the same atomic
+  swap that publishes the version folding them in.
 * **The current version is the only record.**  The index keeps no
   served state beside it: a tick copies the current version's
   ``token_status`` and ``account_profiles``, re-derives only its dirty
@@ -21,9 +27,10 @@ immutable :class:`~repro.serve.model.ServeVersion`.  The contract:
   :meth:`~repro.stream.scheduler.DirtyTokenScheduler.confirmed_activities`,
   which also captures evidence drift the alert stream deliberately does
   not re-announce) and the profiles of the accounts their records
-  touch, and maintains the funnel by dirty deltas
-  (:mod:`repro.serve.funnel`).  A tick with no dirty token republishes
-  the previous version's containers by reference.
+  touch, and freezes the funnel the scheduler maintains by dirty deltas
+  (:class:`~repro.engine.refine.FunnelMaintainer`).  A tick with no
+  dirty token republishes the previous version's containers by
+  reference.
 * **Publish, then invalidate.**  The new version becomes ``current``
   before the aggregate cache drops the scopes the tick's dirty set can
   have moved, so a reader racing the tick can only have a freshly
@@ -32,8 +39,7 @@ immutable :class:`~repro.serve.model.ServeVersion`.  The contract:
   subscribers run last, so the version they receive is already
   ``current``.
 
-The index also owns the append-only alert log (the replay source for
-subscription cursors), the version subscribers and the serve metrics.
+The index also owns the version subscribers and the serve metrics.
 """
 
 from __future__ import annotations
@@ -54,17 +60,16 @@ from repro.serve.cache import (
     collection_scope,
     venue_scope,
 )
-from repro.serve.funnel import FunnelMaintainer
 from repro.serve.model import (
     AccountProfile,
     ActivityRecord,
+    FunnelPartial,
     ServeVersion,
     TokenStatus,
     record_key,
 )
 from repro.stream.alerts import Alert, AlertKind, MonitorSnapshot
 from repro.stream.monitor import StreamingMonitor
-from repro.stream.scheduler import TokenState
 
 VersionCallback = Callable[[ServeVersion], None]
 
@@ -94,9 +99,6 @@ class ServeIndex:
         )
         #: The dirty-token-keyed aggregate cache.
         self.cache = AggregateCache()
-        #: Append-only copy of every alert the monitor published
-        #: (``alert_log[seq].seq == seq``).
-        self.alert_log: List[Alert] = []
         self.versions_published = 0
         self._version_subscribers: List[VersionCallback] = []
         #: Recent version-subscriber failures, isolated like the
@@ -114,17 +116,13 @@ class ServeIndex:
             "Version-subscriber callbacks that raised during publish.",
         )
         self._metric_alert_log = self.registry.gauge(
-            "serve_alert_log_entries", "Alerts held in the replayable log."
+            "serve_alert_log_entries", "Alerts readable from the replayable log."
         )
         self._metric_confirmed = self.registry.gauge(
             "serve_confirmed_records", "Confirmed activity records being served."
         )
         self.cache.register_metrics(self.registry)
 
-        self.funnel_state = FunnelMaintainer()
-        #: The scheduler state each token's funnel contribution was
-        #: installed from -- what a later dirty tick retires.
-        self._funnel_states: Dict[NFTKey, TokenState] = {}
         #: The newest published version (None only while version 0,
         #: the empty version, is built).
         self._current: Optional[ServeVersion] = None
@@ -133,7 +131,7 @@ class ServeIndex:
             token_status={},
             account_profiles={},
             accounts_epoch=0,
-            funnel=self.funnel_state.partial(0, 0),
+            funnel=self._funnel(0, 0),
             **self._scalars(0, None),
         )
         self._note_published()
@@ -147,8 +145,8 @@ class ServeIndex:
 
     @property
     def last_seq(self) -> int:
-        """Highest alert sequence number the index has folded in."""
-        return len(self.alert_log) - 1
+        """Highest alert sequence number the current version folds in."""
+        return self._current.last_seq
 
     def subscribe_versions(self, callback: VersionCallback) -> VersionCallback:
         """Register a callback invoked with every published version."""
@@ -156,22 +154,24 @@ class ServeIndex:
         return callback
 
     def alerts_since(self, seq: int, limit: Optional[int] = None) -> Tuple[Alert, ...]:
-        """Alerts with sequence number strictly greater than ``seq``.
+        """Published alerts with sequence number strictly greater than
+        ``seq``, up to the current version's ``last_seq``.
 
-        The replay primitive: the log is append-only, so a slice taken
-        while the monitor thread appends is always a consistent prefix
-        of the stream.
+        The replay primitive: the monitor's log is append-only
+        (``alerts[seq].seq == seq``) and the bound is read once, so a
+        slice taken while the monitor thread appends is always a
+        consistent prefix of the published stream.
         """
         start = max(seq + 1, 0)
-        if limit is None:
-            return tuple(self.alert_log[start:])
-        return tuple(self.alert_log[start : start + limit])
+        stop = self._current.last_seq + 1
+        if limit is not None:
+            stop = min(stop, start + limit)
+        return tuple(self.monitor.alerts[start:stop])
 
     # -- tick application --------------------------------------------------
     def _on_snapshot(self, snapshot: MonitorSnapshot) -> None:
         """Fold one monitor tick in, publish, then invalidate the cache."""
         with self.registry.span("publish", dirty=snapshot.dirty_token_count):
-            self.alert_log.extend(snapshot.alerts)
             version, scopes = self._build_version(snapshot)
             self._current = version
             self.cache.invalidate(scopes)
@@ -282,25 +282,12 @@ class ServeIndex:
                 del profiles[account]
                 accounts_moved = True
 
-        # Retire each dirty token's previous funnel contribution and
-        # install the fresh one -- the full delta, because the
-        # scheduler reports every re-installed state as dirty.
-        states = scheduler.states
-        installed = self._funnel_states
-        for nft in dirty:
-            new = states.get(nft)
-            self.funnel_state.apply(installed.get(nft), new)
-            if new is not None:
-                installed[nft] = new
-            else:
-                installed.pop(nft, None)
-
         version = ServeVersion(
             confirmed=tuple(confirmed),
             token_status=token_status,
             account_profiles=profiles,
             accounts_epoch=previous.accounts_epoch + int(accounts_moved),
-            funnel=self.funnel_state.partial(snapshot.tick, len(confirmed)),
+            funnel=self._funnel(snapshot.tick, len(confirmed)),
             **scalars,
         )
         return version, _scopes_for(dirty, changed_venues)
@@ -316,7 +303,7 @@ class ServeIndex:
         return dict(
             version=tick,
             block=self.monitor.processed_block,
-            last_seq=len(self.alert_log) - 1,
+            last_seq=len(self.monitor.alerts) - 1,
             dirty_token_count=0 if snapshot is None else snapshot.dirty_token_count,
             reorg_depth=0 if snapshot is None else snapshot.reorg_depth,
             retracted_count=0 if snapshot is None else snapshot.retracted_count,
@@ -326,6 +313,16 @@ class ServeIndex:
             token_order=self._token_order(store),
             token_order_epoch=store.order_epoch,
             store_stats=StoreStats.capture(store),
+        )
+
+    def _funnel(self, version: int, confirmed_count: int) -> FunnelPartial:
+        """The scheduler's maintained funnel, frozen for one version."""
+        funnel = self.monitor.scheduler.funnel
+        return FunnelPartial(
+            version=version,
+            stages=funnel.materialize(),
+            candidate_count=funnel.candidate_count,
+            confirmed_count=confirmed_count,
         )
 
     def _token_order(self, store: ColumnarTransferStore) -> Tuple[NFTKey, ...]:
@@ -341,7 +338,7 @@ class ServeIndex:
     def _note_published(self) -> None:
         self.versions_published += 1
         self._metric_versions.inc()
-        self._metric_alert_log.set(len(self.alert_log))
+        self._metric_alert_log.set(self._current.last_seq + 1)
         self._metric_confirmed.set(self._current.confirmed_activity_count)
 
 

@@ -17,8 +17,8 @@ from typing import FrozenSet, Mapping, Optional, Tuple
 from repro.chain.types import NFTKey
 from repro.core.activity import DetectionMethod, WashTradingActivity
 from repro.core.refine import FunnelStage
+from repro.engine.refine import StageRecord
 from repro.engine.views import StoreStats
-from repro.serve.funnel import FunnelPartial
 
 #: Venue name used for confirmed activities whose dominant marketplace
 #: is None (the component traded without touching a known venue).
@@ -234,6 +234,18 @@ class FunnelSnapshot:
 
 
 @dataclass(frozen=True)
+class FunnelPartial:
+    """The refinement funnel's totals, frozen at one version."""
+
+    version: int
+    #: One immutable record per stage, so published versions share
+    #: them read-only across threads.
+    stages: Tuple[StageRecord, ...]
+    candidate_count: int
+    confirmed_count: int
+
+
+@dataclass(frozen=True)
 class ServeVersion:
     """One published, immutable view of the monitor's detection state.
 
@@ -273,8 +285,8 @@ class ServeVersion:
     accounts_epoch: int
     #: The store's size at publish time.
     store_stats: StoreStats
-    #: The differentially maintained funnel, frozen at publish time
-    #: (see :mod:`repro.serve.funnel`).
+    #: The scheduler's differentially maintained funnel, frozen at
+    #: publish time (see :class:`~repro.engine.refine.FunnelMaintainer`).
     funnel: FunnelPartial = field(repr=False, compare=False)
 
     @property

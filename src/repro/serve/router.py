@@ -5,9 +5,10 @@ families with these functions, through the dirty-token-keyed
 :class:`~repro.serve.cache.AggregateCache`: a collection or marketplace
 rollup is one pass over the version's confirmed records, and the funnel
 statistics are read off the differentially maintained funnel the
-version carries (:mod:`repro.serve.funnel`), so they are never
-recomputed on the serving path.  :func:`funnel_partial` is the
-from-scratch refold the tests hold that maintained funnel against.
+version carries (:class:`~repro.engine.refine.FunnelMaintainer`), so
+they are never recomputed on the serving path.  :func:`funnel_partial`
+is the from-scratch refold the tests hold that maintained funnel
+against.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import List, Mapping
 
 from repro.chain.types import NFTKey
 from repro.engine.refine import STAGE_NAMES, StageAccumulator
-from repro.serve.funnel import FunnelPartial
 from repro.serve.model import (
     ActivityRecord,
     CollectionRollup,
+    FunnelPartial,
     FunnelSnapshot,
     MarketplaceRollup,
     ServeVersion,

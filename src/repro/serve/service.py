@@ -159,11 +159,12 @@ class ServeService:
         if crashed:
             ingest["error"] = repr(self.ingest_error)
         current = self.index.current
+        log_seq = len(self.monitor.alerts) - 1
         publish: Dict[str, Any] = {
             "version": current.version,
             "published_seq": current.last_seq,
-            "log_seq": self.index.last_seq,
-            "lag_alerts": max(self.index.last_seq - current.last_seq, 0),
+            "log_seq": log_seq,
+            "lag_alerts": max(log_seq - current.last_seq, 0),
         }
         health: Dict[str, Any] = {"ingest": ingest, "publish": publish}
         wire = self.wire

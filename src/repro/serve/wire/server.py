@@ -450,10 +450,13 @@ class WireConnectionHandler(socketserver.StreamRequestHandler):
             if record.trace == trace
         ]
         # Alerts sharing a trace are one tick's contiguous block of the
-        # append-only log, so a reverse scan can stop at the first
-        # non-matching alert after the block.
+        # append-only log, so a reverse scan of the published prefix can
+        # stop at the first non-matching alert after the block.
+        index = self.server.index
+        log = index.monitor.alerts
         alert_seqs: List[int] = []
-        for alert in reversed(self.server.index.alert_log):
+        for seq in range(index.last_seq, -1, -1):
+            alert = log[seq]
             if alert.trace == trace:
                 alert_seqs.append(alert.seq)
             elif alert_seqs:

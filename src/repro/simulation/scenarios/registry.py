@@ -169,7 +169,7 @@ register(
             PhaseSpec(name="ramp", fraction=0.5, step_blocks=25),
             PhaseSpec(name="crescendo", fraction=0.5, step_blocks=15),
         ),
-        tags=("serial", "multi-venue"),
+        tags=("fast", "serial", "multi-venue"),
     )
 )
 

@@ -4,9 +4,10 @@
 Sec. III dataset in one pass.  :class:`DatasetCursor` produces the same
 state *incrementally*: each :meth:`advance` scans only the blocks mined
 since the previous call, appends the new transfers to a mutable
-:class:`~repro.engine.store.ColumnarTransferStore`, keeps the per-account
-transaction lists up to date, and reports which tokens and accounts were
-touched -- the input of the dirty-token scheduler.
+:class:`~repro.engine.store.ColumnarTransferStore` -- the cursor's only
+record of the transfers -- keeps the per-account transaction lists up to
+date, and reports which tokens and accounts were touched -- the input of
+the dirty-token scheduler.
 
 Two properties distinguish the cursor from a naive follower:
 
@@ -26,25 +27,26 @@ Two properties distinguish the cursor from a naive follower:
   the most recent ``max_reorg_depth`` blocks.  At the start of every
   tick it compares its journaled tail hash against the node; on
   divergence it walks the journal back to the fork point and rolls back
-  everything past it -- scan matches, the compliance report, transfer
-  lists, store columns (row-count watermarks; re-columnarization only
-  for tokens that went through the out-of-order rebuild fallback) and
-  account histories -- then re-ingests the canonical branch.  A
-  divergence reaching below the journaled window raises
-  :class:`ReorgTooDeepError`.  Note the window is measured from the
-  highest head the cursor has committed: rolling a block back deletes
-  its journal entry (its contributions were undone), so successive
-  head regressions *consume* the window until freshly ingested blocks
-  rebuild it -- budget headroom accordingly.
+  everything past it -- scan matches, the compliance report, store
+  columns (truncated by the journal's per-token row counts; the chain's
+  non-decreasing block timestamps keep every append at the token's
+  tail, so row positions are append order) and account histories --
+  then re-ingests the canonical branch.  A divergence reaching below
+  the journaled window raises :class:`ReorgTooDeepError`.  Note the
+  window is measured from the highest head the cursor has committed:
+  rolling a block back deletes its journal entry (its contributions
+  were undone), so successive head regressions *consume* the window
+  until freshly ingested blocks rebuild it -- budget headroom
+  accordingly.
 
 Invariant: after advancing to block ``B`` of the *current canonical
 chain* -- through any sequence of advances and rollbacks -- the cursor's
-transfers, store and account transactions are exactly what
-``build_dataset(node, to_block=B)`` would produce (the stream/batch
-parity tests, including the randomized reorg replays, pin this).  Raw
-scan matches are the one exception: only the journaled blocks' matches
-are kept, so a cursor that follows the head indefinitely holds
-O(journal) of them, not O(chain).
+store (as :meth:`DatasetCursor.as_dataset` reads it back) and account
+transactions are exactly what ``build_dataset(node, to_block=B)`` would
+produce (the stream/batch parity tests, including the randomized reorg
+replays, pin this).  Raw scan matches are the one exception: only the
+journaled blocks' matches are kept, so a cursor that follows the head
+indefinitely holds O(journal) of them, not O(chain).
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class BlockJournalEntry:
     #: Contracts that emitted their first ERC-721-shaped event in this
     #: block (and were therefore ERC-165-probed because of it).
     new_contracts: Tuple[str, ...] = ()
-    #: Rows this block appended per token (store/transfer watermarks).
+    #: Rows this block appended per token (store watermarks).
     token_row_counts: Dict[NFTKey, int] = field(default_factory=dict)
     #: Accounts first involved (as a transfer endpoint) in this block.
     new_accounts: Tuple[str, ...] = ()
@@ -297,18 +299,19 @@ class DatasetCursor:
     """Appends freshly mined blocks to a growing dataset, reorg-safely.
 
     The cursor owns the mutable counterparts of everything
-    ``build_dataset`` returns: ``transfers_by_nft``, the compliance
-    report, the accumulated scan result, ``account_transactions`` and the
-    columnar ``store`` the detection engine reads.  The scan result keeps
-    raw matches only while their blocks are journaled; older ones are
-    pruned into ``scan.pruned_by_contract``, so ``scan.event_count`` and
-    ``scan.events_by_contract()`` stay exact.  Requests to advance
-    to a block at or behind the cursor are no-ops, so feeding the same
-    head twice (an empty tick) or a stale/out-of-order target is safe --
-    but a *head that itself moved backwards* is treated as the reorg it
-    is: the cursor rolls back to the surviving prefix (or raises
-    :class:`ReorgTooDeepError` if it cannot) instead of silently
-    skipping.
+    ``build_dataset`` returns: the compliance report, the accumulated
+    scan result, ``account_transactions`` and the columnar ``store`` the
+    detection engine reads, which is the only record of the transfers
+    (:meth:`as_dataset` derives ``transfers_by_nft`` from it).  The scan
+    result keeps raw matches only while their blocks are journaled;
+    older ones are pruned into ``scan.pruned_by_contract``, so
+    ``scan.event_count`` and ``scan.events_by_contract()`` stay exact.
+    Requests to advance to a block at or behind the cursor are no-ops,
+    so feeding the same head twice (an empty tick) or a
+    stale/out-of-order target is safe -- but a *head that itself moved
+    backwards* is treated as the reorg it is: the cursor rolls back to
+    the surviving prefix (or raises :class:`ReorgTooDeepError` if it
+    cannot) instead of silently skipping.
     """
 
     def __init__(
@@ -328,7 +331,6 @@ class DatasetCursor:
         #: Next block to ingest; everything below has been processed.
         self.next_block = max(start_block, 0)
         self._start_block = self.next_block
-        self.transfers_by_nft: Dict[NFTKey, List[NFTTransfer]] = {}
         self.account_transactions: Dict[str, List[Transaction]] = {}
         self.compliance = ComplianceReport()
         self.scan = TransferScanResult()
@@ -353,7 +355,7 @@ class DatasetCursor:
     @property
     def transfer_count(self) -> int:
         """Transfers retained so far."""
-        return sum(len(transfers) for transfers in self.transfers_by_nft.values())
+        return self.store.transfer_count
 
     @property
     def journal_floor(self) -> int:
@@ -383,17 +385,23 @@ class DatasetCursor:
         }
 
     def as_dataset(self) -> NFTDataset:
-        """A live :class:`NFTDataset` view over the cursor's state.
+        """An :class:`NFTDataset` over the cursor's state.
 
-        The view shares the cursor's dictionaries (it grows with further
-        ticks) and carries the already-built columnar store, so batch
-        consumers -- tables, figures, a one-off ``WashTradingPipeline``
-        run -- work on streamed data without any copying.  Its
+        ``transfers_by_nft`` is derived from the store as of this call
+        (store token order, rows in store order); the account
+        transactions, compliance report and scan result are the
+        cursor's own (they keep growing with further ticks), and the
+        already-built columnar store rides along, so batch consumers --
+        tables, figures, a one-off ``WashTradingPipeline`` run -- work
+        on streamed data without re-columnarizing it.  Its
         ``scan.matches`` covers only the journaled blocks; the scan's
         event counts are exact.
         """
         dataset = NFTDataset(
-            transfers_by_nft=self.transfers_by_nft,
+            transfers_by_nft={
+                nft: list(columns.transfers)
+                for nft, columns in self.store.tokens.items()
+            },
             compliance=self.compliance,
             scan=self.scan,
             account_transactions=self.account_transactions,
@@ -511,7 +519,6 @@ class DatasetCursor:
 
         new_transfer_count = 0
         for nft, chunk in new_by_nft.items():
-            self.transfers_by_nft.setdefault(nft, []).extend(chunk)
             self.store.append_token_transfers(nft, chunk)
             new_transfer_count += len(chunk)
 
@@ -663,25 +670,8 @@ class DatasetCursor:
         for entry in removed_entries:
             for nft, count in entry.token_row_counts.items():
                 removed_rows[nft] = removed_rows.get(nft, 0) + count
-        rolled_back_nfts: List[NFTKey] = []
-        rolled_back_transfers = 0
         for nft, count in removed_rows.items():
-            transfers = self.transfers_by_nft[nft]
-            kept_rows = len(transfers) - count
-            rolled_back_transfers += count
-            rolled_back_nfts.append(nft)
-            if kept_rows <= 0:
-                del self.transfers_by_nft[nft]
-                self.store.remove_token(nft)
-                continue
-            del transfers[kept_rows:]
-            if nft in self.store.rebuilt_tokens:
-                # Out-of-order fallback reshuffled this token's rows:
-                # watermark truncation no longer lines up, so rebuild
-                # from the authoritative (already truncated) list.
-                self.store.rebuild_token(nft, transfers)
-            else:
-                self.store.truncate_token(nft, kept_rows)
+            self.store.truncate_token(nft, self.store.tokens[nft].row_count - count)
 
         # Accounts first involved in a rolled-back block vanish whole --
         # a batch build over the canonical prefix never saw them.
@@ -714,8 +704,8 @@ class DatasetCursor:
         return _RollbackResult(
             depth=previous_processed - fork,
             fork_block=fork,
-            transfer_count=rolled_back_transfers,
-            nfts=tuple(rolled_back_nfts),
+            transfer_count=sum(removed_rows.values()),
+            nfts=tuple(removed_rows),
             accounts=frozenset(affected_accounts),
             recover_to=previous_processed,
         )

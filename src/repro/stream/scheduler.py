@@ -39,6 +39,13 @@ reprocessed, and an inverted index from account set to the tokens
 holding an unconfirmed candidate with that set pinpoints exactly which
 other tokens flip when a set enters or leaves the confirmed pool.
 
+The funnel statistics over every token state are kept the same way
+(:attr:`DirtyTokenScheduler.funnel`, a
+:class:`~repro.engine.refine.FunnelMaintainer`): each replaced state is
+retired and its successor installed, so the serving layer materializes
+a version's funnel in O(changed stages) without a second copy of the
+states.
+
 :meth:`DirtyTokenScheduler.result` assembles a
 :class:`~repro.core.detectors.pipeline.PipelineResult` that is
 *identical* -- same candidate order, same activities, same funnel
@@ -69,6 +76,7 @@ from repro.core.refine import RefinementResult
 from repro.engine.context import CachingDetectionContext
 from repro.engine.refine import (
     STAGE_NAMES,
+    FunnelMaintainer,
     StageAccumulator,
     StageRecord,
     TokenRefinement,
@@ -194,6 +202,10 @@ class DirtyTokenScheduler:
         self._masks = funnel_masks(frozenset(), frozenset())
 
         self.states: Dict[NFTKey, TokenState] = {}
+        #: The funnel over :attr:`states`, updated wherever a token's
+        #: state is replaced (the serving layer materializes it per
+        #: published version).
+        self.funnel = FunnelMaintainer()
         #: First-seen position of each token; mirrors store order.  A
         #: monotone serial (never reused) so positions stay unique even
         #: after reorg-vanished tokens are forgotten.
@@ -249,12 +261,13 @@ class DirtyTokenScheduler:
     # -- queries -----------------------------------------------------------
     @property
     def flagged_nfts(self) -> Set[NFTKey]:
-        """NFTs with at least one currently confirmed activity."""
-        return {nft for nft, entries in self._confirmed.items() if entries}
+        """NFTs with at least one currently confirmed activity (only
+        those have an entry in the confirmed map)."""
+        return set(self._confirmed)
 
     @property
     def flagged_nft_count(self) -> int:
-        return sum(1 for entries in self._confirmed.values() if entries)
+        return len(self._confirmed)
 
     def order_of(self, nft: NFTKey) -> int:
         """First-seen position of a known token (mirrors store order)."""
@@ -349,7 +362,9 @@ class DirtyTokenScheduler:
         skipped = 0
         with self.registry.span("detect", tokens=len(live), redetected=len(history)):
             for nft in vanished:
-                self._retire_state(nft, self.states.pop(nft), flipped_sets)
+                old = self.states.pop(nft)
+                self._retire_state(nft, old, flipped_sets)
+                self.funnel.apply(old, None)
             for index, nft in enumerate(live):
                 if nft not in self._token_order:
                     self._token_order[nft] = self._order_serial
@@ -359,22 +374,20 @@ class DirtyTokenScheduler:
                     self._retire_state(nft, old, flipped_sets)
                 state = self._detect_state(refinements[index], context)
                 self._install_state(nft, state, flipped_sets)
+                self.funnel.apply(old, state)
             for nft in history:
                 old = self.states[nft]
                 evidence, token_skips = self._redetect(old, touched, context)
                 skipped += token_skips
                 if evidence == old.evidence:
                     continue
-                # A fresh state object: published serve versions share
-                # the old one, which must never change under them.
-                self._retire_state(nft, old, flipped_sets)
-                self._install_state(
-                    nft,
-                    TokenState(
-                        stages=old.stages, candidates=old.candidates, evidence=evidence
-                    ),
-                    flipped_sets,
+                # The held stages and candidates: a zero funnel delta.
+                new = TokenState(
+                    stages=old.stages, candidates=old.candidates, evidence=evidence
                 )
+                self._retire_state(nft, old, flipped_sets)
+                self._install_state(nft, new, flipped_sets)
+                self.funnel.apply(old, new)
                 changed.append(nft)
 
         with self.registry.span("diff"):

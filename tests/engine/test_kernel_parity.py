@@ -114,8 +114,9 @@ def test_single_token_funnel_matches_batch_refinements(
 # -- streaming parity ----------------------------------------------------------
 
 
-def replay_through_scheduler(histories, block_order):
-    """Feed one transfer history to a scheduler, one block per tick."""
+def replay_through_scheduler(histories, ticks):
+    """Feed one transfer history to a scheduler, one group of blocks per
+    tick."""
     labels = make_labels()
     is_contract = CONTRACT_SET.__contains__
     store = ColumnarTransferStore()
@@ -127,8 +128,12 @@ def replay_through_scheduler(histories, block_order):
     for nft, transfers in histories.items():
         for transfer in transfers:
             by_block[transfer.block_number][nft].append(transfer)
-    for block in block_order:
-        dirty = store.extend(by_block.get(block, {}))
+    for blocks in ticks:
+        chunk = defaultdict(list)
+        for block in blocks:
+            for nft, transfers in by_block.get(block, {}).items():
+                chunk[nft].extend(transfers)
+        dirty = store.extend(chunk)
         scheduler.process(dirty, context, touched={})
     return scheduler.result()
 
@@ -137,15 +142,18 @@ def replay_through_scheduler(histories, block_order):
 @given(random_histories(), st.randoms(use_true_random=False))
 def test_scheduler_with_and_without_flow_cache_matches_batch(histories, rng):
     """Scheduling on the money-flow cache converges to the legacy batch
-    result, even with blocks arriving out of order (the reorg-shaped
-    append fallback path).  The reference is the legacy engine because
-    the columnar engine shares the cache."""
+    result, with the chain's blocks cut into ticks of random width.  The
+    reference is the legacy engine because the columnar engine shares
+    the cache."""
     blocks = sorted(
         {t.block_number for transfers in histories.values() for t in transfers}
     )
-    shuffled = list(blocks)
-    rng.shuffle(shuffled)
-    streamed = replay_through_scheduler(histories, shuffled)
+    ticks = []
+    while blocks:
+        width = rng.randint(1, 4)
+        ticks.append(blocks[:width])
+        blocks = blocks[width:]
+    streamed = replay_through_scheduler(histories, ticks)
     batch = WashTradingPipeline(
         labels=make_labels(), is_contract=CONTRACT_SET.__contains__, engine="legacy"
     ).run(minimal_dataset(histories))

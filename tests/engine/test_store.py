@@ -118,13 +118,28 @@ class TestIncrementalAppend:
         assert appended is columns  # fast path: no rebuild
         self.assert_same_columns(store, self.equivalent_batch(first + second))
 
-    def test_out_of_order_append_rebuilds_identically(self):
-        late = [make_transfer("A", "B", 5)]
-        early = [make_transfer("B", "A", 1, price=2)]
+    def test_out_of_order_append_is_rejected(self):
+        """Rows sorting before the tail are an input error: the columns
+        and the running count stay as they were."""
+        late = [make_transfer("A", "B", 5), make_transfer("B", "C", 6)]
         store = ColumnarTransferStore()
-        store.add_token(NFT, late)
-        store.append_token_transfers(NFT, early)
-        self.assert_same_columns(store, self.equivalent_batch(late + early))
+        columns = store.add_token(NFT, late)
+        with pytest.raises(ValueError, match="out of order"):
+            store.append_token_transfers(
+                NFT, [make_transfer("C", "D", 7), make_transfer("B", "A", 1, price=2)]
+            )
+        assert store.tokens[NFT] is columns
+        self.assert_same_columns(store, self.equivalent_batch(late))
+        assert store.transfer_count == 2
+        assert store.account_count == 3
+
+    def test_add_token_refuses_a_stored_token(self):
+        store = ColumnarTransferStore()
+        columns = store.add_token(NFT, [make_transfer("A", "B", 1)])
+        with pytest.raises(ValueError, match="already stored"):
+            store.add_token(NFT, [make_transfer("B", "A", 2)])
+        assert store.tokens[NFT] is columns
+        assert store.transfer_count == 1
 
     def test_append_to_unknown_token_creates_it(self):
         store = ColumnarTransferStore()
@@ -155,31 +170,6 @@ class TestIncrementalAppend:
         assert touched == [NFT, other]
         assert store.token_count == 2
         assert store.transfer_count == 3
-
-
-class TestInPlaceRebuildAliasing:
-    """The out-of-order fallback must never strand a columns reference."""
-
-    def test_out_of_order_rebuild_mutates_in_place(self):
-        store = ColumnarTransferStore()
-        columns = store.add_token(NFT, [make_transfer("A", "B", 5)])
-        held = store.tokens[NFT]
-        assert held is columns
-        rebuilt = store.append_token_transfers(NFT, [make_transfer("B", "A", 1)])
-        # Same object: a caller holding the pre-rebuild reference keeps
-        # reading the current (re-sorted, two-row) columns.
-        assert rebuilt is held
-        assert store.tokens[NFT] is held
-        assert held.row_count == 2
-        assert [t.timestamp for t in held.transfers] == [1, 5]
-        assert list(held.timestamps) == [1, 5]
-        assert NFT in store.rebuilt_tokens
-
-    def test_in_order_append_does_not_mark_rebuilt(self):
-        store = ColumnarTransferStore()
-        store.add_token(NFT, [make_transfer("A", "B", 1)])
-        store.append_token_transfers(NFT, [make_transfer("B", "A", 2)])
-        assert NFT not in store.rebuilt_tokens
 
 
 class TestRollback:
@@ -217,13 +207,6 @@ class TestRollback:
         assert NFT not in store.tokens
         assert store.token_count == 0
 
-    def test_truncate_refuses_rebuilt_tokens(self):
-        store = ColumnarTransferStore()
-        store.add_token(NFT, [make_transfer("A", "B", 5)])
-        store.append_token_transfers(NFT, [make_transfer("B", "A", 1)])
-        with pytest.raises(ValueError, match="rebuild_token"):
-            store.truncate_token(NFT, 1)
-
     def test_truncate_validates_row_count(self):
         store = ColumnarTransferStore()
         store.add_token(NFT, [make_transfer("A", "B", 1)])
@@ -233,38 +216,17 @@ class TestRollback:
             store.truncate_token(NFT, -1)
         assert store.truncate_token(NFT, 1) == 0
 
-    def test_rebuild_token_recolumnarizes_and_clears_mark(self):
-        store = ColumnarTransferStore()
-        columns = store.add_token(NFT, [make_transfer("A", "B", 5)])
-        store.append_token_transfers(NFT, [make_transfer("B", "A", 1)])
-        assert NFT in store.rebuilt_tokens
-        surviving = [make_transfer("B", "A", 1)]
-        rebuilt = store.rebuild_token(NFT, surviving)
-        assert rebuilt is columns
-        assert rebuilt.row_count == 1
-        assert NFT not in store.rebuilt_tokens
-
-    def test_rebuild_token_with_nothing_left_removes_it(self):
-        store = ColumnarTransferStore()
-        store.add_token(NFT, [make_transfer("A", "B", 5)])
-        store.append_token_transfers(NFT, [make_transfer("B", "A", 1)])
-        assert store.rebuild_token(NFT, []) is None
-        assert NFT not in store.tokens
-        assert NFT not in store.rebuilt_tokens
-
     def test_remove_token_forgets_everything(self):
         store = ColumnarTransferStore()
         store.add_token(NFT, [make_transfer("A", "B", 5)])
-        store.append_token_transfers(NFT, [make_transfer("B", "A", 1)])
         store.remove_token(NFT)
         assert NFT not in store.tokens
-        assert NFT not in store.rebuilt_tokens
         store.remove_token(NFT)  # idempotent
 
 
 class TestRunningTransferCount:
     """``transfer_count`` is a running total; it must equal the row sum
-    after every mutator, including the in-place and fallback paths."""
+    after every mutator, including the in-place paths."""
 
     OTHER = NFTKey(contract="0x" + "e" * 40, token_id=1)
 
@@ -279,21 +241,15 @@ class TestRunningTransferCount:
         check(store)
         store.add_token(self.OTHER, [make_transfer("C", "D", 1)])
         check(store)
-        # In-place rewrite of an existing token.
-        store.add_token(NFT, [make_transfer("A", "B", 1)])
-        check(store)
-        assert store.transfer_count == 2
-        # In-order append, then the out-of-order rebuild fallback.
+        assert store.transfer_count == 3
+        # In-order append.
         store.append_token_transfers(NFT, [make_transfer("B", "C", 5)])
         check(store)
-        store.append_token_transfers(NFT, [make_transfer("C", "A", 3)])
-        check(store)
-        assert NFT in store.rebuilt_tokens
         assert store.transfer_count == 4
         store.extend({self.OTHER: [make_transfer("D", "C", 2)], NFT: []})
         check(store)
-        # Rollback: re-columnarize the rebuilt token, truncate the other.
-        store.rebuild_token(NFT, [make_transfer("A", "B", 1)])
+        # Rollback: truncate both tokens by watermark.
+        assert store.truncate_token(NFT, 1) == 2
         check(store)
         assert store.truncate_token(self.OTHER, 1) == 1
         check(store)
@@ -301,10 +257,6 @@ class TestRunningTransferCount:
         # Whole-token removal through every path.
         store.truncate_token(self.OTHER, 0)
         check(store)
-        store.append_token_transfers(NFT, [make_transfer("B", "A", 0)])
-        assert store.rebuild_token(NFT, []) is None
-        check(store)
-        store.add_token(NFT, [make_transfer("A", "B", 1)])
         store.remove_token(NFT)
         store.remove_token(NFT)
         check(store)

@@ -8,7 +8,9 @@ the head (a consumer that outlived a server restart -- must return
 nothing rather than raise or wrap), and degenerate limits (the
 in-process API treats ``limit=0`` as "nothing", while the wire verb
 rejects non-positive limits up front, before the index is consulted).
-Pinned in-process against the index, and through the socket.
+Pinned in-process against the index, and through the socket.  The log
+is read only up to the published version, so a tick's alerts are never
+readable before the version that folds them in.
 """
 
 from __future__ import annotations
@@ -65,6 +67,31 @@ class TestInProcessEdges:
         assert cursor.lag == 0
         assert cursor.poll() == ()
         assert cursor.position == settled_index.last_seq
+
+
+class TestPublishedPrefix:
+    def test_reads_never_run_ahead_of_the_published_version(self, tiny_world):
+        """While a tick's version is being built, the replay primitive
+        serves only what the current version folds in: the tick's new
+        alerts become readable with the swap that publishes them."""
+        service = ServeService.for_world(tiny_world)
+        index = service.index
+        build = index._build_version
+        checked = []
+
+        def guarded(snapshot):
+            published = index.current.last_seq
+            assert index.last_seq == published
+            assert all(alert.seq <= published for alert in index.alerts_since(-1))
+            checked.append(bool(snapshot.alerts))
+            return build(snapshot)
+
+        index._build_version = guarded
+        service.run(step_blocks=10)
+        assert not index.subscriber_errors
+        assert len(checked) == service.monitor.tick_count
+        assert any(checked), "some tick must publish alerts"
+        assert index.last_seq == len(service.monitor.alerts) - 1
 
 
 class TestWireEdges:

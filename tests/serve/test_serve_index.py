@@ -207,7 +207,7 @@ class TestVersions:
                 r.key: (r.seq, r.confirmed_at_block) for r in version.confirmed
             }
             assert served == confirmation_coordinates(
-                index.alert_log[: version.last_seq + 1]
+                service.monitor.alerts[: version.last_seq + 1]
             )
             checked.append(version.version)
 
@@ -271,7 +271,7 @@ class TestPointLookups:
         assert status.is_washed
         version = served.query.version()
         expected = confirmation_coordinates(
-            served.index.alert_log[: version.last_seq + 1]
+            served.monitor.alerts[: version.last_seq + 1]
         )
         for record in status.records:
             assert (record.seq, record.confirmed_at_block) == expected[record.key]

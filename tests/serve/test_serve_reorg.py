@@ -72,7 +72,7 @@ def retracted_alerts(service, nft):
     """How many ACTIVITY_RETRACTED alerts ``nft`` has had."""
     return sum(
         1
-        for alert in service.index.alert_log
+        for alert in service.monitor.alerts
         if alert.kind is AlertKind.ACTIVITY_RETRACTED and alert.nft == nft
     )
 
@@ -84,6 +84,14 @@ class TestServeUnderReorgStorm:
         service = ServeService.for_world(world, max_reorg_depth=64)
         versions = []
         service.index.subscribe_versions(versions.append)
+        # Snapshot subscribers after the index run once the tick's
+        # version is current.
+        flagged = {}
+
+        def count_flagged(snapshot):
+            flagged[snapshot.tick] = snapshot.flagged_nft_count
+
+        service.monitor.subscribe_snapshots(count_flagged)
         storm = ReorgStorm(
             world,
             random.Random(7),
@@ -97,8 +105,12 @@ class TestServeUnderReorgStorm:
         summaries = storm.run(service.monitor)
         assert summaries, "the storm must actually reorg"
         assert any(version.is_revision for version in versions)
+        assert flagged == {
+            version.version: len(version.flagged_nfts) for version in versions
+        }
+        assert any(flagged.values())
 
-        log = service.index.alert_log
+        log = service.monitor.alerts
         numbers = [version.version for version in versions]
         assert numbers == sorted(numbers) and len(set(numbers)) == len(numbers)
         for version in versions:
@@ -127,7 +139,7 @@ class TestServeUnderReorgStorm:
         seen = {"last_seq": -1, "statuses": 0, "retracted": 0}
 
         def check(version):
-            log = service.index.alert_log
+            log = service.monitor.alerts
             for alert in log[seen["last_seq"] + 1 : version.last_seq + 1]:
                 if alert.kind is AlertKind.ACTIVITY_RETRACTED:
                     retractions[alert.nft] += 1
@@ -271,5 +283,5 @@ class TestServeUnderReorgStorm:
         # Re-confirmed after the flip, with every retraction on record.
         assert status.is_washed
         assert status.retraction_count == retracted_alerts(service, target.nft) == 4
-        replayed = fold_alerts(service.index.alert_log)
+        replayed = fold_alerts(service.monitor.alerts)
         assert replayed == Counter(record.key for record in version.confirmed)

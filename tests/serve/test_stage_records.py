@@ -3,11 +3,11 @@
 The scheduler keeps one :class:`~repro.engine.refine.StageRecord` per
 funnel stage per token, and every token without a stage-1 component
 shares :data:`~repro.engine.refine.EMPTY_STAGES`.  Published serve
-versions, the ``FunnelMaintainer`` and every funnel reader hold the
-same records, so none of them may change one: after a reorg storm,
-``scheduler.result()``, a ``funnel_stats`` query and the maintained
-funnel's refold, every record a tick ever installed still holds the
-values it was created with.
+versions, the scheduler's ``FunnelMaintainer`` and every funnel reader
+hold the same records, so none of them may change one: after a reorg
+storm, ``scheduler.result()``, a ``funnel_stats`` query and the
+maintained funnel's refold, every record a tick ever installed still
+holds the values it was created with.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from __future__ import annotations
 import random
 
 from repro.core.detectors.pipeline import WashTradingPipeline
-from repro.engine.refine import EMPTY_STAGES, STAGE_NAMES, StageRecord
+from repro.engine.refine import EMPTY_STAGES, STAGE_NAMES, FunnelMaintainer, StageRecord
 from repro.ingest.dataset import build_dataset
 from repro.serve import ServeService
-from repro.serve.funnel import FunnelMaintainer
 from repro.serve.router import funnel_partial
 from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
@@ -138,17 +137,17 @@ def test_maintained_stage_shares_its_account_set_only_while_unchanged():
     held, moving = state(1, 1, 2), state(1, 2, 3)
     maintainer.apply(None, held)
     maintainer.apply(None, moving)
-    first = maintainer.partial(1, 0).stages[0]
+    first = maintainer.materialize()[0]
     assert first.account_ids == {1, 2, 3}
 
     # Account 3 leaves and rejoins inside one delta: same key set.
     maintainer.apply(moving, state(2, 3, 2))
-    second = maintainer.partial(2, 0).stages[0]
+    second = maintainer.materialize()[0]
     assert second.component_count == 3
     assert second.account_ids is first.account_ids
 
     # Account 1 leaves and nothing joins.
     maintainer.apply(held, None)
-    third = maintainer.partial(3, 0).stages[0]
+    third = maintainer.materialize()[0]
     assert (third.nft_count, third.component_count) == (1, 2)
     assert third.account_ids == {2, 3}

@@ -357,7 +357,7 @@ def test_subscribers_share_one_encoding_per_alert(monkeypatch):
     subscribers = []
     try:
         service.run()
-        logged = list(service.index.alert_log)
+        logged = list(service.monitor.alerts)
         assert logged
         # Replay: each subscriber catches up from the log after the one
         # before it has everything, so the count is exact.
@@ -373,7 +373,7 @@ def test_subscribers_share_one_encoding_per_alert(monkeypatch):
         chain = world.chain
         chain.reorg(1, [chain.blocks[-1], *held])
         service.run()
-        live = service.index.alert_log[len(logged):]
+        live = service.monitor.alerts[len(logged):]
         assert live
         frames = [[None] * len(live) for _ in subscribers]
 
@@ -399,7 +399,7 @@ def test_subscribers_share_one_encoding_per_alert(monkeypatch):
             assert client.alerts(since_seq=-1) == first
         assert sum(encodes.values()) == before
         assert first["alerts"] == [
-            json.loads(dumps(reference(alert))) for alert in service.index.alert_log
+            json.loads(dumps(reference(alert))) for alert in service.monitor.alerts
         ]
     finally:
         for wire in subscribers:

@@ -215,11 +215,17 @@ class TestRunner:
         assert any(not verdict.ok for verdict in report.verdicts)
 
 
-#: Every registered scenario but the paced soak: each replays unpaced in
-#: well under a second.
+#: Every registered scenario but the paced soak -- exactly the ones
+#: tagged ``fast``, which the scenario gauntlet benchmark runs: each
+#: replays unpaced in well under a second.
 UNPACED_SCENARIOS = [
     name for name in scenario_names() if "soak" not in get_scenario(name).tags
 ]
+
+
+def test_every_unpaced_scenario_runs_in_the_gauntlet():
+    """``benchmarks/bench_scenarios.py`` selects by the ``fast`` tag."""
+    assert all("fast" in get_scenario(name).tags for name in UNPACED_SCENARIOS)
 
 
 @pytest.mark.parametrize("name", UNPACED_SCENARIOS)

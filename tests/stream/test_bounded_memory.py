@@ -45,7 +45,7 @@ def journaled_match_count(cursor) -> int:
 def assert_bounded_state_parity(cursor, dataset):
     """Everything detection reads matches the batch build; matches are
     trimmed to the journal but their *count* stays exact."""
-    assert cursor.transfers_by_nft == dataset.transfers_by_nft
+    assert cursor.as_dataset().transfers_by_nft == dataset.transfers_by_nft
     assert cursor.account_transactions == dataset.account_transactions
     assert cursor.compliance.compliant == dataset.compliance.compliant
     assert cursor.compliance.non_compliant == dataset.compliance.non_compliant

@@ -3,8 +3,8 @@
 Two layers, mirroring ``tests/engine/test_parity.py``:
 
 * randomized transfer histories fed to the dirty-token scheduler
-  block-by-block -- including blocks arriving out of order and empty
-  ticks -- must produce exactly the batch columnar pipeline's result;
+  block-by-block, in chain order and with empty ticks between, must
+  produce exactly the batch columnar pipeline's result;
 * full simulated worlds replayed through the :class:`StreamingMonitor`
   must match a batch ``WashTradingPipeline(engine="columnar")`` run
   bit-for-bit: candidate order, activities, evidence, funnel statistics,
@@ -142,24 +142,6 @@ def test_blockwise_replay_matches_batch(histories):
     assert_results_match(stream, run_batch_columnar(histories))
 
 
-@settings(max_examples=30, deadline=None)
-@given(random_histories(), st.randoms(use_true_random=False))
-def test_out_of_order_blocks_match_batch(histories, rng):
-    """Blocks arriving in ANY order still converge to the batch result.
-
-    This exercises the store's out-of-order append fallback (rows that
-    sort before the current tail force a re-columnarization) and the
-    scheduler's full-token recomputation.
-    """
-    blocks = sorted(
-        {t.block_number for transfers in histories.values() for t in transfers}
-    )
-    shuffled = list(blocks)
-    rng.shuffle(shuffled)
-    stream = replay_through_scheduler(histories, shuffled)
-    assert_results_match(stream, run_batch_columnar(histories))
-
-
 # -- full world parity through the monitor ------------------------------------
 
 
@@ -187,13 +169,13 @@ class TestMonitorParity:
         dataset, _ = tiny_batch
         cursor = DatasetCursor(tiny_world.node, tiny_world.marketplace_addresses)
         cursor.advance()
-        assert cursor.transfers_by_nft == dataset.transfers_by_nft
-        assert list(cursor.transfers_by_nft) == list(dataset.transfers_by_nft)
+        view = cursor.as_dataset()
+        assert view.transfers_by_nft == dataset.transfers_by_nft
+        assert list(view.transfers_by_nft) == list(dataset.transfers_by_nft)
         assert cursor.account_transactions == dataset.account_transactions
         assert cursor.compliance.compliant == dataset.compliance.compliant
         assert cursor.compliance.non_compliant == dataset.compliance.non_compliant
         assert cursor.scan.event_count == dataset.scan.event_count
-        view = cursor.as_dataset()
         assert view.transfer_count == dataset.transfer_count
         assert view.columnar_store() is cursor.store
 

@@ -116,8 +116,9 @@ def track_detection_cache(monitor):
 
 def assert_dataset_parity(cursor, dataset):
     """The cursor's ingested state equals the batch-built dataset."""
-    assert cursor.transfers_by_nft == dataset.transfers_by_nft
-    assert list(cursor.transfers_by_nft) == list(dataset.transfers_by_nft)
+    transfers_by_nft = cursor.as_dataset().transfers_by_nft
+    assert transfers_by_nft == dataset.transfers_by_nft
+    assert list(transfers_by_nft) == list(dataset.transfers_by_nft)
     assert cursor.account_transactions == dataset.account_transactions
     assert cursor.compliance.compliant == dataset.compliance.compliant
     assert cursor.compliance.non_compliant == dataset.compliance.non_compliant
@@ -571,7 +572,7 @@ class TestTickAtomicity:
             cursor.transfer_count,
             len(cursor.scan.matches),
             sorted(cursor.scan.emitting_contracts),
-            {nft: len(t) for nft, t in cursor.transfers_by_nft.items()},
+            {nft: columns.row_count for nft, columns in cursor.store.tokens.items()},
             {a: len(t) for a, t in cursor.account_transactions.items()},
             sorted(cursor.store.nfts(), key=repr),
             len(cursor._journal),
