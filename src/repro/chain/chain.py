@@ -91,6 +91,17 @@ class Chain:
             return self._sealed_hashes[number]
         return self._compute_block_hash(number)
 
+    def block_hashes(self, from_block: int, to_block: int) -> List[str]:
+        """The chained hashes of blocks ``from_block``..``to_block``
+        (inclusive), as :meth:`block_hash` returns them one at a time,
+        read off the sealed cache in one slice."""
+        if from_block > to_block:
+            return []
+        if from_block < 0:
+            raise IndexError(f"block {from_block} does not exist")
+        last = self.block_hash(to_block)  # fills the sealed cache below it
+        return self._sealed_hashes[from_block:to_block] + [last]
+
     def parent_hash(self, number: int) -> str:
         """The hash of a block's parent (all zeroes for block 0)."""
         if number <= 0:

@@ -27,10 +27,13 @@ def transaction_parties(tx: Transaction) -> Set[str]:
     parties: Set[str] = {tx.sender}
     if tx.to:
         parties.add(tx.to)
-    for transfer in tx.value_transfers:
+    receipt = tx.receipt
+    if receipt is None:
+        return parties
+    for transfer in receipt.value_transfers:
         parties.add(transfer.sender)
         parties.add(transfer.recipient)
-    for log in tx.logs:
+    for log in receipt.logs:
         if log.is_erc20_transfer or log.is_erc721_transfer:
             parties.add(log.topics[1])
             parties.add(log.topics[2])

@@ -45,6 +45,10 @@ class EthereumNode:
         """
         return self.chain.block_hash(number)
 
+    def get_block_hashes(self, from_block: int, to_block: int) -> List[str]:
+        """The chained hashes of an inclusive block range, oldest first."""
+        return self.chain.block_hashes(from_block, to_block)
+
     def get_parent_hash(self, number: int) -> str:
         """Return the parent hash of a block (all zeroes for block 0)."""
         return self.chain.parent_hash(number)

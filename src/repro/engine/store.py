@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set
 
 from repro.chain.types import NFTKey
 from repro.ingest.records import TRANSFER_TIME_ORDER, NFTTransfer
@@ -28,18 +28,19 @@ class TokenColumns:
     ``recipients[i]`` and ``payment_flags[i]``; sender/recipient entries
     are store-wide interned account ids.  Rows are sorted by
     ``(timestamp, block_number, tx_hash)`` exactly like the legacy
-    ``build_transaction_graph``.
+    ``build_transaction_graph``.  Every column is mutable so the live
+    store grows and truncates a token in place, in O(rows changed).
     """
 
     nft: NFTKey
-    transfers: Tuple[NFTTransfer, ...]
+    transfers: List[NFTTransfer]
     timestamps: array
     senders: array
     recipients: array
     #: 1 where the carrying transaction moved ETH or ERC-20 value.
-    payment_flags: bytes
+    payment_flags: bytearray
     #: Distinct account ids appearing in this token's rows.
-    account_ids: FrozenSet[int]
+    account_ids: Set[int]
 
     @property
     def row_count(self) -> int:
@@ -62,10 +63,11 @@ class ColumnarTransferStore:
     cursor (:class:`~repro.stream.cursor.DatasetCursor`) keeps its
     transfers nowhere else: it grows the store tick by tick through
     :meth:`append_token_transfers`, which only ever appends in row
-    order, and undoes a reorg by row-count watermarks through
-    :meth:`truncate_token`.  Token insertion order matches the dataset's
-    ``transfers_by_nft`` iteration order so the engine's candidates line
-    up with the legacy pipeline's candidate order.
+    order, and undoes a reorg by cutting tokens back to their rows up to
+    the fork block through :meth:`truncate_token`.  Token insertion
+    order matches the dataset's ``transfers_by_nft`` iteration order so
+    the engine's candidates line up with the legacy pipeline's candidate
+    order.
     """
 
     def __init__(self) -> None:
@@ -100,9 +102,9 @@ class ColumnarTransferStore:
             raise ValueError(
                 f"{nft} is already stored; append_token_transfers extends it"
             )
-        ordered = tuple(sorted(transfers, key=TRANSFER_TIME_ORDER))
-        # Comprehensions + array-from-list beat per-row appends; this is
-        # the hottest loop of the store build.
+        ordered = sorted(transfers, key=TRANSFER_TIME_ORDER)
+        # Comprehensions + array-from-list size every column exactly;
+        # this is the hottest loop of the batch store build.
         intern = self.intern
         sender_ids = [intern(transfer.sender) for transfer in ordered]
         recipient_ids = [intern(transfer.recipient) for transfer in ordered]
@@ -114,10 +116,10 @@ class ColumnarTransferStore:
             timestamps=array("q", [transfer.timestamp for transfer in ordered]),
             senders=array("q", sender_ids),
             recipients=array("q", recipient_ids),
-            payment_flags=bytes(
-                1 if transfer.has_payment else 0 for transfer in ordered
-            ),
-            account_ids=frozenset(token_ids),
+            payment_flags=bytearray(transfer.has_payment for transfer in ordered),
+            # A copy is sized to fit; a set grown id by id can hold a
+            # table twice as large.
+            account_ids=set(token_ids),
         )
         self.tokens[nft] = columns
         self._row_total += len(ordered)
@@ -148,9 +150,10 @@ class ColumnarTransferStore:
         non-decreasing timestamps, so new rows always sort at or after
         the token's current tail; rows sorting before it are an input
         error (``ValueError``, the columns untouched), which keeps row
-        positions equal to append order -- the watermark rollback of
-        :meth:`truncate_token` relies on it.  An empty chunk never
-        creates a token (None for an unknown ``nft``).
+        positions equal to append order -- the tail truncation of
+        :meth:`truncate_token` relies on it.  The columns grow in place,
+        in O(new rows).  An empty chunk never creates a token (None for
+        an unknown ``nft``).
         """
         if not transfers:
             return self.tokens.get(nft)
@@ -158,31 +161,48 @@ class ColumnarTransferStore:
         if columns is None:
             return self.add_token(nft, transfers)
 
-        ordered = sorted(transfers, key=TRANSFER_TIME_ORDER)
-        if columns.transfers and TRANSFER_TIME_ORDER(ordered[0]) < TRANSFER_TIME_ORDER(
-            columns.transfers[-1]
-        ):
+        ordered = (
+            sorted(transfers, key=TRANSFER_TIME_ORDER)
+            if len(transfers) > 1
+            else transfers
+        )
+        first = ordered[0]
+        last = columns.transfers[-1] if columns.transfers else first
+        # A later timestamp (nearly every append) settles the order
+        # without building the sort keys.
+        if first.timestamp <= last.timestamp and TRANSFER_TIME_ORDER(
+            first
+        ) < TRANSFER_TIME_ORDER(last):
             raise ValueError(
                 f"transfers of {nft} arrive out of order: the first new row "
                 f"sorts before the stored tail"
             )
-
-        new_flags = bytearray(len(ordered))
-        new_ids: set[int] = set()
-        for row, transfer in enumerate(ordered):
-            sender_id = self.intern(transfer.sender)
-            recipient_id = self.intern(transfer.recipient)
-            columns.timestamps.append(transfer.timestamp)
-            columns.senders.append(sender_id)
-            columns.recipients.append(recipient_id)
-            if transfer.has_payment:
-                new_flags[row] = 1
-            new_ids.add(sender_id)
-            new_ids.add(recipient_id)
-        columns.transfers = columns.transfers + tuple(ordered)
+        # One pass per row with the columns hoisted into locals: a live
+        # tick appends a row or two per token, where a comprehension per
+        # column costs more than the rows.
+        ids = self._ids
+        intern = self.intern
+        rows = columns.transfers
+        timestamps = columns.timestamps
+        senders = columns.senders
+        recipients = columns.recipients
+        payment_flags = columns.payment_flags
+        account_ids = columns.account_ids
+        for transfer in ordered:
+            sender_id = ids.get(transfer.sender)
+            if sender_id is None:
+                sender_id = intern(transfer.sender)
+            recipient_id = ids.get(transfer.recipient)
+            if recipient_id is None:
+                recipient_id = intern(transfer.recipient)
+            rows.append(transfer)
+            timestamps.append(transfer.timestamp)
+            senders.append(sender_id)
+            recipients.append(recipient_id)
+            payment_flags.append(transfer.has_payment)
+            account_ids.add(sender_id)
+            account_ids.add(recipient_id)
         self._row_total += len(ordered)
-        columns.payment_flags = columns.payment_flags + bytes(new_flags)
-        columns.account_ids = columns.account_ids | new_ids
         return columns
 
     def extend(
@@ -202,8 +222,8 @@ class ColumnarTransferStore:
         """Drop every row of a token past ``row_count``, in place.
 
         This is the reorg rollback: streaming appends arrive in row
-        order, so per-append row-count watermarks identify exactly the
-        rows a rolled-back block contributed.  The existing
+        order, so the rows rolled-back blocks contributed are exactly a
+        token's tail.  The existing
         :class:`TokenColumns` object is mutated (aliases stay live);
         truncating to zero rows removes the token entirely.  Returns the
         number of rows removed.
@@ -224,15 +244,16 @@ class ColumnarTransferStore:
         if row_count == 0:
             self.remove_token(nft)
             return removed
-        columns.transfers = columns.transfers[:row_count]
         self._row_total -= removed
+        del columns.transfers[row_count:]
         del columns.timestamps[row_count:]
         del columns.senders[row_count:]
         del columns.recipients[row_count:]
-        columns.payment_flags = columns.payment_flags[:row_count]
-        columns.account_ids = frozenset(columns.senders) | frozenset(
-            columns.recipients
-        )
+        del columns.payment_flags[row_count:]
+        account_ids = columns.account_ids
+        account_ids.clear()
+        account_ids.update(columns.senders)
+        account_ids.update(columns.recipients)
         return removed
 
     def remove_token(self, nft: NFTKey) -> None:

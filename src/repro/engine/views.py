@@ -25,7 +25,7 @@ class StoreStats:
 
     @classmethod
     def capture(cls, store: ColumnarTransferStore) -> "StoreStats":
-        """Snapshot the store's sizes (O(tokens), no rows copied)."""
+        """Snapshot the store's sizes (three O(1) counters, no rows copied)."""
         return cls(
             transfer_count=store.transfer_count,
             token_count=store.token_count,

@@ -25,7 +25,6 @@ A reorg deeper than the journal raises :class:`ReorgTooDeepError`.
 from repro.stream.alerts import Alert, AlertKind, MonitorSnapshot
 from repro.stream.cursor import (
     DEFAULT_MAX_REORG_DEPTH,
-    BlockJournalEntry,
     CursorTick,
     DatasetCursor,
     ReorgTooDeepError,
@@ -36,7 +35,6 @@ from repro.stream.scheduler import DirtyTokenScheduler, TickReport
 __all__ = [
     "Alert",
     "AlertKind",
-    "BlockJournalEntry",
     "CursorTick",
     "DEFAULT_MAX_REORG_DEPTH",
     "DatasetCursor",

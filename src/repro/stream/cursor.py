@@ -21,23 +21,26 @@ Two properties distinguish the cursor from a naive follower:
   back tokens and accounts are carried over and delivered by the first
   tick that completes, so a retry never loses the dirty set.
 
-* **Reorg safety.**  A live head reorganizes.  The cursor keeps a
-  bounded per-block journal (block hash, scan-match span, appended rows
-  per token, newly probed contracts and newly involved accounts) for
-  the most recent ``max_reorg_depth`` blocks.  At the start of every
-  tick it compares its journaled tail hash against the node; on
-  divergence it walks the journal back to the fork point and rolls back
-  everything past it -- scan matches, the compliance report, store
-  columns (truncated by the journal's per-token row counts; the chain's
-  non-decreasing block timestamps keep every append at the token's
-  tail, so row positions are append order) and account histories --
-  then re-ingests the canonical branch.  A divergence reaching below
-  the journaled window raises :class:`ReorgTooDeepError`.  Note the
-  window is measured from the highest head the cursor has committed:
-  rolling a block back deletes its journal entry (its contributions
-  were undone), so successive head regressions *consume* the window
-  until freshly ingested blocks rebuild it -- budget headroom
-  accordingly.
+* **Reorg safety.**  A live head reorganizes.  The cursor journals the
+  most recent ``max_reorg_depth`` blocks: per block only the hash it
+  had at ingest (plus the tail block's timestamp and transaction
+  hashes), and per tick what a rollback must undo that nothing else
+  records -- which tokens and accounts hold rows of the journaled
+  blocks, and the block of each first probed contract and first
+  involved account.  Store rows, scan matches and account histories
+  carry their block numbers and are block-ordered, so the undo trims
+  their tails past the fork instead of counting them per block.  At
+  the start of every tick the cursor compares its journaled tail hash
+  against the node; on divergence it walks the hashes back to the fork
+  point, rolls back everything past it -- scan matches, the compliance
+  report, store columns (the chain's non-decreasing block timestamps
+  keep every append at the token's tail) and account histories -- then
+  re-ingests the canonical branch.  A divergence reaching below the
+  journaled window raises :class:`ReorgTooDeepError`.  Note the window
+  is measured from the highest head the cursor has committed: rolling
+  a block back drops it from the journal (its contributions were
+  undone), so successive head regressions *consume* the window until
+  freshly ingested blocks rebuild it -- budget headroom accordingly.
 
 Invariant: after advancing to block ``B`` of the *current canonical
 chain* -- through any sequence of advances and rollbacks -- the cursor's
@@ -99,37 +102,34 @@ class ReorgTooDeepError(RuntimeError):
 
 
 @dataclass
-class BlockJournalEntry:
-    """Everything one ingested block contributed to the cursor's state.
+class _TickJournal:
+    """What one committed tick contributed to the rollback window.
 
-    The rollback unit: undoing a block means removing exactly these
-    contributions, newest block first, down to the fork point.
+    Only the tick's blocks inside the window count: a tick wider than the
+    window (the initial catch-up over a long chain) records just its
+    tail, because a rollback can never reach below the window's floor.
+    Store rows, scan matches and account histories carry their block
+    numbers, so the record only names the tokens and accounts to trim;
+    first appearances, which nothing else dates, keep their block.
     """
 
-    number: int
-    #: Chained block hash at ingest time; a later mismatch against the
-    #: node reveals that this block was reorganized away -- or, for the
-    #: journal tail, that a still-open head block gained transactions.
-    hash: str
-    #: The block's timestamp and transaction hashes at ingest time,
-    #: distinguishing benign head-block growth (same timestamp, old
-    #: transactions an exact prefix of the new ones) from a real reorg.
-    block_timestamp: int = 0
-    tx_hashes: Tuple[str, ...] = ()
-    #: Scan matches appended for this block (matches are block-ordered,
-    #: so a rollback removes the summed tail span).
-    match_count: int = 0
-    #: Contracts that emitted their first ERC-721-shaped event in this
-    #: block (and were therefore ERC-165-probed because of it).
-    new_contracts: Tuple[str, ...] = ()
-    #: Rows this block appended per token (store watermarks).
-    token_row_counts: Dict[NFTKey, int] = field(default_factory=dict)
-    #: Accounts first involved (as a transfer endpoint) in this block.
-    new_accounts: Tuple[str, ...] = ()
-    #: Accounts whose collected transaction list holds a transaction of
-    #: this block (rollback trims exactly these tails, instead of
-    #: scanning every followed account).
-    tx_accounts: Tuple[str, ...] = ()
+    #: First and last journaled block of the tick (a rollback into the
+    #: tick lowers ``last_block`` to the fork).
+    first_block: int
+    last_block: int
+    #: Tokens that gained a row in a journaled block, in the tick's
+    #: first-touch order.
+    nfts: Tuple[NFTKey, ...]
+    #: Accounts whose collected list gained a transaction of a journaled
+    #: block (rollback trims exactly these tails, instead of scanning
+    #: every followed account).
+    tx_accounts: Tuple[str, ...]
+    #: Contracts whose first ERC-721-shaped event (and so their ERC-165
+    #: probe) fell in a journaled block, mapped to that block.
+    new_contracts: Dict[str, int]
+    #: Accounts first involved as a transfer endpoint in a journaled
+    #: block, mapped to that block.
+    new_accounts: Dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -179,8 +179,9 @@ def _history_changes(
     Appends change a list from their earliest timestamp on; a list
     fetched whole or truncated by a rollback may differ anywhere.
     """
+    # Appended lists are in chain order, so timestamps never decrease.
     changes: Dict[str, Optional[int]] = {
-        account: min(tx.timestamp for tx in transactions)
+        account: transactions[0].timestamp
         for account, transactions in appended.items()
     }
     for account in new_accounts:
@@ -291,7 +292,7 @@ class _CursorMetrics:
             self.reorg_depth.observe(tick.reorg_depth)
             self.rolled_back_blocks.inc(tick.reorg_depth)
             self.rolled_back_transfers.inc(tick.rolled_back_transfer_count)
-        self.journal_blocks.set(len(cursor._journal))
+        self.journal_blocks.set(len(cursor._block_hashes))
         self.processed_block.set(cursor.processed_block)
 
 
@@ -336,9 +337,14 @@ class DatasetCursor:
         self.scan = TransferScanResult()
         self.store = ColumnarTransferStore()
         self._probed_contracts: Set[str] = set()
-        #: Per-block undo journal, oldest first, contiguous, bounded to
-        #: the last ``max_reorg_depth`` processed blocks.
-        self._journal: List[BlockJournalEntry] = []
+        #: The rollback journal, bounded to the last ``max_reorg_depth``
+        #: processed blocks (plus the fork block): the hash each block
+        #: had at ingest, oldest first, ending at ``processed_block``;
+        #: the tail block's (timestamp, transaction hashes) at ingest;
+        #: and the undo record of every tick with a block in the window.
+        self._block_hashes: List[str] = []
+        self._tail_block: Tuple[int, Tuple[str, ...]] = (0, ())
+        self._ticks: List[_TickJournal] = []
         #: Rollbacks applied but not yet reported through a completed
         #: tick.  A rollback mutates the cursor immediately; if the rest
         #: of the tick then fails on a node read, the retried tick finds
@@ -360,7 +366,7 @@ class DatasetCursor:
     @property
     def journal_floor(self) -> int:
         """Oldest block the cursor can still roll back to the front of."""
-        return self._journal[0].number if self._journal else self.next_block
+        return self.next_block - len(self._block_hashes)
 
     def tokens_touching(self, accounts: Iterable[str]) -> Set[NFTKey]:
         """Every stored token one of ``accounts`` appears in.
@@ -491,22 +497,28 @@ class DatasetCursor:
             else self.compliance.compliant
         )
 
+        venue_by_address = self._venue_by_address
         new_by_nft: Dict[NFTKey, List[NFTTransfer]] = {}
         for tx, log in tick_scan.matches:
             if log.address not in compliant_view:
                 continue
-            transfer = transfer_from_log(tx, log, self._venue_by_address)
-            new_by_nft.setdefault(transfer.nft, []).append(transfer)
+            transfer = transfer_from_log(tx, log, venue_by_address)
+            chunk = new_by_nft.get(transfer.nft)
+            if chunk is None:
+                new_by_nft[transfer.nft] = [transfer]
+            else:
+                chunk.append(transfer)
         for chunk in new_by_nft.values():
-            chunk.sort(key=TRANSFER_CHAIN_ORDER)
+            if len(chunk) > 1:
+                chunk.sort(key=TRANSFER_CHAIN_ORDER)
 
-        new_accounts = self._new_involved_accounts(new_by_nft)
-        pending = self._stage_block_transactions(from_block, stop, new_accounts)
+        first_involved = self._new_involved_accounts(new_by_nft)
+        pending = self._stage_block_transactions(from_block, stop)
         new_histories = collect_account_transactions(
-            self.node, new_accounts, to_block=stop
+            self.node, first_involved, to_block=stop
         )
-        journal_entries = self._stage_journal(
-            from_block, stop, tick_scan, unseen, new_by_nft, new_accounts,
+        hashes, tail_block, journal = self._stage_journal(
+            from_block, stop, tick_scan, unseen, new_by_nft, first_involved,
             pending, new_histories,
         )
 
@@ -518,23 +530,18 @@ class DatasetCursor:
         self._probed_contracts.update(unseen)
 
         new_transfer_count = 0
+        append = self.store.append_token_transfers
         for nft, chunk in new_by_nft.items():
-            self.store.append_token_transfers(nft, chunk)
+            append(nft, chunk)
             new_transfer_count += len(chunk)
 
         for account, transactions in pending.items():
             self.account_transactions[account].extend(transactions)
-        for account, transactions in new_histories.items():
-            self.account_transactions[account] = transactions
+        self.account_transactions.update(new_histories)
 
-        self._journal.extend(journal_entries)
-        # One entry beyond the configured depth: repairing a depth-d
-        # reorg needs the fork block (d+1 back) still verifiable.
-        retain = self.max_reorg_depth + 1
-        if len(self._journal) > retain:
-            del self._journal[: len(self._journal) - retain]
-        self._prune_scan_matches()
         self.next_block = stop + 1
+        self._commit_journal(hashes, tail_block, journal)
+        self._prune_scan_matches()
         self._pending_rollback = None
 
         return CursorTick(
@@ -543,42 +550,78 @@ class DatasetCursor:
             event_count=tick_scan.event_count,
             new_transfer_count=new_transfer_count,
             touched_nfts=tuple(new_by_nft),
-            touched_since=_history_changes(pending, new_accounts, rollback.accounts),
-            new_account_count=len(new_accounts),
+            touched_since=_history_changes(
+                pending, first_involved, rollback.accounts
+            ),
+            new_account_count=len(first_involved),
             reorg_depth=rollback.depth,
             fork_block=rollback.fork_block,
             rolled_back_transfer_count=rollback.transfer_count,
             rolled_back_nfts=rollback.nfts,
         )
 
+    def _commit_journal(
+        self,
+        hashes: List[str],
+        tail_block: Tuple[int, Tuple[str, ...]],
+        journal: _TickJournal,
+    ) -> None:
+        """Add a committed tick to the journal and trim it to the window.
+
+        One block beyond the configured depth is kept: repairing a
+        depth-d reorg needs the fork block (d+1 back) still verifiable.
+        A wide tick stages exactly that many hashes, so whatever an
+        earlier tick left falls out and the hashes stay contiguous.
+        """
+        block_hashes = self._block_hashes
+        block_hashes.extend(hashes)
+        excess = len(block_hashes) - (self.max_reorg_depth + 1)
+        if excess > 0:
+            del block_hashes[:excess]
+        self._tail_block = tail_block
+        ticks = self._ticks
+        ticks.append(journal)
+        floor = self.journal_floor
+        gone = 0
+        while ticks[gone].last_block < floor:
+            gone += 1
+        if gone:
+            del ticks[:gone]
+
     def _prune_scan_matches(self) -> None:
         """Drop scan matches whose blocks left the rollback journal.
 
         Matches are block-ordered across ticks and rollbacks only ever
-        remove journaled tails, so everything before the journaled span
+        remove journaled tails, so everything before the journal floor
         is permanent -- a rollback can never need it again.  Keeping the
-        list trimmed to the journal's own match span bounds the raw
-        match retention at O(journal) regardless of chain length.
+        list trimmed to the journaled blocks bounds the raw match
+        retention at O(journal) regardless of chain length, and each
+        match is pruned once, so the trim costs O(new matches) per tick.
         """
-        retained = sum(entry.match_count for entry in self._journal)
-        drop = len(self.scan.matches) - retained
-        if drop > 0:
-            pruned = self.scan.pruned_by_contract
-            for _tx, log in self.scan.matches[:drop]:
-                pruned[log.address] = pruned.get(log.address, 0) + 1
-            del self.scan.matches[:drop]
+        floor = self.journal_floor
+        matches = self.scan.matches
+        pruned = self.scan.pruned_by_contract
+        drop = 0
+        for tx, log in matches:
+            if tx.block_number >= floor:
+                break
+            pruned[log.address] = pruned.get(log.address, 0) + 1
+            drop += 1
+        if drop:
+            del matches[:drop]
 
     # -- reorg handling ----------------------------------------------------
     def _detect_divergence_and_rollback(self, head: int) -> _RollbackResult:
         """Compare the journaled tail against the node; roll back if needed.
 
-        Walks the journal newest-first looking for the deepest block that
-        is still canonical (same hash, still mined).  Everything past it
-        is undone.  A divergence running below the journal -- or a head
-        regression with no journal coverage at all -- cannot be repaired
-        and raises :class:`ReorgTooDeepError`.
+        Walks the journaled hashes newest-first looking for the deepest
+        block that is still canonical (same hash, still mined).
+        Everything past it is undone.  A divergence running below the
+        journal -- or a head regression with no journal coverage at all
+        -- cannot be repaired and raises :class:`ReorgTooDeepError`.
         """
-        if not self._journal:
+        hashes = self._block_hashes
+        if not hashes:
             # Nothing ingested yet (e.g. a start_block still in the
             # future) leaves nothing to diverge from; but a regressed
             # head over ingested-yet-unjournaled history is beyond
@@ -586,17 +629,18 @@ class DatasetCursor:
             if head < self.processed_block and self.next_block > self._start_block:
                 raise ReorgTooDeepError(self.processed_block, head, self.next_block)
             return _NO_ROLLBACK
+        floor = self.journal_floor
+        tail = self.processed_block
         fork: Optional[int] = None
-        for entry in reversed(self._journal):
-            if entry.number <= head and self.node.get_block_hash(entry.number) == entry.hash:
-                fork = entry.number
+        for number in range(tail, floor - 1, -1):
+            if number <= head and self.node.get_block_hash(number) == hashes[number - floor]:
+                fork = number
                 break
-        if fork == self.processed_block:
+        if fork == tail:
             return _NO_ROLLBACK
-        tail = self._journal[-1]
         if (
-            tail.number <= head
-            and (fork == tail.number - 1 or (fork is None and len(self._journal) == 1))
+            tail <= head
+            and (fork == tail - 1 or (fork is None and len(hashes) == 1))
             and self._head_block_merely_grew(tail)
         ):
             # Not a reorg: the tail was journaled while it was still the
@@ -605,7 +649,7 @@ class DatasetCursor:
             # current).  Re-ingest the whole block, but report no reorg
             # -- every previously seen row comes straight back, so
             # subscribers see only the genuinely new confirmations.
-            grown = self._rollback_to(tail.number - 1)
+            grown = self._rollback_to(tail - 1)
             return _RollbackResult(
                 depth=0,
                 fork_block=-1,
@@ -615,97 +659,133 @@ class DatasetCursor:
                 recover_to=grown.recover_to,
             )
         if fork is None:
-            if self._journal[0].number == self._start_block:
+            if floor == self._start_block:
                 # The journal still reaches back to the cursor's very
                 # first block: the whole ingested history diverged, and a
                 # full reset *is* a rollback to just before the start.
                 fork = self._start_block - 1
             else:
-                raise ReorgTooDeepError(
-                    self.processed_block, head, self._journal[0].number
-                )
+                raise ReorgTooDeepError(self.processed_block, head, floor)
         return self._rollback_to(fork)
 
-    def _head_block_merely_grew(self, entry: BlockJournalEntry) -> bool:
-        """True when a journaled block only gained transactions since.
+    def _head_block_merely_grew(self, number: int) -> bool:
+        """True when the journaled tail block only gained transactions since.
 
         Same block number, same timestamp, and every transaction known at
         ingest time still present, in order, as a prefix -- the signature
         of an open head block that kept accepting transactions, which is
         ordinary forward growth rather than a reorganisation.
         """
-        block = self.node.get_block(entry.number)
-        if block.timestamp != entry.block_timestamp:
+        block = self.node.get_block(number)
+        timestamp, known = self._tail_block
+        if block.timestamp != timestamp:
             return False
         current = block.transaction_hashes
-        known = entry.tx_hashes
         return len(current) >= len(known) and tuple(current[: len(known)]) == known
 
+    def _block_summary(self, number: int) -> Tuple[int, Tuple[str, ...]]:
+        """A block's timestamp and transaction hashes, as the node has it."""
+        block = self.node.get_block(number)
+        return block.timestamp, tuple(block.transaction_hashes)
+
     def _rollback_to(self, fork: int) -> _RollbackResult:
-        """Undo every journaled block past ``fork``, newest first."""
+        """Undo every journaled block past ``fork``."""
         previous_processed = self.processed_block
-        keep = 0
-        while keep < len(self._journal) and self._journal[keep].number <= fork:
-            keep += 1
-        removed_entries = self._journal[keep:]
+        floor = self.journal_floor
+        # The fork block becomes the journal's tail (if it is journaled
+        # at all); its hash still matches, so the node's copy is what was
+        # ingested.  The one node read, made before anything mutates.
+        tail_block = self._block_summary(fork) if fork >= floor else (0, ())
+        first = 0
+        while first < len(self._ticks) and self._ticks[first].last_block <= fork:
+            first += 1
+        undone = self._ticks[first:]
 
         # Scan matches are block-ordered across ticks: drop the tail span.
         # Pruned matches all predate the journal, so no rollback reaches
         # them or their per-contract tally.
-        removed_matches = sum(entry.match_count for entry in removed_entries)
-        if removed_matches:
-            del self.scan.matches[-removed_matches:]
+        matches = self.scan.matches
+        keep = len(matches)
+        while keep and matches[keep - 1][0].block_number > fork:
+            keep -= 1
+        del matches[keep:]
 
         # Contracts first seen in a rolled-back block: un-probe them so a
         # canonical re-appearance probes (and journals) them afresh.
-        for entry in removed_entries:
-            for contract in entry.new_contracts:
-                self.scan.emitting_contracts.discard(contract)
-                self.compliance.compliant.discard(contract)
-                self.compliance.non_compliant.discard(contract)
-                self._probed_contracts.discard(contract)
+        for journal in undone:
+            for contract, number in journal.new_contracts.items():
+                if number > fork:
+                    self.scan.emitting_contracts.discard(contract)
+                    self.compliance.compliant.discard(contract)
+                    self.compliance.non_compliant.discard(contract)
+                    self._probed_contracts.discard(contract)
 
-        # Token rows, by per-block watermark counts.
-        removed_rows: Dict[NFTKey, int] = {}
-        for entry in removed_entries:
-            for nft, count in entry.token_row_counts.items():
-                removed_rows[nft] = removed_rows.get(nft, 0) + count
-        for nft, count in removed_rows.items():
-            self.store.truncate_token(nft, self.store.tokens[nft].row_count - count)
+        # Token rows are block-ordered: each named token loses its rows
+        # past the fork.  Tokens are reported by their first removed
+        # block, then by first touch within that block's tick.
+        removed_rows: Dict[NFTKey, Tuple[int, int, int]] = {}
+        for journal in undone:
+            for position, nft in enumerate(journal.nfts):
+                if nft in removed_rows:
+                    continue
+                columns = self.store.tokens.get(nft)
+                if columns is None:
+                    continue  # emptied by an earlier rollback
+                rows = columns.transfers
+                keep = len(rows)
+                while keep and rows[keep - 1].block_number > fork:
+                    keep -= 1
+                if keep == len(rows) or rows[keep].block_number > journal.last_block:
+                    # Nothing past the fork, or the first orphaned row
+                    # belongs to a later tick, which names the token too.
+                    continue
+                removed_rows[nft] = (rows[keep].block_number, position, len(rows) - keep)
+                self.store.truncate_token(nft, keep)
+        rolled_back_nfts = sorted(removed_rows, key=lambda nft: removed_rows[nft][:2])
 
         # Accounts first involved in a rolled-back block vanish whole --
         # a batch build over the canonical prefix never saw them.
-        for entry in removed_entries:
-            for account in entry.new_accounts:
-                self.account_transactions.pop(account, None)
+        for journal in undone:
+            for account, number in journal.new_accounts.items():
+                if number > fork:
+                    self.account_transactions.pop(account, None)
 
         # Surviving accounts lose every transaction past the fork.  The
         # journal names exactly the accounts holding transactions of the
-        # removed blocks, and the lists are (block, hash)-sorted, so the
+        # journaled blocks, and the lists are (block, hash)-sorted, so the
         # orphaned suffix pops off each named tail -- the rollback cost
         # tracks the reorg's footprint, not the account population.
         candidates: Set[str] = set()
-        for entry in removed_entries:
-            candidates.update(entry.tx_accounts)
+        for journal in undone:
+            candidates.update(journal.tx_accounts)
         affected_accounts: Set[str] = set()
         for account in candidates:
             transactions = self.account_transactions.get(account)
             if transactions is None:
                 continue  # deleted above: first involved past the fork
-            trimmed = False
-            while transactions and transactions[-1].block_number > fork:
-                transactions.pop()
-                trimmed = True
-            if trimmed:
+            keep = len(transactions)
+            while keep and transactions[keep - 1].block_number > fork:
+                keep -= 1
+            if keep < len(transactions):
+                del transactions[keep:]
                 affected_accounts.add(account)
 
-        del self._journal[keep:]
+        # The tick holding the fork now ends there; the ticks after it
+        # are gone.  What its record names past the fork was just undone,
+        # and only a rollback below the fork can visit the record again,
+        # which undoes the same things again or finds them gone.
+        if undone and undone[0].first_block <= fork:
+            undone[0].last_block = fork
+            first += 1
+        del self._ticks[first:]
+        del self._block_hashes[max(fork + 1 - floor, 0) :]
+        self._tail_block = tail_block
         self.next_block = fork + 1
         return _RollbackResult(
             depth=previous_processed - fork,
             fork_block=fork,
-            transfer_count=sum(removed_rows.values()),
-            nfts=tuple(removed_rows),
+            transfer_count=sum(count for _, _, count in removed_rows.values()),
+            nfts=tuple(rolled_back_nfts),
             accounts=frozenset(affected_accounts),
             recover_to=previous_processed,
         )
@@ -718,126 +798,110 @@ class DatasetCursor:
         tick_scan: TransferScanResult,
         unseen: List[str],
         new_by_nft: Dict[NFTKey, List[NFTTransfer]],
-        new_accounts: List[str],
+        first_involved: Dict[str, int],
         pending: Dict[str, List[Transaction]],
         new_histories: Dict[str, List[Transaction]],
-    ) -> List[BlockJournalEntry]:
-        """Attribute the staged tick to per-block rollback entries.
+    ) -> Tuple[List[str], Tuple[int, Tuple[str, ...]], _TickJournal]:
+        """The staged tick's journal: block hashes, tail block, undo record.
 
         Only the blocks that can still be rolled back after this tick
         commits are journaled: a tick wider than the retention window
         (the initial catch-up over a long chain) journals just its tail,
         because a rollback can never reach below the window's floor --
         everything under it is permanent the moment it commits.
-        Contributions attributed to a sub-floor block (a contract's or
+        Contributions dated to a sub-floor block (a contract's or
         account's first appearance, a token row) are likewise permanent
-        and simply skip the journal.
+        and simply skip the journal.  Staged lists are block-ordered, so
+        each token or account is checked by its last row alone.
         """
         floor = max(from_block, to_block - self.max_reorg_depth)
-        entries = {
-            block.number: BlockJournalEntry(
-                number=block.number,
-                hash=self.node.get_block_hash(block.number),
-                block_timestamp=block.timestamp,
-                tx_hashes=tuple(block.transaction_hashes),
-            )
-            for block in self.node.iter_blocks(floor, to_block)
-        }
+        hashes = self.node.get_block_hashes(floor, to_block)
 
-        for tx, _log in tick_scan.matches:
-            if tx.block_number >= floor:
-                entries[tx.block_number].match_count += 1
-
-        first_emitted: Dict[str, int] = {}
-        unseen_set = set(unseen)
-        for tx, log in tick_scan.matches:
-            if log.address in unseen_set and log.address not in first_emitted:
-                first_emitted[log.address] = tx.block_number
-        contracts_by_block: Dict[int, List[str]] = {}
-        for contract, number in first_emitted.items():
-            if number >= floor:
-                contracts_by_block.setdefault(number, []).append(contract)
-        for number, contracts in contracts_by_block.items():
-            entries[number].new_contracts = tuple(sorted(contracts))
-
-        new_account_set = set(new_accounts)
-        first_involved: Dict[str, int] = {}
-        for nft, chunk in new_by_nft.items():
-            for transfer in chunk:
-                if transfer.block_number >= floor:
-                    entry = entries[transfer.block_number]
-                    entry.token_row_counts[nft] = (
-                        entry.token_row_counts.get(nft, 0) + 1
-                    )
-                for endpoint in (transfer.sender, transfer.recipient):
-                    if endpoint in new_account_set:
-                        seen_at = first_involved.get(endpoint)
-                        if seen_at is None or transfer.block_number < seen_at:
-                            first_involved[endpoint] = transfer.block_number
-
-        accounts_by_block: Dict[int, List[str]] = {}
-        for account, number in first_involved.items():
-            if number >= floor:
-                accounts_by_block.setdefault(number, []).append(account)
-        for number, accounts in accounts_by_block.items():
-            entries[number].new_accounts = tuple(sorted(accounts))
-
-        # Which accounts hold a transaction of each journaled block: the
-        # tick's per-block appends, plus the full (clamped) histories of
-        # accounts involved for the first time -- a kept account's
-        # pre-involvement history can never be trimmed (its first
-        # transfer would have to be rolled back first, deleting the
-        # account outright), so sub-floor history blocks are safe to
-        # skip.
-        tx_accounts_by_block: Dict[int, Set[str]] = {}
-        for staged in (pending, new_histories):
-            for account, transactions in staged.items():
-                for tx in transactions:
+        new_contracts: Dict[str, int] = {}
+        if unseen:
+            remaining = set(unseen)
+            for tx, log in tick_scan.matches:
+                if log.address in remaining:
+                    remaining.discard(log.address)
                     if tx.block_number >= floor:
-                        tx_accounts_by_block.setdefault(
-                            tx.block_number, set()
-                        ).add(account)
-        for number, accounts in tx_accounts_by_block.items():
-            entries[number].tx_accounts = tuple(sorted(accounts))
+                        new_contracts[log.address] = tx.block_number
+                    if not remaining:
+                        break
 
-        return [entries[number] for number in range(floor, to_block + 1)]
+        # A kept account's pre-involvement history can never be trimmed
+        # (its first transfer would have to be rolled back first,
+        # deleting the account outright), so only a list's journaled
+        # tail makes it a rollback candidate.
+        tx_accounts = tuple(
+            account
+            for staged in (pending, new_histories)
+            for account, transactions in staged.items()
+            if transactions and transactions[-1].block_number >= floor
+        )
+        journal = _TickJournal(
+            first_block=floor,
+            last_block=to_block,
+            nfts=tuple(
+                nft
+                for nft, chunk in new_by_nft.items()
+                if chunk[-1].block_number >= floor
+            ),
+            tx_accounts=tx_accounts,
+            new_contracts=new_contracts,
+            new_accounts={
+                account: number
+                for account, number in first_involved.items()
+                if number >= floor
+            },
+        )
+        return hashes, self._block_summary(to_block), journal
 
     def _new_involved_accounts(
         self, new_by_nft: Dict[NFTKey, List[NFTTransfer]]
-    ) -> List[str]:
-        """Endpoints of the tick's transfers not yet followed, scan order."""
-        new_accounts: List[str] = []
-        seen: Set[str] = set()
+    ) -> Dict[str, int]:
+        """Endpoints of the tick's transfers not yet followed, in
+        first-touch order, each mapped to its first block as an endpoint."""
+        followed = self.account_transactions
+        first_involved: Dict[str, int] = {}
+        seen_at = first_involved.get
         for chunk in new_by_nft.values():
             for transfer in chunk:
+                number = transfer.block_number
                 for endpoint in (transfer.sender, transfer.recipient):
-                    if (
-                        endpoint != NULL_ADDRESS
-                        and endpoint not in seen
-                        and endpoint not in self.account_transactions
-                    ):
-                        seen.add(endpoint)
-                        new_accounts.append(endpoint)
-        return new_accounts
+                    first = seen_at(endpoint)
+                    if first is None:
+                        if endpoint not in followed and endpoint != NULL_ADDRESS:
+                            first_involved[endpoint] = number
+                    elif number < first:
+                        first_involved[endpoint] = number
+        return first_involved
 
     def _stage_block_transactions(
-        self, from_block: int, to_block: int, new_accounts: List[str]
+        self, from_block: int, to_block: int
     ) -> Dict[str, List[Transaction]]:
         """Attribute the tick's transactions to already-followed accounts.
 
-        Accounts becoming involved this very tick are skipped -- their
-        full (clamped) history is fetched separately and already covers
-        these blocks.  Pure staging: returns the per-account sorted
+        Accounts becoming involved this very tick are not followed yet
+        -- their full (clamped) history is fetched separately and
+        already covers these blocks -- so a cursor that follows nobody
+        walks no block.  Pure staging: returns the per-account sorted
         append lists without touching cursor state.
         """
-        skip = set(new_accounts)
+        followed = self.account_transactions
         pending: Dict[str, List[Transaction]] = {}
+        if not followed:
+            return pending
+        appended_to = pending.get
         for block in self.node.iter_blocks(from_block, to_block):
             for tx in block.transactions:
                 for party in transaction_parties(tx):
-                    if party in skip or party not in self.account_transactions:
-                        continue
-                    pending.setdefault(party, []).append(tx)
+                    if party in followed:
+                        appended = appended_to(party)
+                        if appended is None:
+                            pending[party] = [tx]
+                        else:
+                            appended.append(tx)
         for transactions in pending.values():
-            transactions.sort(key=TX_CHAIN_ORDER)
+            if len(transactions) > 1:
+                transactions.sort(key=TX_CHAIN_ORDER)
         return pending

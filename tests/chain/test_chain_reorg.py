@@ -54,6 +54,21 @@ class TestBlockHashes:
         with pytest.raises(IndexError):
             node.get_block_hash(len(chain.blocks))
 
+    def test_range_hashes_match_single_hashes(self):
+        chain = make_chain()
+        node = EthereumNode(chain)
+        head = chain.head_block_number
+        expected = [chain.block_hash(number) for number in range(head + 1)]
+        fresh = EthereumNode(make_chain())  # nothing cached yet
+        assert fresh.get_block_hashes(0, head) == expected
+        assert node.get_block_hashes(2, head - 1) == expected[2:head]
+        assert node.get_block_hashes(head, head) == [expected[head]]
+        assert node.get_block_hashes(3, 2) == []
+        with pytest.raises(IndexError):
+            node.get_block_hashes(0, head + 1)
+        with pytest.raises(IndexError):
+            node.get_block_hashes(-1, head)
+
     def test_head_hash_tracks_growing_head_block(self):
         chain = make_chain(blocks=2)
         head = chain.head_block_number

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.detectors.pipeline import WashTradingPipeline
 from repro.ingest.dataset import build_dataset
+from repro.ingest.transfer_scan import scan_erc721_transfer_logs
 from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
 from repro.simulation.reorg import ReorgStorm, apply_random_reorg
@@ -39,7 +40,10 @@ def batch_over(world):
 
 
 def journaled_match_count(cursor) -> int:
-    return sum(entry.match_count for entry in cursor._journal)
+    """Matches the node holds for the cursor's journaled blocks."""
+    return scan_erc721_transfer_logs(
+        cursor.node, cursor.journal_floor, cursor.processed_block
+    ).event_count
 
 
 def assert_bounded_state_parity(cursor, dataset):

@@ -7,11 +7,13 @@ canonical chain -- candidates, activities, evidence, funnel statistics,
 and the ingested dataset itself.  On top of the parity proofs this file
 covers the revision semantics (confirmed -> retracted -> confirmed
 flips, reorg/retraction alerts), head regressions, the journal bound,
-and the tick-atomicity guarantee under a fault-injecting node.
+rollbacks that cut through a tick's journaled span, and the
+tick-atomicity guarantee under a fault-injecting node.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -19,6 +21,7 @@ import pytest
 
 from repro.chain.block import Block
 from repro.chain.node import EthereumNode
+from repro.chain.types import NULL_ADDRESS
 from repro.core.detectors.pipeline import WashTradingPipeline
 from repro.ingest.dataset import build_dataset
 from repro.simulation.builder import build_default_world
@@ -479,11 +482,11 @@ class TestJournalBounds:
             world.node, world.marketplace_addresses, max_reorg_depth=8
         )
         cursor.advance()
-        assert len(cursor._journal) == 9  # depth + 1: the fork block itself
-        numbers = [entry.number for entry in cursor._journal]
-        assert numbers == list(
-            range(cursor.processed_block - 8, cursor.processed_block + 1)
-        )
+        assert len(cursor._block_hashes) == 9  # depth + 1: the fork block itself
+        assert cursor._block_hashes == [
+            world.node.get_block_hash(number)
+            for number in range(cursor.processed_block - 8, cursor.processed_block + 1)
+        ]
         assert cursor.journal_floor == cursor.processed_block - 8
 
     def test_reorg_within_bound_is_repaired(self):
@@ -542,6 +545,275 @@ class TestJournalBounds:
         assert_dataset_parity(monitor.cursor, dataset)
 
 
+def fork_at(chain, fork, rng, drop_probability=0.4):
+    """Replace every block past ``fork`` by a branch that differs from
+    its first block on: that block loses its transactions, later blocks
+    keep each of theirs with probability ``1 - drop_probability``."""
+    orphaned = chain.blocks[fork + 1 :]
+    replacement = [
+        Block(
+            number=block.number,
+            timestamp=block.timestamp,
+            transactions=[
+                tx
+                for tx in block.transactions
+                if position and rng.random() >= drop_probability
+            ],
+        )
+        for position, block in enumerate(orphaned)
+    ]
+    chain.reorg(len(orphaned), replacement)
+
+
+def rows_past(cursor, block):
+    """Stored transfers of blocks after ``block``."""
+    return sum(
+        1
+        for columns in cursor.store.tokens.values()
+        for transfer in columns.transfers
+        if transfer.block_number > block
+    )
+
+
+def assert_matches_fresh_cursor(cursor, world, journal_floor=None):
+    """The cursor equals a fresh one caught up over the canonical chain
+    in one tick, as far as a rollback can reach.  A head regression
+    consumes the journal window, so after one the caller names the
+    expected floor."""
+    fresh = DatasetCursor(
+        world.node,
+        world.marketplace_addresses,
+        max_reorg_depth=cursor.max_reorg_depth,
+    )
+    fresh.advance(cursor.processed_block)
+    rows = {nft: list(c.transfers) for nft, c in cursor.store.tokens.items()}
+    expected = {nft: list(c.transfers) for nft, c in fresh.store.tokens.items()}
+    assert rows == expected
+    assert list(rows) == list(expected)
+    assert cursor.store.transfer_count == fresh.store.transfer_count
+    assert cursor.account_transactions == fresh.account_transactions
+    assert cursor.scan.event_count == fresh.scan.event_count
+    assert cursor.scan.events_by_contract() == fresh.scan.events_by_contract()
+    assert cursor.scan.matches == fresh.scan.matches
+    assert cursor.scan.emitting_contracts == fresh.scan.emitting_contracts
+    assert cursor.compliance.compliant == fresh.compliance.compliant
+    assert cursor.compliance.non_compliant == fresh.compliance.non_compliant
+    if journal_floor is None:
+        journal_floor = fresh.journal_floor
+    assert cursor.journal_floor == journal_floor
+
+
+class TestRollbackBoundaries:
+    """Rollbacks that cut through a tick's journaled span, mid-chain
+    (where the tiny world trades most), against a fresh cursor."""
+
+    @pytest.mark.parametrize("depth", [1, 5, 11])
+    def test_fork_inside_the_last_multi_block_tick(self, depth):
+        world = fresh_world()
+        top = world.node.block_number // 2
+        cursor = DatasetCursor(
+            world.node, world.marketplace_addresses, max_reorg_depth=64
+        )
+        cursor.advance(top - 12)
+        cursor.advance(top)  # the last tick spans top-11 .. top
+        orphaned_rows = rows_past(cursor, top - depth)
+        assert orphaned_rows > 0
+        fork_at(world.chain, top - depth, random.Random(depth))
+        tick = cursor.advance(top)
+        assert tick.fork_block == top - depth
+        assert top - 11 <= tick.fork_block < top
+        assert tick.reorg_depth == depth
+        assert tick.rolled_back_transfer_count == orphaned_rows
+        assert_matches_fresh_cursor(cursor, world)
+
+    def test_reorg_of_exactly_the_depth_after_wide_ticks(self):
+        """Ticks wider than the window journal only their tail; a reorg
+        of exactly ``max_reorg_depth`` is still repaired in place."""
+        world = fresh_world()
+        top = world.node.block_number // 2
+        cursor = DatasetCursor(
+            world.node, world.marketplace_addresses, max_reorg_depth=8
+        )
+        cursor.advance(top - 40)
+        cursor.advance(top)
+        assert cursor.journal_floor == top - 8
+        orphaned_rows = rows_past(cursor, top - 8)
+        assert orphaned_rows > 0
+        fork_at(world.chain, top - 8, random.Random(8))
+        tick = cursor.advance(top)
+        assert tick.reorg_depth == 8
+        assert tick.fork_block == top - 8
+        assert tick.rolled_back_transfer_count == orphaned_rows
+        assert_matches_fresh_cursor(cursor, world)
+
+    def test_reorg_one_block_deeper_than_the_window_raises(self):
+        world = fresh_world()
+        top = world.node.block_number // 2
+        cursor = DatasetCursor(
+            world.node, world.marketplace_addresses, max_reorg_depth=8
+        )
+        cursor.advance(top - 40)
+        cursor.advance(top)
+        fork_at(world.chain, top - 9, random.Random(9))
+        with pytest.raises(ReorgTooDeepError) as raised:
+            cursor.advance(top)
+        assert raised.value.journal_floor == top - 8
+
+    def test_open_head_block_growth_after_a_multi_block_tick(self):
+        """A head block that gains transactions after the tick that
+        ingested it is re-ingested as forward growth, not a reorg."""
+        world = fresh_world()
+        top = world.node.block_number // 2
+        world.chain.reorg(world.node.block_number - top)  # top is the open head
+        cursor = DatasetCursor(
+            world.node, world.marketplace_addresses, max_reorg_depth=64
+        )
+        cursor.advance(top - 12)
+        cursor.advance(top)
+        head_rows = rows_past(cursor, top - 1)
+        assert head_rows > 0
+        followed = sorted(cursor.account_transactions)[0]
+        history = len(cursor.account_transactions[followed])
+        funder = "0x" + "f00d" * 10
+        world.chain.faucet(funder, 10**21)
+        world.chain.transact(
+            sender=funder,
+            to=followed,
+            value_wei=10**15,
+            timestamp=world.chain.head_timestamp,  # grows the head block
+        )
+        assert world.node.block_number == top
+        tick = cursor.advance()
+        assert tick.reorg_depth == 0
+        assert tick.fork_block == -1
+        assert (tick.from_block, tick.to_block) == (top, top)
+        assert tick.rolled_back_transfer_count == head_rows
+        assert tick.new_transfer_count == head_rows
+        assert len(cursor.account_transactions[followed]) == history + 1
+        assert_matches_fresh_cursor(cursor, world)
+
+    def test_growth_of_a_block_reopened_by_a_rollback(self):
+        """A truncation makes a mid-tick block the open head again; when
+        it then grows, that is forward growth of the new tail."""
+        world = fresh_world()
+        top = world.node.block_number // 2
+        world.chain.reorg(world.node.block_number - top)
+        cursor = DatasetCursor(
+            world.node, world.marketplace_addresses, max_reorg_depth=64
+        )
+        cursor.advance(top - 12)
+        cursor.advance(top)
+        # The deepest block inside the last tick that holds rows becomes
+        # the open head.
+        depth = next(
+            depth
+            for depth in range(2, 12)
+            if rows_past(cursor, top - depth - 1) > rows_past(cursor, top - depth)
+        )
+        floor = cursor.journal_floor
+        world.chain.reorg(depth)
+        rollback = cursor.advance()
+        assert (rollback.reorg_depth, rollback.fork_block) == (depth, top - depth)
+        head_rows = rows_past(cursor, top - depth - 1)
+        followed = sorted(cursor.account_transactions)[0]
+        funder = "0x" + "f00d" * 10
+        world.chain.faucet(funder, 10**21)
+        world.chain.transact(
+            sender=funder,
+            to=followed,
+            value_wei=10**15,
+            timestamp=world.chain.head_timestamp,  # grows the reopened head
+        )
+        tick = cursor.advance()
+        assert tick.reorg_depth == 0
+        assert (tick.from_block, tick.to_block) == (top - depth, top - depth)
+        assert tick.rolled_back_transfer_count == head_rows > 0
+        assert_matches_fresh_cursor(cursor, world, journal_floor=floor)
+
+    def test_rolled_back_tokens_follow_their_first_removed_block(self):
+        """A rollback across several ticks reports each token at its
+        first orphaned row's block, in that block's tick's touch order."""
+        world = fresh_world()
+        top = world.node.block_number // 2
+        cursor = DatasetCursor(
+            world.node, world.marketplace_addresses, max_reorg_depth=64
+        )
+        cursor.advance(top - 12)
+        ticks = [cursor.advance(stop) for stop in range(top - 9, top + 1, 3)]
+        fork = top - 10
+        first_removed = {}
+        for nft, columns in cursor.store.tokens.items():
+            blocks = [t.block_number for t in columns.transfers if t.block_number > fork]
+            if blocks:
+                first_removed[nft] = blocks[0]
+
+        def touch_rank(nft):
+            block = first_removed[nft]
+            tick = next(t for t in ticks if t.from_block <= block <= t.to_block)
+            return block, tick.touched_nfts.index(nft)
+
+        expected = sorted(first_removed, key=touch_rank)
+        assert len({block for block in first_removed.values()}) > 1
+        fork_at(world.chain, fork, random.Random(10))
+        tick = cursor.advance(top)
+        assert tick.rolled_back_nfts == tuple(expected)
+        assert_matches_fresh_cursor(cursor, world)
+
+    def test_second_rollback_into_a_cut_tick(self):
+        """After a rollback cuts a tick short, an account the canonical
+        branch involves earlier survives a second, shallower rollback."""
+        world = fresh_world()
+        top = world.node.block_number // 2
+        cursor = DatasetCursor(
+            world.node, world.marketplace_addresses, max_reorg_depth=64
+        )
+        cursor.advance(top - 12)
+        cursor.advance(top)
+        first_seen = {}
+        for columns in cursor.store.tokens.values():
+            for transfer in columns.transfers:
+                for account in (transfer.sender, transfer.recipient):
+                    first_seen[account] = min(
+                        first_seen.get(account, transfer.block_number),
+                        transfer.block_number,
+                    )
+        # An account first involved inside the tick, one block after
+        # another block of the tick.
+        account, block = next(
+            (account, block)
+            for account, block in sorted(first_seen.items(), key=lambda kv: kv[1])
+            if top - 9 <= block and account != NULL_ADDRESS
+        )
+        # First rollback: swap the transactions of blocks block-1 and
+        # block, so the account is now first involved one block earlier.
+        chain = world.chain
+        earlier, later = chain.blocks[block - 1], chain.blocks[block]
+        swapped = [
+            Block(
+                number=target.number,
+                timestamp=target.timestamp,
+                transactions=[
+                    dataclasses.replace(
+                        tx, block_number=target.number, timestamp=target.timestamp
+                    )
+                    for tx in source.transactions
+                ],
+            )
+            for target, source in ((earlier, later), (later, earlier))
+        ]
+        chain.reorg(len(chain.blocks) - block + 1, swapped + chain.blocks[block + 1 :])
+        first = cursor.advance(top)
+        assert first.fork_block == block - 2
+        assert_matches_fresh_cursor(cursor, world)
+        # Second rollback: fork at the account's new first block, and an
+        # empty branch after it, so nothing re-involves the account.
+        fork_at(chain, block - 1, random.Random(1), drop_probability=1.0)
+        second = cursor.advance(top)
+        assert second.fork_block == block - 1
+        assert account in cursor.account_transactions
+        assert_matches_fresh_cursor(cursor, world)
+
+
 class FaultyNode(EthereumNode):
     """A node that starts failing on demand, per read endpoint."""
 
@@ -575,7 +847,7 @@ class TestTickAtomicity:
             {nft: columns.row_count for nft, columns in cursor.store.tokens.items()},
             {a: len(t) for a, t in cursor.account_transactions.items()},
             sorted(cursor.store.nfts(), key=repr),
-            len(cursor._journal),
+            len(cursor._block_hashes),
         )
 
     @pytest.mark.parametrize("fault", ["history", "nth-block"])
