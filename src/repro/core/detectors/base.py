@@ -9,8 +9,8 @@ transactions collected for the involved accounts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Protocol, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Protocol, Set, Tuple
 
 from repro.chain.transaction import TX_CHAIN_ORDER, Transaction
 from repro.core.activity import CandidateComponent, DetectionEvidence, DetectionMethod
@@ -55,9 +55,6 @@ class DetectionConfig:
     min_internally_funded_members: int = 1
     #: An internal exit must receive from at least this many *other* members.
     min_internal_exit_members: int = 1
-    #: Use the NetworkX SCC implementation (True, as the paper does) or the
-    #: independent Tarjan implementation (False).
-    use_networkx_scc: bool = True
     #: Sliding window sizes of the volume-matching detector, in seconds,
     #: tried smallest-first (hour, day, week by default).
     volume_match_windows: Tuple[int, ...] = (3600, 86400, 604800)
@@ -136,23 +133,20 @@ class DetectionContext:
         return False
 
     def incoming_flows(
-        self, account: str, before_ts: Optional[int] = None, pure_transfers_only: bool = True
+        self, account: str, before_ts: Optional[int] = None
     ) -> List[MoneyFlow]:
-        """Value received by ``account``, optionally restricted to pure transfers.
+        """Value received by ``account`` through pure transfers.
 
         A "pure transfer" is the paper's funding transaction: it moves ETH
         or ERC-20 tokens without moving any NFT in the same transaction.
         """
-        return self._incoming_over(
-            account, self.transactions_of(account), before_ts, pure_transfers_only
-        )
+        return self._incoming_over(account, self.transactions_of(account), before_ts)
 
     def _incoming_over(
         self,
         account: str,
         transactions: Iterable[Transaction],
         before_ts: Optional[int],
-        pure_transfers_only: bool,
     ) -> List[MoneyFlow]:
         """:meth:`incoming_flows` over the given slice of the account's
         transactions, in their order."""
@@ -160,7 +154,7 @@ class DetectionContext:
         for tx in transactions:
             if before_ts is not None and tx.timestamp >= before_ts:
                 continue
-            if pure_transfers_only and self._tx_moves_an_nft(tx):
+            if self._tx_moves_an_nft(tx):
                 continue
             for movement in tx.value_transfers:
                 if movement.recipient == account and movement.amount_wei > 0:
@@ -191,19 +185,16 @@ class DetectionContext:
         return flows
 
     def outgoing_flows(
-        self, account: str, after_ts: Optional[int] = None, pure_transfers_only: bool = True
+        self, account: str, after_ts: Optional[int] = None
     ) -> List[MoneyFlow]:
-        """Value sent by ``account``, optionally restricted to pure transfers."""
-        return self._outgoing_over(
-            account, self.transactions_of(account), after_ts, pure_transfers_only
-        )
+        """Value sent by ``account`` through pure transfers."""
+        return self._outgoing_over(account, self.transactions_of(account), after_ts)
 
     def _outgoing_over(
         self,
         account: str,
         transactions: Iterable[Transaction],
         after_ts: Optional[int],
-        pure_transfers_only: bool,
     ) -> List[MoneyFlow]:
         """:meth:`outgoing_flows` over the given slice of the account's
         transactions, in their order."""
@@ -211,7 +202,7 @@ class DetectionContext:
         for tx in transactions:
             if after_ts is not None and tx.timestamp <= after_ts:
                 continue
-            if pure_transfers_only and self._tx_moves_an_nft(tx):
+            if self._tx_moves_an_nft(tx):
                 continue
             for movement in tx.value_transfers:
                 if movement.sender == account and movement.amount_wei > 0:

@@ -10,8 +10,8 @@ list the characterization and profitability stages consume.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from repro.core.activity import (
     CandidateComponent,
@@ -167,6 +167,38 @@ def collect_evidence(
     return evidence
 
 
+def assemble_result(
+    refinement: RefinementResult,
+    evidence: Iterable[Sequence[DetectionEvidence]],
+    enabled_methods: Iterable[DetectionMethod],
+) -> PipelineResult:
+    """The pipeline result of a refinement and its detector evidence.
+
+    ``evidence`` holds one list per refined candidate, in candidate
+    order (empty = no per-component technique fired).  Activities list
+    the base-confirmed candidates first, then -- with repeated-SCC
+    enabled -- the candidates :func:`confirm_repeated_components`
+    confirms, each group in candidate order.  The legacy pipeline, the
+    columnar engine and the streaming scheduler all assemble their
+    results here.
+    """
+    activities: List[WashTradingActivity] = []
+    unconfirmed: List[CandidateComponent] = []
+    for component, found in zip(refinement.candidates, evidence):
+        if found:
+            activities.append(
+                WashTradingActivity(component=component, evidence=list(found))
+            )
+        else:
+            unconfirmed.append(component)
+    if DetectionMethod.REPEATED_SCC in enabled_methods:
+        repeated, unconfirmed = confirm_repeated_components(unconfirmed, activities)
+        activities.extend(repeated)
+    return PipelineResult(
+        refinement=refinement, activities=activities, unconfirmed=unconfirmed
+    )
+
+
 class WashTradingPipeline:
     """End-to-end wash trading detection over an :class:`NFTDataset`.
 
@@ -208,31 +240,22 @@ class WashTradingPipeline:
         self.funnel = funnel or RefinementFunnel(labels=labels, is_contract=is_contract)
         self.engine = engine
 
-    def _detectors(self) -> List[Detector]:
-        return build_detectors(self.enabled_methods)
-
-    def _run_engine(self, dataset: NFTDataset) -> PipelineResult:
-        """The columnar engine branch; lazy import avoids a module cycle."""
-        from repro.engine.executor import run_columnar_pipeline
-
-        refinement, activities, unconfirmed = run_columnar_pipeline(
-            dataset,
-            labels=self.labels,
-            is_contract=self.is_contract,
-            config=self.config,
-            enabled_methods=self.enabled_methods,
-            skip_service_removal=self.funnel.skip_service_removal,
-            skip_contract_removal=self.funnel.skip_contract_removal,
-            skip_zero_volume_removal=self.funnel.skip_zero_volume_removal,
-        )
-        return PipelineResult(
-            refinement=refinement, activities=activities, unconfirmed=unconfirmed
-        )
-
     def run(self, dataset: NFTDataset) -> PipelineResult:
         """Run refinement and every enabled confirmation technique."""
         if self.engine == "columnar":
-            return self._run_engine(dataset)
+            # Lazy import: the engine imports this module.
+            from repro.engine.executor import run_columnar_pipeline
+
+            return run_columnar_pipeline(
+                dataset,
+                labels=self.labels,
+                is_contract=self.is_contract,
+                config=self.config,
+                enabled_methods=self.enabled_methods,
+                skip_service_removal=self.funnel.skip_service_removal,
+                skip_contract_removal=self.funnel.skip_contract_removal,
+                skip_zero_volume_removal=self.funnel.skip_zero_volume_removal,
+            )
         refinement = self.funnel.run(dataset)
         context = DetectionContext(
             dataset=dataset,
@@ -240,23 +263,12 @@ class WashTradingPipeline:
             is_contract=self.is_contract,
             config=self.config,
         )
-        detectors = self._detectors()
-
-        activities: List[WashTradingActivity] = []
-        unconfirmed: List[CandidateComponent] = []
-        for component in refinement.candidates:
-            evidence = collect_evidence(detectors, component, context)
-            if evidence:
-                activities.append(
-                    WashTradingActivity(component=component, evidence=evidence)
-                )
-            else:
-                unconfirmed.append(component)
-
-        if DetectionMethod.REPEATED_SCC in self.enabled_methods:
-            repeated, unconfirmed = confirm_repeated_components(unconfirmed, activities)
-            activities.extend(repeated)
-
-        return PipelineResult(
-            refinement=refinement, activities=activities, unconfirmed=unconfirmed
+        detectors = build_detectors(self.enabled_methods)
+        return assemble_result(
+            refinement,
+            [
+                collect_evidence(detectors, component, context)
+                for component in refinement.candidates
+            ],
+            self.enabled_methods,
         )

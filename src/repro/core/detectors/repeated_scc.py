@@ -18,6 +18,14 @@ from repro.core.activity import (
 )
 
 
+def repeated_evidence(component: CandidateComponent) -> DetectionEvidence:
+    """The evidence a repeated-SCC confirmation of ``component`` carries."""
+    return DetectionEvidence(
+        method=DetectionMethod.REPEATED_SCC,
+        details={"matched_accounts": sorted(component.accounts)},
+    )
+
+
 def confirm_repeated_components(
     unconfirmed: Iterable[CandidateComponent],
     confirmed_activities: Iterable[WashTradingActivity],
@@ -38,13 +46,7 @@ def confirm_repeated_components(
         if frozenset(component.accounts) in confirmed_account_sets:
             newly_confirmed.append(
                 WashTradingActivity(
-                    component=component,
-                    evidence=[
-                        DetectionEvidence(
-                            method=DetectionMethod.REPEATED_SCC,
-                            details={"matched_accounts": sorted(component.accounts)},
-                        )
-                    ],
+                    component=component, evidence=[repeated_evidence(component)]
                 )
             )
         else:

@@ -38,7 +38,7 @@ leaving the scheduler's candidate-member index are dropped with
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from repro.chain.transaction import TX_CHAIN_ORDER, Transaction
 from repro.core.detectors.base import DetectionContext, MoneyFlow
@@ -55,8 +55,8 @@ class _AccountEntry:
         self.timestamps: List[int] = []
         #: Timestamps non-decreasing, so windows can bisect.
         self.monotone = True
-        #: (direction, pure_transfers_only) -> unfiltered flows.
-        self.flows: Dict[Tuple[str, bool], List[MoneyFlow]] = {}
+        #: direction ("in" or "out") -> unfiltered flows.
+        self.flows: Dict[str, List[MoneyFlow]] = {}
 
 
 class CachingDetectionContext(DetectionContext):
@@ -120,8 +120,8 @@ class CachingDetectionContext(DetectionContext):
         )
         entry.transactions.extend(suffix)
         timestamps.extend(added)
-        for (direction, pure_transfers_only), flows in entry.flows.items():
-            flows.extend(self._flows_over(direction, account, suffix, pure_transfers_only))
+        for direction, flows in entry.flows.items():
+            flows.extend(self._flows_over(direction, account, suffix))
 
     # -- money flows -------------------------------------------------------
     def _flows_over(
@@ -129,36 +129,32 @@ class CachingDetectionContext(DetectionContext):
         direction: str,
         account: str,
         transactions: Sequence[Transaction],
-        pure_transfers_only: bool,
     ) -> List[MoneyFlow]:
         if direction == "in":
-            return self._incoming_over(account, transactions, None, pure_transfers_only)
-        return self._outgoing_over(account, transactions, None, pure_transfers_only)
+            return self._incoming_over(account, transactions, None)
+        return self._outgoing_over(account, transactions, None)
 
-    def _full_flows(
-        self, direction: str, account: str, pure_transfers_only: bool
-    ) -> List[MoneyFlow]:
+    def _full_flows(self, direction: str, account: str) -> List[MoneyFlow]:
         entry = self._entry(account)
-        key = (direction, pure_transfers_only)
-        flows = entry.flows.get(key)
+        flows = entry.flows.get(direction)
         if flows is None:
-            flows = entry.flows[key] = self._flows_over(
-                direction, account, entry.transactions, pure_transfers_only
+            flows = entry.flows[direction] = self._flows_over(
+                direction, account, entry.transactions
             )
         return flows
 
     def incoming_flows(
-        self, account: str, before_ts: Optional[int] = None, pure_transfers_only: bool = True
+        self, account: str, before_ts: Optional[int] = None
     ) -> List[MoneyFlow]:
-        flows = self._full_flows("in", account, pure_transfers_only)
+        flows = self._full_flows("in", account)
         if before_ts is None:
             return list(flows)
         return [flow for flow in flows if flow.timestamp < before_ts]
 
     def outgoing_flows(
-        self, account: str, after_ts: Optional[int] = None, pure_transfers_only: bool = True
+        self, account: str, after_ts: Optional[int] = None
     ) -> List[MoneyFlow]:
-        flows = self._full_flows("out", account, pure_transfers_only)
+        flows = self._full_flows("out", account)
         if after_ts is None:
             return list(flows)
         return [flow for flow in flows if flow.timestamp > after_ts]

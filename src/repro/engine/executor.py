@@ -3,8 +3,8 @@
 The executor refines every token of the store in one pass, runs the
 per-component confirmation techniques over the refined candidates in
 token order, then applies the repeated-SCC rule, which needs the global
-pool of confirmed account sets -- exactly where the legacy pipeline
-applies it.  The detectors see the dataset through the same narrow
+pool of confirmed account sets -- through the legacy pipeline's own
+result assembly.  The detectors see the dataset through the same narrow
 surface the streaming scheduler uses: a :class:`TransactionView` over
 the per-account transaction index and an :class:`AccountSetPredicate`
 over the interned contract addresses, behind the money-flow cache of
@@ -13,16 +13,16 @@ over the interned contract addresses, behind the money-flow cache of
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional
 
-from repro.core.activity import (
-    CandidateComponent,
-    DetectionMethod,
-    WashTradingActivity,
-)
+from repro.core.activity import DetectionMethod
 from repro.core.detectors.base import DetectionConfig, DetectionContext
-from repro.core.detectors.pipeline import build_detectors, collect_evidence
-from repro.core.detectors.repeated_scc import confirm_repeated_components
+from repro.core.detectors.pipeline import (
+    PipelineResult,
+    assemble_result,
+    build_detectors,
+    collect_evidence,
+)
 from repro.core.refine import RefinementResult
 from repro.engine.context import CachingDetectionContext
 from repro.engine.refine import refine_tokens
@@ -62,14 +62,14 @@ def run_columnar_pipeline(
     skip_service_removal: bool = False,
     skip_contract_removal: bool = False,
     skip_zero_volume_removal: bool = False,
-) -> Tuple[RefinementResult, List[WashTradingActivity], List[CandidateComponent]]:
-    """Run the full engine pipeline and return its pieces.
+) -> PipelineResult:
+    """Run the full engine pipeline over a dataset.
 
-    Returns ``(refinement, activities, unconfirmed)``; the caller (the
-    ``WashTradingPipeline`` engine branch) wraps them into the regular
-    :class:`PipelineResult`.  The detectors read the run through a
+    The detectors read the run through a
     :class:`CachingDetectionContext`, so each account's money flows are
-    derived once however many components it sits in.
+    derived once however many components it sits in; the result is
+    assembled by :func:`~repro.core.detectors.pipeline.assemble_result`
+    like the legacy pipeline's.
     """
     store = dataset.columnar_store()
     methods = (
@@ -110,23 +110,14 @@ def run_columnar_pipeline(
         )
     )
     detectors = build_detectors(methods)
-    activities: List[WashTradingActivity] = []
-    unconfirmed: List[CandidateComponent] = []
-    for component in refined.candidates:
-        evidence = collect_evidence(detectors, component, context)
-        if evidence:
-            activities.append(
-                WashTradingActivity(component=component, evidence=evidence)
-            )
-        else:
-            unconfirmed.append(component)
-
-    if DetectionMethod.REPEATED_SCC in methods:
-        repeated, unconfirmed = confirm_repeated_components(unconfirmed, activities)
-        activities.extend(repeated)
-
-    refinement = RefinementResult(
-        candidates=refined.candidates,
-        stages=[accumulator.to_stage() for accumulator in refined.stages],
+    return assemble_result(
+        RefinementResult(
+            candidates=refined.candidates,
+            stages=[accumulator.to_stage() for accumulator in refined.stages],
+        ),
+        [
+            collect_evidence(detectors, component, context)
+            for component in refined.candidates
+        ],
+        methods,
     )
-    return refinement, activities, unconfirmed

@@ -4,8 +4,8 @@ The legacy pipeline materializes a networkx ``MultiDiGraph`` per NFT and
 rebuilds every graph from scratch at each refinement stage.  The engine
 instead builds one :class:`ColumnarTransferStore` per dataset: accounts
 are interned into dense integer ids shared across the whole store, and
-each NFT's transfers become flat, parallel arrays (timestamps, sender
-ids, recipient ids, payment flags) sorted once in the same order the
+each NFT's transfers become flat, parallel arrays (sender ids,
+recipient ids, payment flags) sorted once in the same order the
 legacy graph builder uses.  Refinement stages then reduce to integer set
 operations over these arrays -- no object graphs are ever rebuilt.
 """
@@ -13,7 +13,7 @@ operations over these arrays -- no object graphs are ever rebuilt.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set
 
 from repro.chain.types import NFTKey
@@ -24,8 +24,8 @@ from repro.ingest.records import TRANSFER_TIME_ORDER, NFTTransfer
 class TokenColumns:
     """The transfers of one NFT as flat, parallel columns.
 
-    ``transfers[i]`` corresponds to ``timestamps[i]``, ``senders[i]``,
-    ``recipients[i]`` and ``payment_flags[i]``; sender/recipient entries
+    ``transfers[i]`` corresponds to ``senders[i]``, ``recipients[i]``
+    and ``payment_flags[i]``; sender/recipient entries
     are store-wide interned account ids.  Rows are sorted by
     ``(timestamp, block_number, tx_hash)`` exactly like the legacy
     ``build_transaction_graph``.  Every column is mutable so the live
@@ -34,7 +34,6 @@ class TokenColumns:
 
     nft: NFTKey
     transfers: List[NFTTransfer]
-    timestamps: array
     senders: array
     recipients: array
     #: 1 where the carrying transaction moved ETH or ERC-20 value.
@@ -113,7 +112,6 @@ class ColumnarTransferStore:
         columns = TokenColumns(
             nft=nft,
             transfers=ordered,
-            timestamps=array("q", [transfer.timestamp for transfer in ordered]),
             senders=array("q", sender_ids),
             recipients=array("q", recipient_ids),
             payment_flags=bytearray(transfer.has_payment for transfer in ordered),
@@ -183,7 +181,6 @@ class ColumnarTransferStore:
         ids = self._ids
         intern = self.intern
         rows = columns.transfers
-        timestamps = columns.timestamps
         senders = columns.senders
         recipients = columns.recipients
         payment_flags = columns.payment_flags
@@ -196,7 +193,6 @@ class ColumnarTransferStore:
             if recipient_id is None:
                 recipient_id = intern(transfer.recipient)
             rows.append(transfer)
-            timestamps.append(transfer.timestamp)
             senders.append(sender_id)
             recipients.append(recipient_id)
             payment_flags.append(transfer.has_payment)
@@ -204,18 +200,6 @@ class ColumnarTransferStore:
             account_ids.add(recipient_id)
         self._row_total += len(ordered)
         return columns
-
-    def extend(
-        self, transfers_by_nft: Mapping[NFTKey, Sequence[NFTTransfer]]
-    ) -> List[NFTKey]:
-        """Append a batch of per-NFT transfers; returns the touched tokens."""
-        touched: List[NFTKey] = []
-        for nft, transfers in transfers_by_nft.items():
-            if not transfers:
-                continue
-            self.append_token_transfers(nft, transfers)
-            touched.append(nft)
-        return touched
 
     # -- rollback ----------------------------------------------------------
     def truncate_token(self, nft: NFTKey, row_count: int) -> int:
@@ -246,7 +230,6 @@ class ColumnarTransferStore:
             return removed
         self._row_total -= removed
         del columns.transfers[row_count:]
-        del columns.timestamps[row_count:]
         del columns.senders[row_count:]
         del columns.recipients[row_count:]
         del columns.payment_flags[row_count:]

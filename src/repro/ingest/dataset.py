@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Container, Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.chain.node import EthereumNode
 from repro.chain.transaction import Transaction
@@ -146,12 +145,7 @@ class NFTDataset:
 
 
 def transfer_from_log(tx, log, venue_by_address: Mapping[str, str]) -> NFTTransfer:
-    """Enrich one ERC-721 Transfer log with its transaction context.
-
-    Shared by the batch :func:`build_dataset` and the streaming
-    :class:`~repro.stream.cursor.DatasetCursor` so both produce
-    identical :class:`NFTTransfer` records for the same log.
-    """
+    """Enrich one ERC-721 Transfer log with its transaction context."""
     sender, recipient, token_id = decode_transfer_log(log)
     logs = tx.receipt.logs
     # The transfer's own log is not an ERC-20 move: a lone log carries none.
@@ -185,19 +179,96 @@ def transfer_from_log(tx, log, venue_by_address: Mapping[str, str]) -> NFTTransf
     )
 
 
+@dataclass
+class StagedRange:
+    """What :func:`stage_range` read from one block range.
+
+    Nothing here is committed anywhere: the batch build assembles a
+    dataset from it, the streaming cursor appends it to its state.
+    """
+
+    #: The range's ERC-721-shaped Transfer events, before the filter.
+    scan: TransferScanResult
+    #: The ERC-165 probe of the range's contracts the caller's report
+    #: had not classified yet.
+    probe: ComplianceReport
+    #: Compliant transfers per token, tokens in first-touch (scan) order,
+    #: each list in chain order.
+    transfers_by_nft: Dict[NFTKey, List[NFTTransfer]]
+    #: Transfer endpoints the caller does not follow yet, in first-touch
+    #: order, each mapped to the first block it is an endpoint in.
+    first_involved: Dict[str, int]
+
+
+def stage_range(
+    node: EthereumNode,
+    venue_by_address: Mapping[str, str],
+    from_block: int,
+    to_block: Optional[int],
+    compliance: ComplianceReport,
+    followed: Container[str],
+) -> StagedRange:
+    """Scan, filter and enrich the transfers of one block range.
+
+    The collection step of Sec. III up to, not including, the account
+    histories: scan for ERC-721-shaped Transfer events, probe ERC-165
+    compliance of every emitting contract ``compliance`` has not
+    classified, enrich each compliant transfer with its transaction
+    context (price, gas, venue, co-occurring ERC-20 moves), group the
+    transfers per token and sort each token's rows.  Every endpoint not
+    in ``followed`` (nor the null address) comes back with its first
+    block, so the caller fetches each new account's history once.
+    Only node reads happen here; ``compliance`` is not modified.
+    """
+    scan = scan_erc721_transfer_logs(node, from_block=from_block, to_block=to_block)
+    compliant = compliance.compliant
+    non_compliant = compliance.non_compliant
+    unseen = sorted(
+        contract
+        for contract in scan.emitting_contracts
+        if contract not in compliant and contract not in non_compliant
+    )
+    probe = check_erc721_compliance(node, unseen) if unseen else ComplianceReport()
+    if probe.compliant:
+        compliant = compliant | probe.compliant
+
+    transfers_by_nft: Dict[NFTKey, List[NFTTransfer]] = {}
+    for tx, log in scan.matches:
+        if log.address not in compliant:
+            continue
+        transfer = transfer_from_log(tx, log, venue_by_address)
+        rows = transfers_by_nft.get(transfer.nft)
+        if rows is None:
+            transfers_by_nft[transfer.nft] = [transfer]
+        else:
+            rows.append(transfer)
+
+    first_involved: Dict[str, int] = {}
+    seen_at = first_involved.get
+    for rows in transfers_by_nft.values():
+        if len(rows) > 1:
+            rows.sort(key=TRANSFER_CHAIN_ORDER)
+        for transfer in rows:
+            number = transfer.block_number
+            for endpoint in (transfer.sender, transfer.recipient):
+                first = seen_at(endpoint)
+                if first is None:
+                    if endpoint not in followed and endpoint != NULL_ADDRESS:
+                        first_involved[endpoint] = number
+                elif number < first:
+                    first_involved[endpoint] = number
+    return StagedRange(scan, probe, transfers_by_nft, first_involved)
+
+
 def build_dataset(
     node: EthereumNode,
     marketplace_addresses: Mapping[str, str],
-    from_block: int = 0,
     to_block: Optional[int] = None,
-    enforce_compliance: bool = True,
 ) -> NFTDataset:
     """Run the full Sec. III collection pipeline against a node.
 
-    Steps: scan for ERC-721-shaped Transfer events, check ERC-165
-    compliance of the emitting contracts, enrich each transfer with its
-    transaction context (price, gas, venue, co-occurring ERC-20 moves),
-    then collect every transaction of every involved account.
+    One :func:`stage_range` from genesis (scan, ERC-165 filter,
+    enrichment), then every transaction of every involved account.
 
     The build is *causal*: with ``to_block`` set, the per-account
     histories are clamped to the same prefix the transfer scan covered,
@@ -207,29 +278,20 @@ def build_dataset(
     directly comparable to mid-stream monitor state without any
     node-wrapping workaround.
     """
-    scan = scan_erc721_transfer_logs(node, from_block=from_block, to_block=to_block)
-    compliance = check_erc721_compliance(node, sorted(scan.emitting_contracts))
-    venue_by_address = build_reverse_index(marketplace_addresses)
-
-    compliant = compliance.compliant
-    transfers_by_nft: Dict[NFTKey, List[NFTTransfer]] = defaultdict(list)
-    for tx, log in scan.matches:
-        if enforce_compliance and log.address not in compliant:
-            continue
-        transfer = transfer_from_log(tx, log, venue_by_address)
-        transfers_by_nft[transfer.nft].append(transfer)
-
-    for transfers in transfers_by_nft.values():
-        transfers.sort(key=TRANSFER_CHAIN_ORDER)
-
-    dataset = NFTDataset(
-        transfers_by_nft=dict(transfers_by_nft),
-        compliance=compliance,
-        scan=scan,
-        account_transactions={},
+    staged = stage_range(
+        node,
+        build_reverse_index(marketplace_addresses),
+        0,
+        to_block,
+        ComplianceReport(),
+        followed=(),
+    )
+    return NFTDataset(
+        transfers_by_nft=staged.transfers_by_nft,
+        compliance=staged.probe,
+        scan=staged.scan,
+        account_transactions=collect_account_transactions(
+            node, sorted(staged.first_involved), to_block=to_block
+        ),
         marketplace_addresses=dict(marketplace_addresses),
     )
-    dataset.account_transactions = collect_account_transactions(
-        node, sorted(dataset.involved_accounts()), to_block=to_block
-    )
-    return dataset

@@ -2,8 +2,11 @@
 
 :func:`~repro.ingest.dataset.build_dataset` materializes the whole
 Sec. III dataset in one pass.  :class:`DatasetCursor` produces the same
-state *incrementally*: each :meth:`advance` scans only the blocks mined
-since the previous call, appends the new transfers to a mutable
+state *incrementally*: each :meth:`advance` stages only the blocks mined
+since the previous call, through the same
+:func:`~repro.ingest.dataset.stage_range` the batch build runs from
+genesis (scan, ERC-165 probe of unclassified contracts, decode, per-token
+sort, newly involved accounts), appends the new transfers to a mutable
 :class:`~repro.engine.store.ColumnarTransferStore` -- the cursor's only
 record of the transfers -- keeps the per-account transaction lists up to
 date, and reports which tokens and accounts were touched -- the input of
@@ -60,14 +63,13 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tupl
 from repro.chain.index import transaction_parties
 from repro.chain.node import EthereumNode
 from repro.chain.transaction import TX_CHAIN_ORDER, Transaction
-from repro.chain.types import NFTKey, NULL_ADDRESS
+from repro.chain.types import NFTKey
 from repro.engine.store import ColumnarTransferStore
 from repro.ingest.account_tx import collect_account_transactions
-from repro.ingest.compliance import ComplianceReport, check_erc721_compliance
-from repro.ingest.dataset import NFTDataset, transfer_from_log
+from repro.ingest.compliance import ComplianceReport
+from repro.ingest.dataset import NFTDataset, StagedRange, stage_range
 from repro.ingest.marketplace_attribution import build_reverse_index
-from repro.ingest.records import TRANSFER_CHAIN_ORDER, NFTTransfer
-from repro.ingest.transfer_scan import TransferScanResult, scan_erc721_transfer_logs
+from repro.ingest.transfer_scan import TransferScanResult
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
 #: How many processed blocks the rollback journal retains by default.
@@ -336,7 +338,6 @@ class DatasetCursor:
         self.compliance = ComplianceReport()
         self.scan = TransferScanResult()
         self.store = ColumnarTransferStore()
-        self._probed_contracts: Set[str] = set()
         #: The rollback journal, bounded to the last ``max_reorg_depth``
         #: processed blocks (plus the fork block): the hash each block
         #: had at ingest, oldest first, ending at ``processed_block``;
@@ -480,54 +481,29 @@ class DatasetCursor:
             )
 
         # ---- stage: every node read, no cursor mutation -----------------
-        tick_scan = scan_erc721_transfer_logs(
-            self.node, from_block=from_block, to_block=stop
+        staged = stage_range(
+            self.node,
+            self._venue_by_address,
+            from_block,
+            stop,
+            self.compliance,
+            self.account_transactions,
         )
-        unseen = sorted(tick_scan.emitting_contracts - self._probed_contracts)
-        probe = (
-            check_erc721_compliance(self.node, unseen)
-            if unseen
-            else ComplianceReport()
-        )
-        # Staged membership view; copy only when the probe added anything
-        # (reads happen before the commit merges the probe in).
-        compliant_view = (
-            self.compliance.compliant | probe.compliant
-            if probe.compliant
-            else self.compliance.compliant
-        )
-
-        venue_by_address = self._venue_by_address
-        new_by_nft: Dict[NFTKey, List[NFTTransfer]] = {}
-        for tx, log in tick_scan.matches:
-            if log.address not in compliant_view:
-                continue
-            transfer = transfer_from_log(tx, log, venue_by_address)
-            chunk = new_by_nft.get(transfer.nft)
-            if chunk is None:
-                new_by_nft[transfer.nft] = [transfer]
-            else:
-                chunk.append(transfer)
-        for chunk in new_by_nft.values():
-            if len(chunk) > 1:
-                chunk.sort(key=TRANSFER_CHAIN_ORDER)
-
-        first_involved = self._new_involved_accounts(new_by_nft)
+        new_by_nft = staged.transfers_by_nft
+        first_involved = staged.first_involved
         pending = self._stage_block_transactions(from_block, stop)
         new_histories = collect_account_transactions(
             self.node, first_involved, to_block=stop
         )
         hashes, tail_block, journal = self._stage_journal(
-            from_block, stop, tick_scan, unseen, new_by_nft, first_involved,
-            pending, new_histories,
+            from_block, stop, staged, pending, new_histories
         )
 
         # ---- commit: pure in-memory appends, all or nothing -------------
-        self.scan.matches.extend(tick_scan.matches)
-        self.scan.emitting_contracts |= tick_scan.emitting_contracts
-        self.compliance.compliant |= probe.compliant
-        self.compliance.non_compliant |= probe.non_compliant
-        self._probed_contracts.update(unseen)
+        self.scan.matches.extend(staged.scan.matches)
+        self.scan.emitting_contracts |= staged.scan.emitting_contracts
+        self.compliance.compliant |= staged.probe.compliant
+        self.compliance.non_compliant |= staged.probe.non_compliant
 
         new_transfer_count = 0
         append = self.store.append_token_transfers
@@ -547,7 +523,7 @@ class DatasetCursor:
         return CursorTick(
             from_block=from_block,
             to_block=stop,
-            event_count=tick_scan.event_count,
+            event_count=staged.scan.event_count,
             new_transfer_count=new_transfer_count,
             touched_nfts=tuple(new_by_nft),
             touched_since=_history_changes(
@@ -718,7 +694,6 @@ class DatasetCursor:
                     self.scan.emitting_contracts.discard(contract)
                     self.compliance.compliant.discard(contract)
                     self.compliance.non_compliant.discard(contract)
-                    self._probed_contracts.discard(contract)
 
         # Token rows are block-ordered: each named token loses its rows
         # past the fork.  Tokens are reported by their first removed
@@ -795,10 +770,7 @@ class DatasetCursor:
         self,
         from_block: int,
         to_block: int,
-        tick_scan: TransferScanResult,
-        unseen: List[str],
-        new_by_nft: Dict[NFTKey, List[NFTTransfer]],
-        first_involved: Dict[str, int],
+        staged: StagedRange,
         pending: Dict[str, List[Transaction]],
         new_histories: Dict[str, List[Transaction]],
     ) -> Tuple[List[str], Tuple[int, Tuple[str, ...]], _TickJournal]:
@@ -818,9 +790,10 @@ class DatasetCursor:
         hashes = self.node.get_block_hashes(floor, to_block)
 
         new_contracts: Dict[str, int] = {}
-        if unseen:
-            remaining = set(unseen)
-            for tx, log in tick_scan.matches:
+        probe = staged.probe
+        if probe.checked_count:
+            remaining = probe.compliant | probe.non_compliant
+            for tx, log in staged.scan.matches:
                 if log.address in remaining:
                     remaining.discard(log.address)
                     if tx.block_number >= floor:
@@ -843,38 +816,18 @@ class DatasetCursor:
             last_block=to_block,
             nfts=tuple(
                 nft
-                for nft, chunk in new_by_nft.items()
+                for nft, chunk in staged.transfers_by_nft.items()
                 if chunk[-1].block_number >= floor
             ),
             tx_accounts=tx_accounts,
             new_contracts=new_contracts,
             new_accounts={
                 account: number
-                for account, number in first_involved.items()
+                for account, number in staged.first_involved.items()
                 if number >= floor
             },
         )
         return hashes, self._block_summary(to_block), journal
-
-    def _new_involved_accounts(
-        self, new_by_nft: Dict[NFTKey, List[NFTTransfer]]
-    ) -> Dict[str, int]:
-        """Endpoints of the tick's transfers not yet followed, in
-        first-touch order, each mapped to its first block as an endpoint."""
-        followed = self.account_transactions
-        first_involved: Dict[str, int] = {}
-        seen_at = first_involved.get
-        for chunk in new_by_nft.values():
-            for transfer in chunk:
-                number = transfer.block_number
-                for endpoint in (transfer.sender, transfer.recipient):
-                    first = seen_at(endpoint)
-                    if first is None:
-                        if endpoint not in followed and endpoint != NULL_ADDRESS:
-                            first_involved[endpoint] = number
-                    elif number < first:
-                        first_involved[endpoint] = number
-        return first_involved
 
     def _stage_block_transactions(
         self, from_block: int, to_block: int

@@ -46,11 +46,12 @@ retired and its successor installed, so the serving layer materializes
 a version's funnel in O(changed stages) without a second copy of the
 states.
 
-:meth:`DirtyTokenScheduler.result` assembles a
-:class:`~repro.core.detectors.pipeline.PipelineResult` that is
-*identical* -- same candidate order, same activities, same funnel
-statistics -- to a batch ``WashTradingPipeline(engine="columnar")`` run
-over the same data (pinned by ``tests/stream``).
+:meth:`DirtyTokenScheduler.result` hands the held candidates, their
+evidence and the maintained funnel to the batch pipeline's own result
+assembly, so it is *identical* -- same candidate order, same
+activities, same funnel statistics -- to a batch
+``WashTradingPipeline(engine="columnar")`` run over the same data
+(pinned by ``tests/stream``).
 """
 
 from __future__ import annotations
@@ -69,15 +70,15 @@ from repro.core.activity import (
 from repro.core.detectors.base import DetectionContext
 from repro.core.detectors.pipeline import (
     PipelineResult,
+    assemble_result,
     build_detectors,
     collect_evidence,
 )
+from repro.core.detectors.repeated_scc import repeated_evidence
 from repro.core.refine import RefinementResult
 from repro.engine.context import CachingDetectionContext
 from repro.engine.refine import (
-    STAGE_NAMES,
     FunnelMaintainer,
-    StageAccumulator,
     StageRecord,
     TokenRefinement,
     funnel_masks,
@@ -139,14 +140,6 @@ class TickReport:
     def retracted_count(self) -> int:
         """Number of confirmed activities withdrawn this tick."""
         return len(self.retracted)
-
-
-def _repeated_evidence(component: CandidateComponent) -> DetectionEvidence:
-    """The evidence record ``confirm_repeated_components`` would attach."""
-    return DetectionEvidence(
-        method=DetectionMethod.REPEATED_SCC,
-        details={"matched_accounts": sorted(component.accounts)},
-    )
 
 
 def _activity_key(component: CandidateComponent) -> ActivityKey:
@@ -438,52 +431,24 @@ class DirtyTokenScheduler:
     def result(self) -> PipelineResult:
         """The batch-identical pipeline result of the current state.
 
-        Candidates come out in store (first-seen) order; activities list
-        the base-confirmed components first and the repeated-SCC
-        confirmations after them, each group in candidate order --
-        exactly how the columnar executor confirms candidates and then
-        applies ``confirm_repeated_components``.
+        Candidates come out in store (first-seen) order with their held
+        evidence, the funnel statistics are the maintained ones
+        (:attr:`funnel`), and
+        :func:`~repro.core.detectors.pipeline.assemble_result` applies
+        the repeated-SCC rule exactly as a batch run does.
         """
-        merged = [StageAccumulator(name=name) for name in STAGE_NAMES]
         candidates: List[CandidateComponent] = []
-        base_confirmed: List[WashTradingActivity] = []
-        repeated: List[WashTradingActivity] = []
-        unconfirmed: List[CandidateComponent] = []
+        evidence: List[List[DetectionEvidence]] = []
         for nft in self.store.tokens:
             state = self.states.get(nft)
-            if state is None:
-                continue
-            for accumulator, record in zip(merged, state.stages):
-                accumulator.fold(record)
-            for component, evidence in zip(state.candidates, state.evidence):
-                candidates.append(component)
-                if evidence:
-                    base_confirmed.append(
-                        WashTradingActivity(
-                            component=component, evidence=list(evidence)
-                        )
-                    )
-                elif (
-                    self._repeat_enabled
-                    and self._confirmed_pool[component.accounts] > 0
-                ):
-                    repeated.append(
-                        WashTradingActivity(
-                            component=component,
-                            evidence=[_repeated_evidence(component)],
-                        )
-                    )
-                else:
-                    unconfirmed.append(component)
+            if state is not None:
+                candidates.extend(state.candidates)
+                evidence.extend(state.evidence)
         refinement = RefinementResult(
             candidates=candidates,
-            stages=[accumulator.to_stage() for accumulator in merged],
+            stages=[record.to_stage() for record in self.funnel.materialize()],
         )
-        return PipelineResult(
-            refinement=refinement,
-            activities=base_confirmed + repeated,
-            unconfirmed=unconfirmed,
-        )
+        return assemble_result(refinement, evidence, self.methods)
 
     # -- internals ---------------------------------------------------------
     def _refresh_masks(self) -> None:
@@ -628,6 +593,6 @@ class DirtyTokenScheduler:
             ):
                 entries[_activity_key(component)] = WashTradingActivity(
                     component=component,
-                    evidence=[_repeated_evidence(component)],
+                    evidence=[repeated_evidence(component)],
                 )
         return entries

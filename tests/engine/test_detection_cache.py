@@ -53,9 +53,8 @@ def answers(context, lists):
         stamps = sorted({tx.timestamp for tx in transactions})
         cuts = [None] + stamps[:: max(1, len(stamps) // 5)] + [stamps[-1] + 1]
         for cut in cuts:
-            for pure in (True, False):
-                out.append(context.incoming_flows(account, cut, pure))
-                out.append(context.outgoing_flows(account, cut, pure))
+            out.append(context.incoming_flows(account, cut))
+            out.append(context.outgoing_flows(account, cut))
         for low in stamps[:: max(1, len(stamps) // 4)]:
             out.append(context.transactions_in_window([account], low, low + 86_400))
     every = [tx.timestamp for transactions in lists.values() for tx in transactions]

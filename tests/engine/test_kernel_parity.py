@@ -133,8 +133,9 @@ def replay_through_scheduler(histories, ticks):
         for block in blocks:
             for nft, transfers in by_block.get(block, {}).items():
                 chunk[nft].extend(transfers)
-        dirty = store.extend(chunk)
-        scheduler.process(dirty, context, touched={})
+        for nft, transfers in chunk.items():
+            store.append_token_transfers(nft, transfers)
+        scheduler.process(list(chunk), context, touched={})
     return scheduler.result()
 
 

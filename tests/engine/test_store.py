@@ -51,7 +51,12 @@ class TestColumnarTransferStore:
         columns = store.tokens[NFT]
         legacy = build_transaction_graph(NFT, transfers)
         assert list(columns.transfers) == legacy.transfers
-        assert list(columns.timestamps) == [t.timestamp for t in legacy.transfers]
+        assert [store.address_of(i) for i in columns.senders] == [
+            t.sender for t in legacy.transfers
+        ]
+        assert [store.address_of(i) for i in columns.recipients] == [
+            t.recipient for t in legacy.transfers
+        ]
 
     def test_columns_align_with_transfers(self):
         transfers = [make_transfer("A", "B", ts=1, price=5), make_transfer("B", "B", ts=2)]
@@ -96,7 +101,6 @@ class TestIncrementalAppend:
     def assert_same_columns(self, store, reference):
         mine, theirs = store.tokens[NFT], reference.tokens[NFT]
         assert list(mine.transfers) == list(theirs.transfers)
-        assert list(mine.timestamps) == list(theirs.timestamps)
         assert mine.payment_flags == theirs.payment_flags
         assert [store.address_of(i) for i in mine.senders] == [
             reference.address_of(i) for i in theirs.senders
@@ -157,17 +161,15 @@ class TestIncrementalAppend:
         store = ColumnarTransferStore()
         assert store.append_token_transfers(NFT, []) is None
         assert store.token_count == 0
-        assert store.extend({NFT: []}) == []
-        assert store.token_count == 0
+        assert NFT not in store.tokens
 
-    def test_extend_reports_touched_tokens(self):
+    def test_appends_grow_stored_and_new_tokens(self):
         other = NFTKey(contract="0x" + "e" * 40, token_id=1)
         store = ColumnarTransferStore()
         store.add_token(NFT, [make_transfer("A", "B", 1)])
-        touched = store.extend(
-            {NFT: [make_transfer("B", "A", 2)], other: [make_transfer("C", "D", 2)]}
-        )
-        assert touched == [NFT, other]
+        store.append_token_transfers(NFT, [make_transfer("B", "A", 2)])
+        store.append_token_transfers(other, [make_transfer("C", "D", 2)])
+        assert store.nfts() == [NFT, other]
         assert store.token_count == 2
         assert store.transfer_count == 3
 
@@ -186,7 +188,8 @@ class TestRollback:
         assert store.tokens[NFT] is columns  # mutated in place
         reference = ColumnarTransferStore.from_transfers({NFT: first})
         assert list(columns.transfers) == list(reference.tokens[NFT].transfers)
-        assert list(columns.timestamps) == list(reference.tokens[NFT].timestamps)
+        assert list(columns.senders) == list(reference.tokens[NFT].senders)
+        assert list(columns.recipients) == list(reference.tokens[NFT].recipients)
         assert columns.payment_flags == reference.tokens[NFT].payment_flags
         assert store.addresses_of(columns.account_ids) == {"A", "B", "C"}
 
@@ -246,7 +249,8 @@ class TestRunningTransferCount:
         store.append_token_transfers(NFT, [make_transfer("B", "C", 5)])
         check(store)
         assert store.transfer_count == 4
-        store.extend({self.OTHER: [make_transfer("D", "C", 2)], NFT: []})
+        store.append_token_transfers(self.OTHER, [make_transfer("D", "C", 2)])
+        store.append_token_transfers(NFT, [])
         check(store)
         # Rollback: truncate both tokens by watermark.
         assert store.truncate_token(NFT, 1) == 2

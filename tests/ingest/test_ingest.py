@@ -152,13 +152,13 @@ class TestDatasetAssembly:
         assert activity["OpenSea"].volume_wei == eth_to_wei(2)
         assert activity["LooksRare"].nft_count == 0
 
-    def test_compliance_can_be_disabled(self, world):
-        script_basic_activity(world)
-        strict = build_dataset(world.node, world.marketplaces.addresses_by_name)
-        lax = build_dataset(
-            world.node, world.marketplaces.addresses_by_name, enforce_compliance=False
-        )
-        assert lax.nft_count > strict.nft_count
+    def test_non_compliant_events_are_scanned_but_not_kept(self, world):
+        _, _, _, _, legacy_address = script_basic_activity(world)
+        dataset = build_dataset(world.node, world.marketplaces.addresses_by_name)
+        assert legacy_address in dataset.compliance.non_compliant
+        assert legacy_address in dataset.scan.emitting_contracts
+        assert dataset.scan.events_by_contract()[legacy_address] > 0
+        assert all(nft.contract != legacy_address for nft in dataset.transfers_by_nft)
 
     def test_total_and_collection_volume(self, world):
         script_basic_activity(world)

@@ -254,22 +254,21 @@ class TestSchedulerOptions:
         )
 
         # Tick 1: B trades a cycle {x, y} with no self-trade -> unconfirmed.
-        store.extend(
-            {nft_b: [transfer(nft_b, "0xx", "0xy", 1, 0), transfer(nft_b, "0xy", "0xx", 2, 1)]}
+        store.append_token_transfers(
+            nft_b, [transfer(nft_b, "0xx", "0xy", 1, 0), transfer(nft_b, "0xy", "0xx", 2, 1)]
         )
         report = scheduler.process([nft_b], context, touched={})
         assert not report.newly_confirmed
         assert scheduler.result().activity_count == 0
 
         # Tick 2: A's self-trade confirms the same {x, y} set -> both fire.
-        store.extend(
-            {
-                nft_a: [
-                    transfer(nft_a, "0xx", "0xy", 3, 2),
-                    transfer(nft_a, "0xy", "0xx", 4, 3),
-                    transfer(nft_a, "0xx", "0xx", 5, 4),
-                ]
-            }
+        store.append_token_transfers(
+            nft_a,
+            [
+                transfer(nft_a, "0xx", "0xy", 3, 2),
+                transfer(nft_a, "0xy", "0xx", 4, 3),
+                transfer(nft_a, "0xx", "0xx", 5, 4),
+            ],
         )
         report = scheduler.process([nft_a], context, touched={})
         assert {a.nft for a in report.newly_confirmed} == {nft_a, nft_b}
@@ -279,8 +278,8 @@ class TestSchedulerOptions:
 
         # Tick 3: A's component grows to {x, y, z}; the {x, y} set leaves
         # the confirmed pool and B's repeated confirmation is retracted.
-        store.extend(
-            {nft_a: [transfer(nft_a, "0xy", "0xz", 6, 5), transfer(nft_a, "0xz", "0xx", 7, 6)]}
+        store.append_token_transfers(
+            nft_a, [transfer(nft_a, "0xy", "0xz", 6, 5), transfer(nft_a, "0xz", "0xx", 7, 6)]
         )
         report = scheduler.process([nft_a], context, touched={})
         assert report.retracted_count >= 1

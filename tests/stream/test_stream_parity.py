@@ -105,8 +105,10 @@ def replay_through_scheduler(histories, block_order):
 
     scheduler.process([], context, touched={})  # an empty tick before anything arrives
     for block in block_order:
-        dirty = store.extend(by_block.get(block, {}))
-        scheduler.process(dirty, context, touched={})
+        chunk = by_block.get(block, {})
+        for nft, transfers in chunk.items():
+            store.append_token_transfers(nft, transfers)
+        scheduler.process(list(chunk), context, touched={})
         scheduler.process([], context, touched={})  # every other tick is empty
     return scheduler.result()
 

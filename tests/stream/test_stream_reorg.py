@@ -100,11 +100,11 @@ def detection_cache_state(monitor):
             return False, 0
         if entry.monotone != all(a <= b for a, b in zip(timestamps, timestamps[1:])):
             return False, 0
-        for (direction, pure), cached in entry.flows.items():
+        for direction, cached in entry.flows.items():
             if direction == "in":
-                fresh_flows = base.incoming_flows(account, None, pure)
+                fresh_flows = base.incoming_flows(account)
             else:
-                fresh_flows = base.outgoing_flows(account, None, pure)
+                fresh_flows = base.outgoing_flows(account)
             if cached != fresh_flows:
                 return False, 0
     return set(cache._entries) <= set(scheduler._member_index), len(cache._entries)
