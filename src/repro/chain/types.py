@@ -8,7 +8,7 @@ the composite value types.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 #: The Ethereum null address.  The paper treats it specially: it is the
 #: canonical source of mint transactions and sink of burn transactions,
@@ -16,12 +16,14 @@ from typing import Any, Mapping
 NULL_ADDRESS = "0x" + "0" * 40
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class NFTKey:
+class NFTKey(NamedTuple):
     """Globally unique identifier of one NFT.
 
     The paper identifies an NFT by the pair (smart-contract address,
-    token id); this type is that pair.
+    token id); this type is that pair.  It is a tuple record, so its
+    hash, equality and ordering (by contract, then token id) run in C:
+    keep it out of any key space that also holds other 2-tuples, since
+    an equal plain tuple is the same key.
     """
 
     contract: str

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.chain.types import NFTKey
@@ -78,12 +79,15 @@ class CandidateComponent:
         """True if no ETH and no ERC-20 value moved in any intra-component transfer."""
         return not any(transfer.has_payment for transfer in self.transfers)
 
-    @property
+    # Detectors and the live history checks read these on every tick
+    # that revisits a candidate; the component is frozen, so each end
+    # is computed once.
+    @cached_property
     def first_timestamp(self) -> int:
         """Timestamp of the first intra-component transfer."""
         return min(transfer.timestamp for transfer in self.transfers)
 
-    @property
+    @cached_property
     def last_timestamp(self) -> int:
         """Timestamp of the last intra-component transfer."""
         return max(transfer.timestamp for transfer in self.transfers)

@@ -1,16 +1,20 @@
-"""Record types produced by the ingest layer."""
+"""Record types produced by the ingest layer.
+
+Both records are tuple records (``typing.NamedTuple``), like
+:class:`~repro.chain.types.NFTKey`: one is built per decoded log, so
+construction, hashing and equality run at tuple speed.  Encode them
+field by field; ``json.dumps`` would write one as a bare list.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.chain.types import NFTKey, NULL_ADDRESS
 
 
-@dataclass(frozen=True, slots=True)
-class ERC20Payment:
+class ERC20Payment(NamedTuple):
     """An ERC-20 transfer observed in the same transaction as an NFT move.
 
     The zero-volume filter treats a component as paid if either ETH or
@@ -23,8 +27,7 @@ class ERC20Payment:
     amount: int
 
 
-@dataclass(frozen=True, slots=True)
-class NFTTransfer:
+class NFTTransfer(NamedTuple):
     """One ERC-721 transfer, enriched with its transaction context.
 
     This is the unit of the paper's dataset: for every transfer event the
@@ -54,7 +57,7 @@ class NFTTransfer:
     #: and for charging gas in profitability analysis).
     tx_sender: str = ""
     #: ERC-20 transfers that happened in the same transaction.
-    erc20_payments: Tuple[ERC20Payment, ...] = field(default_factory=tuple)
+    erc20_payments: Tuple[ERC20Payment, ...] = ()
 
     @property
     def is_mint(self) -> bool:

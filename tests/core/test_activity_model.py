@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
-from repro.core.activity import DetectionEvidence, DetectionMethod, WashTradingActivity
+from repro.core.activity import (
+    CandidateComponent,
+    DetectionEvidence,
+    DetectionMethod,
+    WashTradingActivity,
+)
 from tests.core.test_characterization import make_component
 
 
@@ -25,6 +33,28 @@ class TestCandidateComponent:
         assert component.first_timestamp == 1000
         assert component.last_timestamp == 1000 + 2 * 3600
         assert component.lifetime_seconds == 2 * 3600
+
+    def test_cached_timestamps_are_the_min_and_max_over_transfers(self):
+        ordered = make_component([("A", "B"), ("B", "C"), ("C", "A"), ("A", "C")], base_ts=500)
+        # Components need not list transfers in time order.
+        shuffled = ordered.transfers[2:] + ordered.transfers[:2]
+        component = CandidateComponent(
+            nft=ordered.nft, accounts=ordered.accounts, transfers=shuffled
+        )
+        for _ in range(2):
+            assert component.first_timestamp == min(t.timestamp for t in shuffled)
+            assert component.last_timestamp == max(t.timestamp for t in shuffled)
+        assert component.lifetime_seconds == 3 * 3600
+
+    def test_cached_timestamps_do_not_change_identity(self):
+        component = make_component([("A", "B"), ("B", "A")], base_ts=1000)
+        fresh = make_component([("A", "B"), ("B", "A")], base_ts=1000)
+        assert component.last_timestamp == 1000 + 3600
+        assert component == fresh and hash(component) == hash(fresh)
+        for copied in (copy.deepcopy(component), pickle.loads(pickle.dumps(component))):
+            assert copied == component
+            assert copied.first_timestamp == 1000
+            assert copied.last_timestamp == 1000 + 3600
 
     def test_self_loop_detection(self):
         assert make_component([("A", "A")]).has_self_loop()

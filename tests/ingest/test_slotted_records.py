@@ -1,9 +1,17 @@
 """The chain and ingest records are slotted and survive copying.
 
-Every record the ingest path creates per log or per transaction is a
-frozen ``slots=True`` dataclass: no per-instance ``__dict__``.  Frozen
-slotted dataclasses need their generated pickle support to copy at all,
-so each record is round-tripped through ``pickle`` and ``deepcopy``.
+Every record the ingest path creates per log or per transaction has no
+per-instance ``__dict__``.  Two kinds are pinned here:
+
+- ``NFTKey``, ``NFTTransfer`` and ``ERC20Payment`` are tuple records
+  (``typing.NamedTuple``), built once per decoded log; their hash,
+  equality and ordering are the tuple's.  Their field order, repr text
+  and ``str`` are part of the contract: digests, reports and the wire
+  spell them out.
+- The other records are frozen ``slots=True`` dataclasses, which need
+  their generated pickle support to copy at all.
+
+Each record is round-tripped through ``pickle`` and ``deepcopy``.
 """
 
 from __future__ import annotations
@@ -106,3 +114,92 @@ def test_copies_keep_the_log_classification():
         nft_log, payment_log = copied.logs
         assert nft_log.is_erc721_transfer and not nft_log.is_erc20_transfer
         assert payment_log.is_erc20_transfer and not payment_log.is_erc721_transfer
+
+
+TUPLE_RECORDS = {
+    "NFTKey": (TRANSFER.nft, ("contract", "token_id")),
+    "NFTTransfer": (
+        TRANSFER,
+        (
+            "nft",
+            "sender",
+            "recipient",
+            "tx_hash",
+            "block_number",
+            "timestamp",
+            "price_wei",
+            "gas_fee_wei",
+            "interacted_contract",
+            "marketplace",
+            "tx_sender",
+            "erc20_payments",
+        ),
+    ),
+    "ERC20Payment": (PAYMENT, ("token", "sender", "recipient", "amount")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TUPLE_RECORDS))
+def test_tuple_record_hashes_as_its_fields(name):
+    record, fields = TUPLE_RECORDS[name]
+    assert isinstance(record, tuple)
+    assert hash(record) == hash(tuple(record))
+    assert tuple(record) == tuple(getattr(record, field) for field in fields)
+
+
+@pytest.mark.parametrize("name", sorted(TUPLE_RECORDS))
+def test_tuple_record_field_order(name):
+    record, fields = TUPLE_RECORDS[name]
+    assert type(record)._fields == fields
+
+
+@pytest.mark.parametrize("name", sorted(TUPLE_RECORDS))
+def test_tuple_record_is_immutable(name):
+    record, fields = TUPLE_RECORDS[name]
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], getattr(record, fields[-1]))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_tuple_record_repr_text():
+    assert repr(NFTKey(NFT_CONTRACT, 7)) == f"NFTKey(contract='{NFT_CONTRACT}', token_id=7)"
+    assert repr(PAYMENT) == (
+        f"ERC20Payment(token='{TOKEN}', sender='{BOB}', recipient='{ALICE}', amount=500)"
+    )
+    assert repr(TRANSFER) == (
+        f"NFTTransfer(nft={TRANSFER.nft!r}, sender='{ALICE}', recipient='{BOB}', "
+        f"tx_hash='{TX_HASH}', block_number=3, timestamp=1650000000, "
+        f"price_wei=1000000000000000000, gas_fee_wei=630000000000000, "
+        f"interacted_contract='{NFT_CONTRACT}', marketplace='OpenSea', "
+        f"tx_sender='{BOB}', erc20_payments=({PAYMENT!r},))"
+    )
+
+
+def test_nft_key_str_is_contract_hash_id():
+    key = NFTKey(NFT_CONTRACT, 7)
+    assert str(key) == f"{key}" == f"{NFT_CONTRACT}#7"
+
+
+def test_nft_key_sorts_by_contract_then_token_id():
+    low, high = "0x" + "1" * 40, "0x" + "2" * 40
+    keys = [NFTKey(high, 1), NFTKey(low, 10), NFTKey(high, 0), NFTKey(low, 9)]
+    assert sorted(keys) == [
+        NFTKey(low, 9),
+        NFTKey(low, 10),
+        NFTKey(high, 0),
+        NFTKey(high, 1),
+    ]
+    assert NFTKey(low, 10) < NFTKey(high, 0)
+
+
+def test_transfer_defaults_and_properties():
+    bare = NFTTransfer(NFTKey(NFT_CONTRACT, 7), ALICE, ALICE, TX_HASH, 3, 0, 0, 0)
+    assert bare.interacted_contract is None and bare.marketplace is None
+    assert bare.tx_sender == "" and bare.erc20_payments == ()
+    assert bare.is_self_transfer and not bare.is_mint and not bare.has_payment
+    assert TRANSFER.has_payment and not TRANSFER.is_self_transfer
+    paid_in_erc20 = NFTTransfer(
+        NFTKey(NFT_CONTRACT, 7), ALICE, BOB, TX_HASH, 3, 0, 0, 0, erc20_payments=(PAYMENT,)
+    )
+    assert paid_in_erc20.has_payment

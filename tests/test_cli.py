@@ -193,6 +193,30 @@ class TestMain:
         assert "Table II" in output.read_text()
         assert captured.out == ""
 
+    def test_report_is_byte_identical_across_engines(self, tmp_path, capsys):
+        """Both engines build the report from NFT keys and transfer
+        records; the two files must not differ by a byte."""
+        reports = {}
+        for engine in ("legacy", "columnar"):
+            output = tmp_path / f"{engine}.txt"
+            exit_code = main(
+                [
+                    "run",
+                    "--preset",
+                    "tiny",
+                    "--quiet",
+                    "--engine",
+                    engine,
+                    "--output",
+                    str(output),
+                ]
+            )
+            assert exit_code == 0
+            reports[engine] = output.read_bytes()
+        capsys.readouterr()
+        assert b"Table II" in reports["legacy"]
+        assert reports["legacy"] == reports["columnar"]
+
 
 class TestMonitorCommand:
     def test_monitor_prints_alerts_and_summary(self, capsys):
