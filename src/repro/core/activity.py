@@ -10,6 +10,10 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.chain.types import NFTKey
 from repro.ingest.records import NFTTransfer
 
+#: Identity of one activity across recomputations and revisions:
+#: (contract, token id, sorted accounts, sorted tx hashes).
+RecordKey = Tuple[str, int, Tuple[str, ...], Tuple[str, ...]]
+
 
 class DetectionMethod(str, enum.Enum):
     """The paper's five confirmation techniques of Sec. IV-C, plus
@@ -96,6 +100,16 @@ class CandidateComponent:
     def lifetime_seconds(self) -> int:
         """Elapsed time between the first and last intra-component transfer."""
         return self.last_timestamp - self.first_timestamp
+
+    @cached_property
+    def key(self) -> RecordKey:
+        """The identity of the activity this candidate would confirm."""
+        return (
+            self.nft.contract,
+            self.nft.token_id,
+            tuple(sorted(self.accounts)),
+            tuple(sorted(transfer.tx_hash for transfer in self.transfers)),
+        )
 
     @property
     def tx_hashes(self) -> Set[str]:
@@ -187,3 +201,8 @@ class WashTradingActivity:
     def detected_by(self, method: DetectionMethod) -> bool:
         """True if the given method confirmed this activity."""
         return any(item.method == method for item in self.evidence)
+
+
+def record_key(activity: WashTradingActivity) -> RecordKey:
+    """The identity of one activity (:attr:`CandidateComponent.key`)."""
+    return activity.component.key

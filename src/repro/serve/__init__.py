@@ -5,11 +5,11 @@ current; this package is its *read path* -- the part a marketplace or a
 wallet actually calls:
 
 * :mod:`repro.serve.index` -- :class:`ServeIndex`, the versioned read
-  model: rebuilt incrementally from each tick's dirty set, it publishes
-  one immutable :class:`~repro.serve.model.ServeVersion` per monitor
-  tick, carrying the scheduler's differentially maintained funnel, and
-  serves the monitor's append-only alert log up to the published
-  version.
+  model: folding each tick's confirmations, retractions and evidence
+  refreshes into the previous version, it publishes one immutable
+  :class:`~repro.serve.model.ServeVersion` per monitor tick, carrying
+  the scheduler's differentially maintained funnel, and serves the
+  monitor's append-only alert log up to the published version.
   Reorg retractions publish a *revision* and never mutate a served
   snapshot, so queries get snapshot isolation without locks.
 * :mod:`repro.serve.query` -- :class:`QueryService`: point lookups

@@ -21,15 +21,14 @@ immutable :class:`~repro.serve.model.ServeVersion`.  The contract:
   ``last_seq``, so a tick's alerts become readable in the same atomic
   swap that publishes the version folding them in.
 * **The current version is the only record.**  The index keeps no
-  served state beside it: a tick copies the current version's
-  ``token_status`` and ``account_profiles``, re-derives only its dirty
-  tokens from the scheduler (via
-  :meth:`~repro.stream.scheduler.DirtyTokenScheduler.confirmed_activities`,
-  which also captures evidence drift the alert stream deliberately does
-  not re-announce) and the profiles of the accounts their records
-  touch, and freezes the funnel the scheduler maintains by dirty deltas
-  (:class:`~repro.engine.refine.FunnelMaintainer`).  A tick with no
-  dirty token republishes the previous version's containers by
+  served state beside it and reads no detection state of the
+  scheduler's: each version folds the tick's ACTIVITY_CONFIRMED and
+  ACTIVITY_RETRACTED alerts plus :attr:`MonitorSnapshot.refreshed
+  <repro.stream.alerts.MonitorSnapshot.refreshed>` (evidence drift,
+  which no alert re-announces) into the previous one, and freezes the
+  funnel the scheduler maintains by dirty deltas
+  (:class:`~repro.engine.refine.FunnelMaintainer`).  A tick that
+  changes no record republishes the previous version's containers by
   reference.
 * **Publish, then invalidate.**  The new version becomes ``current``
   before the aggregate cache drops the scopes the tick's dirty set can
@@ -45,10 +44,10 @@ The index also owns the version subscribers and the serve metrics.
 from __future__ import annotations
 
 import dataclasses
-from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.chain.types import NFTKey
+from repro.core.activity import WashTradingActivity, record_key
 from repro.engine.store import ColumnarTransferStore
 from repro.engine.views import StoreStats
 from repro.obs.bounded import DEFAULT_ERROR_RETENTION, BoundedLog
@@ -66,17 +65,11 @@ from repro.serve.model import (
     FunnelPartial,
     ServeVersion,
     TokenStatus,
-    record_key,
 )
 from repro.stream.alerts import Alert, AlertKind, MonitorSnapshot
 from repro.stream.monitor import StreamingMonitor
 
 VersionCallback = Callable[[ServeVersion], None]
-
-#: Confirmation order.  Every record carries its own confirmation
-#: alert's ``seq``, so seqs are unique and this is the ``(seq, key)``
-#: order of the read model.
-_by_seq = attrgetter("seq")
 
 
 class ServeIndex:
@@ -192,15 +185,14 @@ class ServeIndex:
     ) -> Tuple[ServeVersion, Set[Scope]]:
         """The tick's version and the cache scopes the tick can have moved.
 
-        Nothing a reader can observe changes here.  A tick with no dirty
-        token shares the previous version's containers: they are
-        immutable, and new or rolled-back tokens are always dirty.
-        Otherwise each dirty token's records are re-derived from the
-        scheduler: surviving identities keep their confirmation
-        coordinates but refresh their payload (evidence drift), new
-        identities take their ``seq``/block from this tick's
-        confirmation alert, and removed identities are dropped and
-        counted as retractions.
+        Nothing a reader can observe changes here.  Each
+        ACTIVITY_RETRACTED alert drops its record (one more retraction
+        on its token), each ACTIVITY_CONFIRMED alert appends one at the
+        alert's seq and block, and each refreshed activity replaces its
+        record in place, at the record's seq and block.  Appended seqs
+        are the highest yet, so every container stays in seq order
+        unsorted.  A tick that changes no record shares the previous
+        version's (immutable) containers.
         """
         previous = self._current
         scalars = self._scalars(snapshot.tick, snapshot)
@@ -208,89 +200,80 @@ class ServeIndex:
         if not dirty:
             return dataclasses.replace(previous, **scalars), set()
 
-        announced = {
-            record_key(alert.activity): (alert.seq, alert.block)
-            for alert in snapshot.alerts
-            if alert.kind is AlertKind.ACTIVITY_CONFIRMED
-        }
-        scheduler = self.monitor.scheduler
-        token_status = dict(previous.token_status)
-        refreshed: List[ActivityRecord] = []
-        touched_accounts: Set[str] = set()
-        changed_venues: Set[str] = set()
-        for nft in dirty:
-            status = token_status.pop(nft, None)
-            old = {} if status is None else {r.key: r for r in status.records}
-            fresh: List[ActivityRecord] = []
-            for activity in scheduler.confirmed_activities(nft).values():
-                key = record_key(activity)
-                prior = old.pop(key, None)
-                if prior is None:
-                    seq, block = announced[key]
-                else:
-                    seq, block = prior.seq, prior.confirmed_at_block
-                record = ActivityRecord.from_activity(activity, seq, block, key)
-                fresh.append(record)
-                if record != prior:
-                    changed_venues.add(record.venue)
-                    touched_accounts.update(record.accounts)
-            for retracted in old.values():
-                changed_venues.add(retracted.venue)
-                touched_accounts.update(retracted.accounts)
-            if fresh:
-                # The count restarts whenever the token had no
-                # confirmed activity (``status`` is then None).
-                retractions = len(old) + (
-                    0 if status is None else status.retraction_count
+        statuses = previous.token_status
+        # The tick's changes to served records, by the prior record's
+        # seq: its replacement, or None when it is retracted.
+        changes: Dict[int, Optional[ActivityRecord]] = {}
+        gone: List[ActivityRecord] = []
+        added: List[ActivityRecord] = []
+        for alert in snapshot.alerts:
+            if alert.kind is AlertKind.ACTIVITY_RETRACTED:
+                prior = _record_of(statuses, alert.activity)
+                changes[prior.seq] = None
+                gone.append(prior)
+            elif alert.kind is AlertKind.ACTIVITY_CONFIRMED:
+                added.append(
+                    ActivityRecord.from_activity(alert.activity, alert.seq, alert.block)
                 )
-                fresh.sort(key=_by_seq)
-                token_status[nft] = TokenStatus(nft, tuple(fresh), retractions)
-                refreshed.extend(fresh)
+        for activity in snapshot.refreshed:
+            prior = _record_of(statuses, activity)
+            changes[prior.seq] = ActivityRecord.from_activity(
+                activity, prior.seq, prior.confirmed_at_block
+            )
+            gone.append(prior)
+        # Exactly the cache scopes the tick can have moved: any dirty
+        # token may have moved its funnel stages, and a refresh that
+        # leaves its record's values equal moves no venue rollup.
+        scopes: Set[Scope] = {FUNNEL_SCOPE}
+        scopes.update(collection_scope(nft.contract) for nft in dirty)
+        scopes.update(venue_scope(r.venue) for r in added)
+        scopes.update(venue_scope(r.venue) for r in gone if changes[r.seq] != r)
+        if not gone and not added:
+            funnel = self._funnel(snapshot.tick, len(previous.confirmed))
+            return dataclasses.replace(previous, funnel=funnel, **scalars), scopes
 
-        dirty_set = set(dirty)
-        confirmed = [r for r in previous.confirmed if r.nft not in dirty_set]
-        confirmed.extend(refreshed)
-        confirmed.sort(key=_by_seq)
-
-        # A touched account's profile is re-read from the new statuses
-        # of the tokens it had records on and of the dirty tokens it
-        # has records on now.
-        tokens_of: Dict[str, Set[NFTKey]] = {a: set() for a in touched_accounts}
-        for record in refreshed:
+        added_on: Dict[NFTKey, List[ActivityRecord]] = {}
+        added_for: Dict[str, List[ActivityRecord]] = {}
+        for record in added:
+            added_on.setdefault(record.nft, []).append(record)
             for account in record.accounts:
-                nfts = tokens_of.get(account)
-                if nfts is not None:
-                    nfts.add(record.nft)
+                added_for.setdefault(account, []).append(record)
+
+        token_status = dict(statuses)
+        for nft in added_on.keys() | {record.nft for record in gone}:
+            # A token absent from the previous version starts its
+            # retraction count again at 0.
+            status = previous.status_of(nft)
+            records = _fold(status.records, changes, added_on.get(nft, ()))
+            retracted = sum(changes.get(r.seq, r) is None for r in status.records)
+            if records:
+                token_status[nft] = TokenStatus(
+                    nft, records, status.retraction_count + retracted
+                )
+            else:
+                token_status.pop(nft, None)
+
         profiles = dict(previous.account_profiles)
         accounts_moved = False
-        for account, nfts in tokens_of.items():
-            profile = profiles.get(account)
-            if profile is not None:
-                nfts.update(profile.nfts)
-            mine = [
-                record
-                for nft in nfts
-                if nft in token_status
-                for record in token_status[nft].records
-                if account in record.accounts
-            ]
-            if mine:
-                mine.sort(key=_by_seq)
-                profiles[account] = AccountProfile(account, tuple(mine))
-                accounts_moved |= profile is None
-            elif profile is not None:
-                del profiles[account]
-                accounts_moved = True
+        for account in added_for.keys() | {a for r in gone for a in r.accounts}:
+            profile = previous.profile_of(account)
+            records = _fold(profile.records, changes, added_for.get(account, ()))
+            accounts_moved |= bool(records) != (account in profiles)
+            if records:
+                profiles[account] = AccountProfile(account, records)
+            else:
+                profiles.pop(account, None)
 
+        confirmed = _fold(previous.confirmed, changes, added)
         version = ServeVersion(
-            confirmed=tuple(confirmed),
+            confirmed=confirmed,
             token_status=token_status,
             account_profiles=profiles,
             accounts_epoch=previous.accounts_epoch + int(accounts_moved),
             funnel=self._funnel(snapshot.tick, len(confirmed)),
             **scalars,
         )
-        return version, _scopes_for(dirty, changed_venues)
+        return version, scopes
 
     def _scalars(
         self, tick: int, snapshot: Optional[MonitorSnapshot]
@@ -342,17 +325,26 @@ class ServeIndex:
         self._metric_confirmed.set(self._current.confirmed_activity_count)
 
 
-def _scopes_for(
-    dirty_nfts: Tuple[NFTKey, ...], changed_venues: Set[str]
-) -> Set[Scope]:
-    """Exactly the cache scopes one tick's dirty set can have moved."""
-    scopes: Set[Scope] = set()
-    if dirty_nfts:
-        # Any reprocessed token may have changed its funnel-stage
-        # contribution, even without a confirmation flip.
-        scopes.add(FUNNEL_SCOPE)
-    for nft in dirty_nfts:
-        scopes.add(collection_scope(nft.contract))
-    for venue in changed_venues:
-        scopes.add(venue_scope(venue))
-    return scopes
+def _record_of(
+    statuses: Mapping[NFTKey, TokenStatus], activity: WashTradingActivity
+) -> ActivityRecord:
+    """The served record of a confirmed activity's identity."""
+    key = record_key(activity)
+    return next(r for r in statuses[activity.nft].records if r.key == key)
+
+
+def _fold(
+    records: Sequence[ActivityRecord],
+    changes: Mapping[int, Optional[ActivityRecord]],
+    added: Sequence[ActivityRecord],
+) -> Tuple[ActivityRecord, ...]:
+    """``records`` with each record whose seq is in ``changes`` replaced
+    in place (or dropped, for None), then ``added`` -- whose seqs are
+    above every other, so seq order holds."""
+    folded = []
+    for record in records:
+        record = changes.get(record.seq, record)
+        if record is not None:
+            folded.append(record)
+    folded.extend(added)
+    return tuple(folded)

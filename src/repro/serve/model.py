@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Mapping, Optional, Tuple
 
 from repro.chain.types import NFTKey
-from repro.core.activity import DetectionMethod, WashTradingActivity
+from repro.core.activity import (  # noqa: F401 - record_key is re-exported
+    DetectionMethod,
+    RecordKey,
+    WashTradingActivity,
+    record_key,
+)
 from repro.core.refine import FunnelStage
 from repro.engine.refine import StageRecord
 from repro.engine.views import StoreStats
@@ -23,22 +28,6 @@ from repro.engine.views import StoreStats
 #: Venue name used for confirmed activities whose dominant marketplace
 #: is None (the component traded without touching a known venue).
 OFF_MARKET = "off-market"
-
-#: Stable identity of one confirmed activity across recomputations and
-#: revisions: (contract, token id, sorted accounts, sorted tx hashes).
-#: Matches the scheduler's diff identity, with the NFT made explicit so
-#: keys are unique store-wide.
-RecordKey = Tuple[str, int, Tuple[str, ...], Tuple[str, ...]]
-
-
-def record_key(activity: WashTradingActivity) -> RecordKey:
-    """The serving-layer identity of one confirmed activity."""
-    return (
-        activity.nft.contract,
-        activity.nft.token_id,
-        tuple(sorted(activity.accounts)),
-        tuple(sorted(t.tx_hash for t in activity.component.transfers)),
-    )
 
 
 @dataclass(frozen=True)
@@ -69,8 +58,8 @@ class ActivityRecord:
     #: The full activity object, for drill-down queries and parity
     #: checks (compared by identity key, not by value).
     activity: WashTradingActivity = field(compare=False, repr=False)
-    #: ``record_key(activity)``, computed once at construction: every
-    #: ``(seq, key)`` ordering of the read model reads it.
+    #: The activity's identity (:func:`~repro.core.activity.record_key`):
+    #: the ``(seq, key)`` page cursors of the read model read it.
     key: RecordKey = field(compare=False, repr=False)
 
     @property
@@ -80,14 +69,9 @@ class ActivityRecord:
 
     @classmethod
     def from_activity(
-        cls,
-        activity: WashTradingActivity,
-        seq: int,
-        confirmed_at_block: int,
-        key: Optional[RecordKey] = None,
+        cls, activity: WashTradingActivity, seq: int, confirmed_at_block: int
     ) -> "ActivityRecord":
-        """Build the record; ``key`` may pass in an already computed
-        ``record_key(activity)``."""
+        """Build the record of ``activity`` at its confirmation coordinates."""
         component = activity.component
         return cls(
             nft=activity.nft,
@@ -101,7 +85,7 @@ class ActivityRecord:
             confirmed_at_block=confirmed_at_block,
             seq=seq,
             activity=activity,
-            key=record_key(activity) if key is None else key,
+            key=component.key,
         )
 
 

@@ -18,12 +18,14 @@ Shared by ``tests/serve``, ``benchmarks/bench_serve_load.py`` and
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.activity import WashTradingActivity
+from repro.core.activity import RecordKey, WashTradingActivity, record_key
 from repro.core.detectors.pipeline import PipelineResult
 from repro.serve.model import OFF_MARKET, ServeVersion
 from repro.serve.query import QueryService
+from repro.stream.alerts import Alert, AlertKind
 from repro.verify import activity_fingerprint
 
 
@@ -38,9 +40,12 @@ def serving_parity_mismatches(
     version: Optional[ServeVersion] = None,
     page_size: int = 7,
 ) -> List[str]:
-    """Compare every query family against a batch result; [] = parity."""
+    """Compare every query family against a batch result; [] = parity.
+    The pinned version is first checked against its own alert log."""
     pinned = version or query.version()
-    problems: List[str] = []
+    problems = version_fold_mismatches(
+        pinned, query.index.alerts_since(-1, limit=pinned.last_seq + 1)
+    )
 
     # -- confirmed listing (value-identical activities) --------------------
     served = sorted(activity_fingerprint(r.activity) for r in pinned.confirmed)
@@ -169,3 +174,44 @@ def serving_parity_mismatches(
 
     return problems
 
+
+def version_fold_mismatches(
+    version: ServeVersion, alerts: Iterable[Alert]
+) -> List[str]:
+    """The version's consistency with ``alerts``, the alert log up to
+    its ``last_seq``; [] = consistent.
+
+    Every record must sit at the seq and block of its identity's live
+    confirmation alert, the listing must be in seq order, and each
+    token status and account profile must hold exactly its records
+    from the listing (the same objects) in seq order: a record out of
+    place keeps every count and volume right.
+    """
+    live: Dict[RecordKey, Tuple[int, int]] = {}
+    for alert in alerts:
+        if alert.kind is AlertKind.ACTIVITY_CONFIRMED:
+            live[record_key(alert.activity)] = (alert.seq, alert.block)
+        elif alert.kind is AlertKind.ACTIVITY_RETRACTED:
+            live.pop(record_key(alert.activity), None)
+    problems: List[str] = []
+    if {r.key: (r.seq, r.confirmed_at_block) for r in version.confirmed} != live:
+        problems.append("confirmation coordinates diverge from the alert log")
+    seqs = [record.seq for record in version.confirmed]
+    if seqs != sorted(set(seqs)):
+        problems.append("confirmed listing is not in seq order")
+    # Token keys and account addresses never collide.
+    expected: Dict[object, List[int]] = {}
+    for record in sorted(version.confirmed, key=attrgetter("seq")):
+        for holder in (record.nft, *record.accounts):
+            expected.setdefault(holder, []).append(id(record))
+    held = {
+        holder: [id(record) for record in container.records]
+        for containers in (version.token_status, version.account_profiles)
+        for holder, container in containers.items()
+    }
+    if held != expected:
+        problems.append(
+            "token or account containers do not hold their records from "
+            "the confirmed listing in seq order"
+        )
+    return problems

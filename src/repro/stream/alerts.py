@@ -33,6 +33,10 @@ subscribers can rely on:
 * ``NFT_FLAGGED`` fires when an NFT gains its first *currently
   confirmed* activity; after a retraction empties the NFT, a later
   re-confirmation flags it again.
+* Evidence drift is *not* re-announced: a still-confirmed activity
+  whose evidence changes (or whose transactions a reorg re-mines) rides
+  :attr:`MonitorSnapshot.refreshed`.  The serving layer folds the
+  alerts plus those refreshes; a refreshed record keeps its ``seq``.
 
 Alerts that were already delivered are never rewritten or deleted:
 ``monitor.alerts`` is an append-only stream, and the current truth is
@@ -177,13 +181,18 @@ class MonitorSnapshot:
     rolled_back_transfer_count: int = 0
     #: Alerts raised this tick.
     alerts: Tuple[Alert, ...] = field(default_factory=tuple)
+    #: Still-confirmed activities whose value changed without their
+    #: identity (evidence drift, or a reorg re-mined their transactions),
+    #: in token order.  No alert announces them; with the tick's
+    #: confirmations and retractions they are the tick's whole diff.
+    refreshed: Tuple[WashTradingActivity, ...] = field(default_factory=tuple)
     #: Exactly the tokens whose detection state may have moved this
     #: tick: re-refined (touched or rolled back), re-detected on a
     #: member's history change *with changed evidence*, or flipped by
     #: the repeated-SCC pool; in deterministic token order.  A
     #: re-detection that left evidence unchanged is absent.
     #: ``len(dirty_nfts) == dirty_token_count``; the serving layer keys
-    #: its record rebuilds and aggregate-cache invalidation on this set.
+    #: its aggregate-cache invalidation on this set.
     dirty_nfts: Tuple[NFTKey, ...] = field(default_factory=tuple)
     #: The tick's deterministic trace id -- shared by every alert the
     #: tick raised and by the tick's spans ("" for snapshots built

@@ -236,11 +236,8 @@ class StreamingMonitor:
         with self.registry.trace_context(trace):
             with self.registry.span("tick") as tick_span:
                 tick = self.cursor.advance(to_block)
-                dirty: List = list(tick.rolled_back_nfts)
-                rolled_back = set(tick.rolled_back_nfts)
-                dirty.extend(
-                    nft for nft in tick.touched_nfts if nft not in rolled_back
-                )
+                # Rolled-back tokens lead; the scheduler skips repeats.
+                dirty = [*tick.rolled_back_nfts, *tick.touched_nfts]
                 touched = tick.touched_since
                 redetect = self.scheduler.tokens_with_members(touched)
                 report = self.scheduler.process(
@@ -262,7 +259,7 @@ class StreamingMonitor:
                         self._operator_alerts(trace, len(self.alerts) + len(alerts))
                     )
                 tick_span.annotate(
-                    dirty=report.dirty_token_count, alerts=len(alerts)
+                    dirty=len(report.dirty_nfts), alerts=len(alerts)
                 )
             snapshot = self._snapshot_for(tick, report, alerts, trace)
             self.alerts.extend(alerts)
@@ -284,7 +281,7 @@ class StreamingMonitor:
             to_block=tick.to_block,
             new_transfer_count=tick.new_transfer_count,
             touched_token_count=len(tick.touched_nfts),
-            dirty_token_count=report.dirty_token_count,
+            dirty_token_count=len(report.dirty_nfts),
             newly_confirmed_count=len(report.newly_confirmed),
             retracted_count=report.retracted_count,
             total_transfer_count=self.cursor.store.transfer_count,
@@ -294,6 +291,7 @@ class StreamingMonitor:
             reorg_depth=tick.reorg_depth,
             rolled_back_transfer_count=tick.rolled_back_transfer_count,
             alerts=tuple(alerts),
+            refreshed=tuple(report.refreshed),
             dirty_nfts=report.dirty_nfts,
             trace=trace,
         )
@@ -416,69 +414,40 @@ class StreamingMonitor:
         # the append-only self.alerts stream (the serve-layer replay key).
         base_seq = len(self.alerts)
         alerts: List[Alert] = []
-        if tick.saw_reorg:
+
+        def emit(kind: AlertKind, **fields) -> None:
             alerts.append(
                 Alert(
-                    kind=AlertKind.REORG_DETECTED,
+                    kind=kind,
                     block=block,
                     timestamp=timestamp,
-                    reorg_depth=tick.reorg_depth,
-                    fork_block=tick.fork_block,
                     seq=base_seq + len(alerts),
                     trace=trace,
+                    **fields,
                 )
+            )
+
+        if tick.saw_reorg:
+            emit(
+                AlertKind.REORG_DETECTED,
+                reorg_depth=tick.reorg_depth,
+                fork_block=tick.fork_block,
             )
         for activity in report.retracted:
-            alerts.append(
-                Alert(
-                    kind=AlertKind.ACTIVITY_RETRACTED,
-                    block=block,
-                    timestamp=timestamp,
-                    nft=activity.nft,
-                    activity=activity,
-                    seq=base_seq + len(alerts),
-                    trace=trace,
-                )
-            )
-        newly_flagged = set(report.newly_flagged)
-        flag_raised: Set = set()
+            emit(AlertKind.ACTIVITY_RETRACTED, nft=activity.nft, activity=activity)
+        # Each newly flagged NFT is flagged with its first confirmation.
+        unflagged = set(report.newly_flagged)
         for activity in report.newly_confirmed:
-            alerts.append(
-                Alert(
-                    kind=AlertKind.ACTIVITY_CONFIRMED,
-                    block=block,
-                    timestamp=timestamp,
-                    nft=activity.nft,
-                    activity=activity,
-                    seq=base_seq + len(alerts),
-                    trace=trace,
-                )
-            )
-            if activity.nft in newly_flagged and activity.nft not in flag_raised:
-                flag_raised.add(activity.nft)
-                alerts.append(
-                    Alert(
-                        kind=AlertKind.NFT_FLAGGED,
-                        block=block,
-                        timestamp=timestamp,
-                        nft=activity.nft,
-                        activity=activity,
-                        seq=base_seq + len(alerts),
-                        trace=trace,
-                    )
-                )
+            emit(AlertKind.ACTIVITY_CONFIRMED, nft=activity.nft, activity=activity)
+            if activity.nft in unflagged:
+                unflagged.remove(activity.nft)
+                emit(AlertKind.NFT_FLAGGED, nft=activity.nft, activity=activity)
             watched = frozenset(activity.accounts & self.watchlist)
             if watched:
-                alerts.append(
-                    Alert(
-                        kind=AlertKind.WATCHLIST_HIT,
-                        block=block,
-                        timestamp=timestamp,
-                        nft=activity.nft,
-                        activity=activity,
-                        watched_accounts=watched,
-                        seq=base_seq + len(alerts),
-                        trace=trace,
-                    )
+                emit(
+                    AlertKind.WATCHLIST_HIT,
+                    nft=activity.nft,
+                    activity=activity,
+                    watched_accounts=watched,
                 )
         return alerts

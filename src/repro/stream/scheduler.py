@@ -65,6 +65,7 @@ from repro.core.activity import (
     CandidateComponent,
     DetectionEvidence,
     DetectionMethod,
+    RecordKey,
     WashTradingActivity,
 )
 from repro.core.detectors.base import DetectionContext
@@ -86,9 +87,6 @@ from repro.engine.refine import (
 )
 from repro.engine.store import ColumnarTransferStore
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-
-#: Key identifying one confirmed activity across recomputations.
-ActivityKey = Tuple[Tuple[str, ...], Tuple[str, ...]]
 
 #: Account -> earliest timestamp at which its collected transaction
 #: list changed; ``None`` when any part of it may have (a rollback
@@ -117,11 +115,9 @@ class TokenState:
 class TickReport:
     """Detection-state changes caused by one scheduler pass."""
 
-    #: Tokens whose detection state may have moved: re-refined tokens,
+    #: Tokens whose detection state may have moved (re-refined tokens,
     #: history-only re-detections whose evidence changed, and
-    #: repeated-SCC flips.
-    dirty_token_count: int = 0
-    #: The same tokens by key, in deterministic (first-seen) order --
+    #: repeated-SCC flips), in deterministic (first-seen) order --
     #: the precise invalidation set for downstream result caches.  A
     #: history-only re-detection with unchanged evidence is absent: its
     #: records, funnel stats and rollups are provably unchanged.
@@ -135,18 +131,14 @@ class TickReport:
     #: component dissolved (account lists changed, repeated-SCC pool
     #: flipped off) or when a chain reorg rolled its transfers back.
     retracted: List[WashTradingActivity] = field(default_factory=list)
+    #: Still-confirmed activities whose value changed without their
+    #: identity: evidence drift, or a reorg re-mined their transactions.
+    refreshed: List[WashTradingActivity] = field(default_factory=list)
 
     @property
     def retracted_count(self) -> int:
         """Number of confirmed activities withdrawn this tick."""
         return len(self.retracted)
-
-
-def _activity_key(component: CandidateComponent) -> ActivityKey:
-    return (
-        tuple(sorted(component.accounts)),
-        tuple(sorted(transfer.tx_hash for transfer in component.transfers)),
-    )
 
 
 def _change_since(component: CandidateComponent, touched: HistoryChanges):
@@ -212,8 +204,9 @@ class DirtyTokenScheduler:
         #: Candidate member account -> tokens holding a candidate with
         #: that member (history-only re-detection).
         self._member_index: Dict[str, Set[NFTKey]] = {}
-        #: Currently confirmed activities per token, keyed for diffing.
-        self._confirmed: Dict[NFTKey, Dict[ActivityKey, WashTradingActivity]] = {}
+        #: Currently confirmed activities per token, keyed by identity
+        #: (:func:`~repro.core.activity.record_key`) for diffing.
+        self._confirmed: Dict[NFTKey, Dict[RecordKey, WashTradingActivity]] = {}
         self.confirmed_activity_count = 0
         #: The cross-tick detection cache and the accounts that left the
         #: member index this tick.
@@ -262,24 +255,6 @@ class DirtyTokenScheduler:
     def flagged_nft_count(self) -> int:
         return len(self._confirmed)
 
-    def order_of(self, nft: NFTKey) -> int:
-        """First-seen position of a known token (mirrors store order)."""
-        return self._token_order[nft]
-
-    def confirmed_activities(
-        self, nft: NFTKey
-    ) -> Dict[ActivityKey, WashTradingActivity]:
-        """The token's currently confirmed activities, keyed by identity.
-
-        The read-model hook of the serving layer: after a tick, the
-        entries of every dirty token are exactly current -- including
-        activities whose *evidence* evolved without the identity
-        changing, which the alert stream deliberately does not
-        re-announce.  Returns a copy; mutating it never touches
-        scheduler state.
-        """
-        return dict(self._confirmed.get(nft, ()))
-
     def tokens_with_members(self, accounts: Iterable[str]) -> Set[NFTKey]:
         """Tokens holding a candidate with one of ``accounts`` as member."""
         tokens: Set[NFTKey] = set()
@@ -326,11 +301,8 @@ class DirtyTokenScheduler:
         """
         live: List[NFTKey] = []
         vanished: List[NFTKey] = []
-        seen: Set[NFTKey] = set()
-        for nft in dirty_tokens:
-            if nft in seen:
-                continue
-            seen.add(nft)
+        seen = dict.fromkeys(dirty_tokens)  # first occurrences, in order
+        for nft in seen:
             if nft in self.store.tokens:
                 live.append(nft)
             elif nft in self.states:
@@ -389,18 +361,20 @@ class DirtyTokenScheduler:
                 for account_set in flipped_sets:
                     affected |= self._unconfirmed_index.get(account_set, set())
             ordered_affected = sorted(affected, key=self._token_order.__getitem__)
-            report.dirty_token_count = len(ordered_affected)
             report.dirty_nfts = tuple(ordered_affected)
 
             for nft in ordered_affected:
                 entries = self._confirmed_entries(nft)
                 previous = self._confirmed.get(nft, {})
                 for key, activity in entries.items():
-                    if key not in previous:
+                    prior = previous.get(key)
+                    if prior is None:
                         report.newly_confirmed.append(activity)
-                for key, activity in previous.items():
-                    if key not in entries:
-                        report.retracted.append(activity)
+                    elif activity != prior:
+                        report.refreshed.append(activity)
+                report.retracted.extend(
+                    activity for key, activity in previous.items() if key not in entries
+                )
                 if entries and not previous:
                     report.newly_flagged.append(nft)
                 self.confirmed_activity_count += len(entries) - len(previous)
@@ -418,7 +392,7 @@ class DirtyTokenScheduler:
                 if account not in self._member_index
             )
             self._departed.clear()
-        self._metric_dirty.inc(report.dirty_token_count)
+        self._metric_dirty.inc(len(report.dirty_nfts))
         self._metric_redetected.inc(len(history))
         self._metric_detector_skips.inc(skipped)
         self._metric_confirmations.inc(len(report.newly_confirmed))
@@ -576,23 +550,18 @@ class DirtyTokenScheduler:
 
     def _confirmed_entries(
         self, nft: NFTKey
-    ) -> Dict[ActivityKey, WashTradingActivity]:
-        """The token's currently confirmed activities, keyed for diffing."""
+    ) -> Dict[RecordKey, WashTradingActivity]:
+        """The token's currently confirmed activities, keyed by identity."""
         state = self.states.get(nft)
-        entries: Dict[ActivityKey, WashTradingActivity] = {}
+        entries: Dict[RecordKey, WashTradingActivity] = {}
         if state is None:
             return entries
         for component, evidence in zip(state.candidates, state.evidence):
+            if not evidence and self._repeat_enabled:
+                if self._confirmed_pool[component.accounts] > 0:
+                    evidence = [repeated_evidence(component)]
             if evidence:
-                entries[_activity_key(component)] = WashTradingActivity(
+                entries[component.key] = WashTradingActivity(
                     component=component, evidence=list(evidence)
-                )
-            elif (
-                self._repeat_enabled
-                and self._confirmed_pool[component.accounts] > 0
-            ):
-                entries[_activity_key(component)] = WashTradingActivity(
-                    component=component,
-                    evidence=[repeated_evidence(component)],
                 )
         return entries

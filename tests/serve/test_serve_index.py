@@ -26,6 +26,7 @@ from repro.serve import (
     serving_parity_mismatches,
 )
 from repro.serve.cache import FUNNEL_SCOPE, collection_scope, venue_scope
+from repro.serve.model import AccountProfile, ActivityRecord, TokenStatus
 from repro.serve.router import funnel_partial
 from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
@@ -46,6 +47,61 @@ def confirmation_coordinates(alerts):
         elif alert.kind is AlertKind.ACTIVITY_RETRACTED:
             del coordinates[record_key(alert.activity)]
     return coordinates
+
+
+class RederivedModel:
+    """A reference read model that re-derives instead of folding: after
+    each tick, every dirty token's records are rebuilt from the
+    scheduler's confirmed map -- a new identity at the seq and block of
+    the tick's confirmation alert, a surviving one at its earlier
+    coordinates, a vanished one counted as a retraction -- and every
+    account profile is rebuilt from the token statuses."""
+
+    def __init__(self, scheduler):
+        self.scheduler = scheduler
+        self.token_status = {}
+        self.account_profiles = {}
+
+    def apply(self, snapshot):
+        announced = {
+            record_key(alert.activity): (alert.seq, alert.block)
+            for alert in snapshot.alerts
+            if alert.kind is AlertKind.ACTIVITY_CONFIRMED
+        }
+        for nft in snapshot.dirty_nfts:
+            status = self.token_status.pop(nft, None)
+            old = {} if status is None else {r.key: r for r in status.records}
+            fresh = []
+            for key, activity in self.scheduler._confirmed.get(nft, {}).items():
+                prior = old.pop(key, None)
+                seq, block = (
+                    announced[key]
+                    if prior is None
+                    else (prior.seq, prior.confirmed_at_block)
+                )
+                fresh.append(ActivityRecord.from_activity(activity, seq, block))
+            if fresh:
+                fresh.sort(key=lambda record: record.seq)
+                retractions = len(old) + (
+                    0 if status is None else status.retraction_count
+                )
+                self.token_status[nft] = TokenStatus(nft, tuple(fresh), retractions)
+        mine = {}
+        for status in self.token_status.values():
+            for record in status.records:
+                for account in record.accounts:
+                    mine.setdefault(account, []).append(record)
+        self.account_profiles = {
+            account: AccountProfile(
+                account, tuple(sorted(records, key=lambda r: r.seq))
+            )
+            for account, records in mine.items()
+        }
+
+
+def same_records(served, expected):
+    """Records equal in value, identity key and order."""
+    return [(r.key, r) for r in served] == [(r.key, r) for r in expected]
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +207,9 @@ class TestVersions:
 
     def test_idle_tick_republishes_containers_by_reference(self, tiny_world):
         """A tick that dirties nothing shares the previous version's
-        containers instead of copying them (the O(1) fast path)."""
+        containers instead of copying them (the O(1) fast path), and so
+        does a dirty tick that changes no record: only its funnel and
+        scalars are new."""
         service = ServeService.for_world(tiny_world)
         service.run()
         before = service.query.version()
@@ -160,7 +218,47 @@ class TestVersions:
         assert after.version == before.version + 1
         assert after.confirmed is before.confirmed
         assert after.token_status is before.token_status
+        assert after.account_profiles is before.account_profiles
         assert after.funnel is before.funnel
+
+        service = ServeService.for_world(tiny_world)
+        versions = [service.index.current]
+        service.index.subscribe_versions(versions.append)
+        snapshots = service.monitor.run(step_blocks=5)
+        quiet = 0
+        for snapshot, before, after in zip(snapshots, versions, versions[1:]):
+            changed = (
+                snapshot.newly_confirmed_count
+                or snapshot.retracted_count
+                or snapshot.refreshed
+            )
+            if snapshot.dirty_token_count and not changed:
+                quiet += 1
+                assert after.confirmed is before.confirmed
+                assert after.token_status is before.token_status
+                assert after.account_profiles is before.account_profiles
+                assert after.funnel is not before.funnel
+        assert quiet > 0, "some dirty tick must change no record"
+
+    def test_records_are_built_only_for_changed_activities(self, monkeypatch):
+        """Per version the index builds one record per confirmation and
+        one per refresh -- none for the dirty tokens' other records."""
+        built = []
+        real = ActivityRecord.from_activity.__func__
+
+        def counting(cls, activity, seq, confirmed_at_block):
+            built.append(activity)
+            return real(cls, activity, seq, confirmed_at_block)
+
+        monkeypatch.setattr(ActivityRecord, "from_activity", classmethod(counting))
+        world = build_default_world(SimulationConfig.tiny())
+        service = ServeService.for_world(world)
+        snapshots = service.monitor.run(step_blocks=5)
+        confirmations = sum(s.newly_confirmed_count for s in snapshots)
+        refreshes = sum(len(s.refreshed) for s in snapshots)
+        assert confirmations > 0 and refreshes > 0
+        assert sum(s.retracted_count for s in snapshots) > 0
+        assert len(built) == confirmations + refreshes
 
     def test_token_order_and_account_epochs_through_a_storm(self):
         """Each version's token order is the store's at publish time; it
@@ -211,10 +309,38 @@ class TestVersions:
             )
             checked.append(version.version)
 
+        # The fold equals the pre-fold derivation at every version.
+        scheduler = service.monitor.scheduler
+        reference = RederivedModel(scheduler)
+        refreshed = []
+
+        def compare(snapshot):
+            reference.apply(snapshot)
+            refreshed.extend(snapshot.refreshed)
+            version = index.current
+            assert version.version == snapshot.tick
+            assert version.token_status.keys() == reference.token_status.keys()
+            for nft, status in version.token_status.items():
+                expected = reference.token_status[nft]
+                assert same_records(status.records, expected.records)
+                assert status.retraction_count == expected.retraction_count
+            assert (
+                version.account_profiles.keys() == reference.account_profiles.keys()
+            )
+            for account, profile in version.account_profiles.items():
+                expected = reference.account_profiles[account]
+                assert same_records(profile.records, expected.records)
+            for record in version.confirmed:
+                current = scheduler._confirmed[record.nft][record.key]
+                assert record.activity == current
+
         index.subscribe_versions(check)
+        service.monitor.subscribe_snapshots(compare)
         assert follow_storm(world, service.monitor, random.Random(seed))
         assert not index.subscriber_errors
+        assert not service.monitor.subscriber_errors
         assert len(checked) == service.monitor.tick_count > 100
+        assert refreshed, "the storm must drift some confirmed activity"
 
     def test_maintained_funnel_matches_refold_through_a_storm(self):
         """Every published version's maintained funnel is bit-equal to a

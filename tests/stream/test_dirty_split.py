@@ -158,9 +158,7 @@ def test_member_history_change_redetects_without_refining(monkeypatch):
         return evidence[0].details["external_exits"] if evidence else {}
 
     (current,) = [
-        held
-        for held in scheduler.confirmed_activities(nft).values()
-        if held.accounts == activity.accounts
+        held for held in snapshot.refreshed if held.accounts == activity.accounts
     ]
     assert exits_of(current).get(FRESH) == sorted([first, second])
     (record,) = [
