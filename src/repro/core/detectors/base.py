@@ -10,7 +10,7 @@ transactions collected for the involved accounts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Protocol, Set, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Protocol, Set, Tuple
 
 from repro.chain.transaction import TX_CHAIN_ORDER, Transaction
 from repro.core.activity import CandidateComponent, DetectionEvidence, DetectionMethod
@@ -63,6 +63,22 @@ class DetectionConfig:
     volume_match_min_transfers: int = 2
 
 
+class HistoryChange(NamedTuple):
+    """How a candidate's members' collected transaction lists grew.
+
+    The live scheduler passes one to :meth:`Detector.history_may_change`
+    for a held candidate whose members' lists only grew at their ends;
+    a list that may have changed anywhere (a rollback truncated it)
+    re-runs every detector instead.
+    """
+
+    #: Earliest timestamp of the appended transactions.
+    since_ts: int
+    #: Whether some member's outgoing pure-transfer flows grew (or the
+    #: money-flow cache could not tell that they did not).
+    outflows_grew: bool
+
+
 class Detector(Protocol):
     """Interface implemented by every confirmation technique."""
 
@@ -75,14 +91,17 @@ class Detector(Protocol):
     ) -> Optional[DetectionEvidence]:
         """Return evidence if the component is confirmed, else None."""
 
-    def history_may_change(self, component: CandidateComponent, since_ts: int) -> bool:
-        """Whether ``detect`` can answer differently once a member's
-        collected transactions change at timestamps ``>= since_ts``.
+    def history_may_change(
+        self, component: CandidateComponent, change: HistoryChange
+    ) -> bool:
+        """Whether ``detect`` can answer differently once the members'
+        collected transactions changed as ``change`` describes.
 
         Each technique reads a fixed window of the members' histories
-        (or none at all), so a change entirely outside that window
-        leaves the answer unchanged; the live scheduler skips the
-        detector then and reuses its held evidence.
+        (or none at all), and common exit reads only their outgoing
+        flows, so a change outside what a detector reads leaves its
+        answer unchanged; the live scheduler skips the detector then
+        and reuses its held evidence.
         """
 
 

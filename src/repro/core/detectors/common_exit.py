@@ -14,7 +14,7 @@ from collections import defaultdict
 from typing import Dict, Optional, Set
 
 from repro.core.activity import CandidateComponent, DetectionEvidence, DetectionMethod
-from repro.core.detectors.base import DetectionContext
+from repro.core.detectors.base import DetectionContext, HistoryChange
 
 
 class CommonExitDetector:
@@ -24,9 +24,10 @@ class CommonExitDetector:
     method = DetectionMethod.COMMON_EXIT
 
     @staticmethod
-    def history_may_change(component: CandidateComponent, since_ts: int) -> bool:
-        """Exits count at any time after the last NFT move, with no end."""
-        return True
+    def history_may_change(component: CandidateComponent, change: HistoryChange) -> bool:
+        """Exits count at any time after the last NFT move, with no end,
+        but only through the members' outgoing flows."""
+        return change.outflows_grew
 
     def detect(
         self, component: CandidateComponent, context: DetectionContext

@@ -16,7 +16,7 @@ from collections import defaultdict
 from typing import Dict, Optional, Set
 
 from repro.core.activity import CandidateComponent, DetectionEvidence, DetectionMethod
-from repro.core.detectors.base import DetectionContext
+from repro.core.detectors.base import DetectionContext, HistoryChange
 
 
 class CommonFunderDetector:
@@ -26,9 +26,9 @@ class CommonFunderDetector:
     method = DetectionMethod.COMMON_FUNDER
 
     @staticmethod
-    def history_may_change(component: CandidateComponent, since_ts: int) -> bool:
+    def history_may_change(component: CandidateComponent, change: HistoryChange) -> bool:
         """Funding counts only strictly before the first NFT move."""
-        return since_ts < component.first_timestamp
+        return change.since_ts < component.first_timestamp
 
     def detect(
         self, component: CandidateComponent, context: DetectionContext

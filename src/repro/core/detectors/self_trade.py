@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.activity import CandidateComponent, DetectionEvidence, DetectionMethod
-from repro.core.detectors.base import DetectionContext
+from repro.core.detectors.base import DetectionContext, HistoryChange
 
 
 class SelfTradeDetector:
@@ -20,7 +20,7 @@ class SelfTradeDetector:
     method = DetectionMethod.SELF_TRADE
 
     @staticmethod
-    def history_may_change(component: CandidateComponent, since_ts: int) -> bool:
+    def history_may_change(component: CandidateComponent, change: HistoryChange) -> bool:
         """Reads only the component's own transfers."""
         return False
 

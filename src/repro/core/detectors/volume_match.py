@@ -26,7 +26,7 @@ from collections import defaultdict
 from typing import Dict, Optional
 
 from repro.core.activity import CandidateComponent, DetectionEvidence, DetectionMethod
-from repro.core.detectors.base import DetectionContext
+from repro.core.detectors.base import DetectionContext, HistoryChange
 
 
 class VolumeMatchDetector:
@@ -36,7 +36,7 @@ class VolumeMatchDetector:
     method = DetectionMethod.VOLUME_MATCH
 
     @staticmethod
-    def history_may_change(component: CandidateComponent, since_ts: int) -> bool:
+    def history_may_change(component: CandidateComponent, change: HistoryChange) -> bool:
         """Reads only the component's own transfers."""
         return False
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.activity import CandidateComponent, DetectionEvidence, DetectionMethod
-from repro.core.detectors.base import DetectionContext
+from repro.core.detectors.base import DetectionContext, HistoryChange
 
 
 class ZeroRiskDetector:
@@ -28,9 +28,9 @@ class ZeroRiskDetector:
     method = DetectionMethod.ZERO_RISK
 
     @staticmethod
-    def history_may_change(component: CandidateComponent, since_ts: int) -> bool:
+    def history_may_change(component: CandidateComponent, change: HistoryChange) -> bool:
         """The window spans the first through the last NFT move."""
-        return since_ts <= component.last_timestamp
+        return change.since_ts <= component.last_timestamp
 
     def detect(
         self, component: CandidateComponent, context: DetectionContext

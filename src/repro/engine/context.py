@@ -30,7 +30,9 @@ wrapper per run.  The streaming scheduler keeps one for its whole life
 and, before it detects again, calls :meth:`refresh` with every account
 whose list changed: a list that only grew has its new suffix folded
 into the entry (flows are extracted per transaction, so the extended
-lists equal a rebuild), any other change drops the entry.  Accounts
+lists equal a rebuild), any other change drops the entry.  The call
+reports which of those accounts' outgoing flows may have grown, the
+only history common exit reads.  Accounts
 leaving the scheduler's candidate-member index are dropped with
 :meth:`forget`, so the cache never outgrows that index.
 """
@@ -74,24 +76,35 @@ class CachingDetectionContext(DetectionContext):
         self.base = base
         self._entries: Dict[str, _AccountEntry] = {}
 
-    def refresh(self, changes: Mapping[str, Optional[int]]) -> None:
-        """Bring the entries of changed accounts up to date.
+    def refresh(self, changes: Mapping[str, Optional[int]]) -> Set[str]:
+        """Bring the entries of changed accounts up to date; return the
+        changed accounts whose outgoing flows may have grown.
 
         ``changes`` maps each account whose list changed to the earliest
         timestamp of the change, or to ``None`` when the list may have
         changed anywhere (it was truncated or replaced).  A timestamp
         means the list only grew at its end: the new suffix is folded
         into the entry.  ``None`` drops the entry.
+
+        Only an entry whose outgoing flows were already derived can
+        vouch that the fold appended none; every other changed account
+        (no entry, a dropped one, or no ``"out"`` list yet) counts as
+        grown.
         """
+        grown: Set[str] = set()
         for account, since in changes.items():
             entry = self._entries.get(account)
-            if entry is None:
+            if entry is None or since is None:
+                self._entries.pop(account, None)
+                grown.add(account)
                 continue
-            if since is None:
-                del self._entries[account]
-            else:
-                live = self.transactions_of(account)
-                self._extend(account, entry, live[len(entry.transactions) :])
+            outgoing = entry.flows.get("out")
+            held = None if outgoing is None else len(outgoing)
+            live = self.transactions_of(account)
+            self._extend(account, entry, live[len(entry.transactions) :])
+            if held is None or len(outgoing) > held:
+                grown.add(account)
+        return grown
 
     def forget(self, accounts: Iterable[str]) -> None:
         """Drop the entries of ``accounts``."""

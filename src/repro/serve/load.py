@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import threading
 from collections import Counter
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.serve.model import record_key
 from repro.serve.query import QueryService
@@ -51,6 +51,9 @@ class LoadGenerator:
         self.last_version = -1
         self.mirror: Optional[Counter] = Counter() if mirror else None
         self._cursor = query.replay() if mirror else None
+        #: The last version whose profiled accounts were drawn from, and
+        #: those accounts in sorted order.
+        self._profiled = (None, ())
         self.thread = threading.Thread(target=self.run, daemon=True)
 
     def _drain_mirror(self) -> None:
@@ -79,7 +82,7 @@ class LoadGenerator:
         if roll < 0.40 and version.token_order:
             query.token_status(rng.choice(version.token_order))
         elif roll < 0.60 and version.account_profiles:
-            query.account_profile(rng.choice(sorted(version.account_profiles)))
+            query.account_profile(rng.choice(self._profiled_accounts(version)))
         elif roll < 0.75:
             # The whole pagination walk pins one version -- mixing a
             # cursor from one version with pages of another can skip or
@@ -99,6 +102,15 @@ class LoadGenerator:
         if self._cursor is not None:
             self._drain_mirror()
         self.queries += 1
+
+    def _profiled_accounts(self, version) -> Tuple[str, ...]:
+        """``version``'s profiled accounts in sorted order (so a seed
+        draws the same accounts), sorted once per version."""
+        seen, accounts = self._profiled
+        if seen is not version:
+            accounts = tuple(sorted(version.account_profiles))
+            self._profiled = (version, accounts)
+        return accounts
 
     def run(self) -> None:
         try:

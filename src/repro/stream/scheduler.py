@@ -9,12 +9,17 @@ evidence) and splits each tick's work by what actually changed:
   changed (new transfers or a rollback).  A token's refinement reads
   only its own rows and the exclusion masks, and an account's mask
   membership is fixed when it is interned, so nothing else can move it.
+  A *quiet* token -- no candidate component before the tick and none
+  after it -- keeps its held state: it has nothing to detect, index or
+  diff, and is only reported downstream as dirty.
 * **Re-detect only** the tokens holding a candidate with a member whose
   collected transaction list changed (the detectors read exactly the
   members' histories).  The held stages and candidates are reused; an
   inverted member-account -> tokens index finds these tokens.  Given
-  the earliest timestamp at which each member's list changed, only the
-  detectors whose history window reaches that timestamp run
+  the earliest timestamp at which each member's list changed and
+  whether a member's outgoing flows grew (a
+  :class:`~repro.core.detectors.base.HistoryChange`), only the
+  detectors that read what changed run
   (``Detector.history_may_change``); the others' held evidence is
   reused.  A token whose evidence equals its old evidence is left
   untouched and is *not* reported downstream.
@@ -24,9 +29,10 @@ One money-flow cache
 engine's detection context too) lives as long as the scheduler: each
 tick first folds the appended transactions of every changed account
 into its entry (and drops the entries of lists a rollback truncated),
-and an account leaves the cache when it leaves the member index, so a
-tick's detection work follows the new transactions, not the length of
-the histories.  Every call therefore reports its history changes
+which also tells which accounts' outgoing flows grew, and an account
+leaves the cache when it leaves the member index, so a tick's detection
+work follows the new transactions, not the length of the histories.
+Every call therefore reports its history changes
 (``process(touched=...)``).
 
 The live funnel is the paper's: service, contract and zero-volume
@@ -68,7 +74,7 @@ from repro.core.activity import (
     RecordKey,
     WashTradingActivity,
 )
-from repro.core.detectors.base import DetectionContext
+from repro.core.detectors.base import DetectionContext, HistoryChange
 from repro.core.detectors.pipeline import (
     PipelineResult,
     assemble_result,
@@ -79,6 +85,7 @@ from repro.core.detectors.repeated_scc import repeated_evidence
 from repro.core.refine import RefinementResult
 from repro.engine.context import CachingDetectionContext
 from repro.engine.refine import (
+    EMPTY_STAGES,
     FunnelMaintainer,
     StageRecord,
     TokenRefinement,
@@ -226,7 +233,9 @@ class DirtyTokenScheduler:
         self._metric_detector_skips = self.registry.counter(
             "scheduler_detector_skips_total",
             "Detector runs a history-only re-detection skipped because "
-            "the change lay outside the detector's history window.",
+            "the change lay outside what the detector reads: outside its "
+            "history window, or, for common-exit, no member's outgoing "
+            "flows grew.",
         )
         self._metric_confirmations = self.registry.counter(
             "scheduler_confirmations_total",
@@ -292,6 +301,10 @@ class DirtyTokenScheduler:
         the change.  A caller whose histories never change passes
         ``touched={}``.
 
+        A dirty token with no candidate component before the call and
+        none after it keeps its held state and is only listed in the
+        report's ``dirty_nfts``.
+
         Dirty tokens no longer present in the store -- every one of
         their transfers was rolled back by a chain reorg -- are *fully
         retired*: their contribution to the repeated-SCC pool is undone,
@@ -314,7 +327,7 @@ class DirtyTokenScheduler:
         report = TickReport()
         # Before anything else, even on a tick with nothing to re-detect:
         # a later tick must not read a list this tick changed.
-        context = self._detection_context(context, touched)
+        context, grown = self._detection_context(context, touched)
         if not live and not vanished and not history:
             return report
         self._refresh_masks()
@@ -324,25 +337,31 @@ class DirtyTokenScheduler:
 
         flipped_sets: Set[FrozenSet[str]] = set()
         changed: List[NFTKey] = []
+        quiet: Set[NFTKey] = set()
         skipped = 0
         with self.registry.span("detect", tokens=len(live), redetected=len(history)):
             for nft in vanished:
                 old = self.states.pop(nft)
                 self._retire_state(nft, old, flipped_sets)
                 self.funnel.apply(old, None)
-            for index, nft in enumerate(live):
+            for nft, refinement in zip(live, refinements):
                 if nft not in self._token_order:
                     self._token_order[nft] = self._order_serial
                     self._order_serial += 1
                 old = self.states.get(nft)
                 if old is not None:
+                    if old.stages is EMPTY_STAGES and refinement.stages is EMPTY_STAGES:
+                        # No candidate before or after: nothing to
+                        # detect, index or diff.
+                        quiet.add(nft)
+                        continue
                     self._retire_state(nft, old, flipped_sets)
-                state = self._detect_state(refinements[index], context)
+                state = self._detect_state(refinement, context)
                 self._install_state(nft, state, flipped_sets)
                 self.funnel.apply(old, state)
             for nft in history:
                 old = self.states[nft]
-                evidence, token_skips = self._redetect(old, touched, context)
+                evidence, token_skips = self._redetect(old, touched, grown, context)
                 skipped += token_skips
                 if evidence == old.evidence:
                     continue
@@ -364,6 +383,8 @@ class DirtyTokenScheduler:
             report.dirty_nfts = tuple(ordered_affected)
 
             for nft in ordered_affected:
+                if nft in quiet:
+                    continue
                 entries = self._confirmed_entries(nft)
                 previous = self._confirmed.get(nft, {})
                 for key, activity in entries.items():
@@ -450,25 +471,29 @@ class DirtyTokenScheduler:
 
     def _detection_context(
         self, base: DetectionContext, touched: HistoryChanges
-    ) -> DetectionContext:
-        """The context this tick's detectors read: ``base`` behind the
-        money-flow cache.
+    ) -> Tuple[DetectionContext, Set[str]]:
+        """The context this tick's detectors read -- ``base`` behind the
+        money-flow cache, refreshed with ``touched`` -- and the touched
+        accounts whose outgoing flows may have grown.
 
         The cache is kept across calls on the same base context; a new
-        base context gets a fresh one.
+        base context gets a fresh one, which vouches for no account.
         """
         cache = self._cache
         if cache is None or cache.base is not base:
             cache = self._cache = CachingDetectionContext(base)
-        else:
-            cache.refresh(touched)
-        return cache
+        return cache, cache.refresh(touched)
 
     def _redetect(
-        self, state: TokenState, touched: HistoryChanges, context: DetectionContext
+        self,
+        state: TokenState,
+        touched: HistoryChanges,
+        grown: Set[str],
+        context: DetectionContext,
     ) -> Tuple[List[List[DetectionEvidence]], int]:
         """Re-run, per held candidate, the detectors that can see its
-        members' history changes; returns the evidence and how many
+        members' history changes (``grown``: the accounts whose outgoing
+        flows may have grown); returns the evidence and how many
         detector runs were skipped.
 
         A skipped detector's held evidence is reused in its
@@ -483,10 +508,13 @@ class DirtyTokenScheduler:
                 evidence.append(held)
                 skipped += len(detectors)
                 continue
+            change = None
+            if since is not None:
+                change = HistoryChange(since, not component.accounts.isdisjoint(grown))
             held_by_method = {item.method: item for item in held}
             found: List[DetectionEvidence] = []
             for detector in detectors:
-                if since is None or detector.history_may_change(component, since):
+                if change is None or detector.history_may_change(component, change):
                     item = detector.detect(component, context)
                 else:
                     item = held_by_method.get(detector.method)

@@ -1,13 +1,14 @@
 """Each detector's declared history reach is sound.
 
-``Detector.history_may_change(component, since_ts)`` lets the live
+``Detector.history_may_change(component, change)`` lets the live
 scheduler skip a detector when the members' transaction histories
-changed only at timestamps ``>= since_ts``.  These tests insert a
+changed only at timestamps ``>= change.since_ts``, and (for common
+exit) when no member's outgoing flows grew.  These tests insert a
 synthetic value transfer -- one that would fund two members from a
-fresh account and send both to a fresh exit -- into the members'
-histories at exactly ``since_ts``, on both sides of and at the
-component's first and last timestamps, and check that every detector
-declaring the change out of reach answers identically.
+fresh account and, in one variant, send both to a fresh exit -- into
+the members' histories at exactly ``since_ts``, on both sides of and
+at the component's first and last timestamps, and check that every
+detector declaring the change out of reach answers identically.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 from repro.chain.transaction import Receipt, Transaction
 from repro.chain.types import ValueTransfer
 from repro.core.activity import DetectionMethod
-from repro.core.detectors.base import DetectionContext
+from repro.core.detectors.base import DetectionContext, HistoryChange
 from repro.core.detectors.pipeline import WashTradingPipeline, build_detectors
 from repro.engine.executor import TransactionView
 from repro.ingest.dataset import build_dataset
@@ -51,15 +52,15 @@ def context_over(world, histories) -> DetectionContext:
     )
 
 
-def synthetic_transfer(members, timestamp: int) -> Transaction:
-    """Funding from a fresh account into (up to) two members, and both
-    members paying a fresh exit, in one pure value-transfer transaction.
-    Its block number only orders zero-risk's window, whose sum ignores
-    order."""
+def synthetic_transfer(members, timestamp: int, exits: bool = True) -> Transaction:
+    """Funding from a fresh account into (up to) two members, and with
+    ``exits`` both members paying a fresh exit, in one pure
+    value-transfer transaction.  Its block number only orders
+    zero-risk's window, whose sum ignores order."""
     pair = sorted(members)[:2]
-    movements = tuple(ValueTransfer(FUNDER, member, 10**20) for member in pair) + tuple(
-        ValueTransfer(member, EXIT, 10**20) for member in pair
-    )
+    movements = tuple(ValueTransfer(FUNDER, member, 10**20) for member in pair)
+    if exits:
+        movements += tuple(ValueTransfer(member, EXIT, 10**20) for member in pair)
     tx_hash = f"0xsynthetic{timestamp}"
     return Transaction(
         hash=tx_hash,
@@ -115,21 +116,29 @@ def test_out_of_reach_changes_leave_every_detector_unchanged(tiny_candidates):
             detector.name: detector.detect(component, base) for detector in ALL_DETECTORS
         }
         for since_ts in since_values(component):
-            tx = synthetic_transfer(component.accounts, since_ts)
-            changed = context_over(world, with_inserted(histories, component.accounts, tx))
-            for detector in ALL_DETECTORS:
-                after = detector.detect(component, changed)
-                if detector.history_may_change(component, since_ts):
-                    if after != before[detector.name]:
-                        seen_by[detector.name] += 1
-                    continue
-                assert after == before[detector.name], (detector.name, since_ts)
-                compared[detector.name] += 1
+            for exits in (True, False):
+                tx = synthetic_transfer(component.accounts, since_ts, exits)
+                changed = context_over(
+                    world, with_inserted(histories, component.accounts, tx)
+                )
+                grew = any(
+                    changed.outgoing_flows(member) != base.outgoing_flows(member)
+                    for member in component.accounts
+                )
+                assert grew is exits
+                change = HistoryChange(since_ts, grew)
+                for detector in ALL_DETECTORS:
+                    after = detector.detect(component, changed)
+                    if detector.history_may_change(component, change):
+                        if after != before[detector.name]:
+                            seen_by[detector.name] += 1
+                        continue
+                    assert after == before[detector.name], (detector.name, change)
+                    compared[detector.name] += 1
     # Every detector was held to its reach somewhere, and the synthetic
     # transfer is visible to each history reader inside its reach, so
     # the comparisons above are not vacuous.
-    assert all(compared[name] > 0 for name in compared if name != "common-exit")
-    assert compared["common-exit"] == 0
+    assert all(compared.values()), compared
     assert all(seen_by.values()), seen_by
 
 
@@ -146,8 +155,15 @@ def test_reach_boundaries_at_first_timestamp(tiny_candidates, offset, expected):
     _, _, candidates = tiny_candidates
     component = next(c for c in candidates if c.last_timestamp > c.first_timestamp + 1)
     since_ts = component.first_timestamp + offset
-    reach = {d.name: d.history_may_change(component, since_ts) for d in ALL_DETECTORS}
-    assert reach == {**expected, "common-exit": True, "self-trade": False, "volume-match": False}
+    for grew in (True, False):
+        change = HistoryChange(since_ts, grew)
+        reach = {d.name: d.history_may_change(component, change) for d in ALL_DETECTORS}
+        assert reach == {
+            **expected,
+            "common-exit": grew,
+            "self-trade": False,
+            "volume-match": False,
+        }
 
 
 @pytest.mark.parametrize(
@@ -159,11 +175,13 @@ def test_reach_boundaries_at_last_timestamp(tiny_candidates, offset, zero_risk):
     _, _, candidates = tiny_candidates
     component = next(c for c in candidates if c.last_timestamp > c.first_timestamp + 1)
     since_ts = component.last_timestamp + offset
-    reach = {d.name: d.history_may_change(component, since_ts) for d in ALL_DETECTORS}
-    assert reach == {
-        "zero-risk": zero_risk,
-        "common-funder": False,
-        "common-exit": True,
-        "self-trade": False,
-        "volume-match": False,
-    }
+    for grew in (True, False):
+        change = HistoryChange(since_ts, grew)
+        reach = {d.name: d.history_may_change(component, change) for d in ALL_DETECTORS}
+        assert reach == {
+            "zero-risk": zero_risk,
+            "common-funder": False,
+            "common-exit": grew,
+            "self-trade": False,
+            "volume-match": False,
+        }

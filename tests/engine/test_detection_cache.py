@@ -95,6 +95,55 @@ def test_refresh_folds_appends_and_drops_rewrites(histories):
     assert answers(cache, lists) == answers(base, lists)
 
 
+def test_refresh_reports_accounts_whose_outgoing_flows_may_have_grown(histories):
+    world, full = histories
+    lists = {
+        account: list(transactions[: len(transactions) // 2])
+        for account, transactions in full.items()
+    }
+    base, cache = contexts(world, lists)
+    accounts = list(lists)
+    unseen, inbound_only, dropped, *derived = accounts
+    for account in derived + [dropped]:
+        cache.outgoing_flows(account)
+    cache.incoming_flows(inbound_only)
+    before = {account: len(base.outgoing_flows(account)) for account in accounts}
+
+    quiet = derived[0]
+    changes = {}
+    for account in accounts:
+        if account == quiet:
+            # Copies of transactions that pay nothing out: the list
+            # grows, its outgoing flows do not.
+            suffix = [
+                dataclasses.replace(tx, hash=tx.hash + "-copy")
+                for tx in lists[account]
+                if not base._outgoing_over(account, [tx], None)
+            ]
+        else:
+            suffix = full[account][len(lists[account]) :]
+        assert suffix
+        lists[account].extend(suffix)
+        changes[account] = min(tx.timestamp for tx in suffix)
+    changes[dropped] = None
+    grown_flows = {
+        account
+        for account in derived
+        if len(base.outgoing_flows(account)) > before[account]
+    }
+    assert quiet not in grown_flows
+
+    grown = cache.refresh(changes)
+
+    # Accounts the cache cannot vouch for count as grown: no entry, an
+    # entry a ``None`` change dropped, an entry without outgoing flows.
+    assert grown == {unseen, inbound_only, dropped} | grown_flows
+    assert grown_flows and set(derived) - grown_flows
+    assert answers(cache, lists) == answers(base, lists)
+    # A fresh cache vouches for no account.
+    assert contexts(world, lists)[1].refresh(changes) == set(changes)
+
+
 def test_forget_drops_only_the_named_accounts(histories):
     world, full = histories
     lists = {account: list(transactions) for account, transactions in full.items()}

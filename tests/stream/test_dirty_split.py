@@ -2,15 +2,19 @@
 
 A tick re-refines only tokens whose own rows changed and re-detects --
 on held candidates -- only tokens with a candidate member whose
-transaction history changed, running only the detectors whose history
-window the change reaches.  History-only re-detections whose evidence
-did not move are not passed downstream.  These tests pin both halves of
+transaction history changed, running only the detectors that read what
+changed: zero-risk and common-funder when the change lies in their
+history window, common-exit when a member's outgoing flows grew.
+History-only re-detections whose evidence did not move are not passed
+downstream.  These tests pin both halves of
 the split and that its results still reach every consumer.
 """
 
 from __future__ import annotations
 
+from repro.chain.types import Call
 from repro.core.activity import DetectionMethod
+from repro.engine.refine import EMPTY_STAGES
 from repro.obs.registry import MetricsRegistry
 from repro.serve import ServeService
 from repro.simulation.builder import build_default_world
@@ -181,24 +185,53 @@ def test_unchanged_evidence_is_not_passed_downstream(monkeypatch):
         if not any(world.labels.is_graph_excluded_service(a) for a in activity.accounts)
     )
     member = sorted(activity.accounts)[0]
-    calls = spy_scheduler(monkeypatch, monitor.scheduler)
+    scheduler = monitor.scheduler
+    held = scheduler.states[activity.nft]
+    calls = spy_scheduler(monkeypatch, scheduler)
     before = redetected(registry)
 
     # A transfer *into* a member after its last trade: no detector reads
-    # it (funding counts only before the first trade), so the re-run
-    # evidence equals the held evidence.
+    # it (funding counts only before the first trade, and common exit
+    # reads only outgoing flows), so the held evidence is reused as is.
     mine(world, (FRESH, member))
     snapshot = monitor.advance()
 
     assert calls["refined"] == []
-    assert calls["detected"] >= 1
+    assert calls["detected"] == 0
     assert redetected(registry) > before
+    assert scheduler.states[activity.nft] is held
     assert activity.nft not in snapshot.dirty_nfts
     _, batch = batch_over(world)
     assert_results_match(monitor.result(), batch, ordered=True)
 
 
-def test_funding_after_last_trade_runs_only_common_exit(monkeypatch):
+def test_funding_after_last_trade_runs_no_detector(monkeypatch):
+    world, service, registry = caught_up_service()
+    monitor = service.monitor
+    scheduler = monitor.scheduler
+    activity = plain_activity(world, monitor)
+    member = sorted(activity.accounts)[0]
+    held = scheduler.states[activity.nft].evidence
+    runs = detector_runs(monkeypatch, scheduler)
+    before = detector_skips(registry)
+
+    # Funding after the last trade lies past every held candidate's
+    # window: zero-risk and common-funder cannot see it, common-exit
+    # reads only outgoing flows (none grew), and self-trade reads no
+    # history at all.
+    mine(world, (FRESH, member))
+    snapshot = monitor.advance()
+
+    assert snapshot.reorg_depth == 0
+    assert runs == []
+    assert detector_skips(registry) > before
+    assert scheduler.states[activity.nft].evidence is held
+    assert activity.nft not in snapshot.dirty_nfts
+    _, batch = batch_over(world)
+    assert_results_match(monitor.result(), batch, ordered=True)
+
+
+def test_outflow_after_last_trade_runs_only_common_exit(monkeypatch):
     world, service, registry = caught_up_service()
     monitor = service.monitor
     activity = plain_activity(world, monitor)
@@ -206,10 +239,9 @@ def test_funding_after_last_trade_runs_only_common_exit(monkeypatch):
     runs = detector_runs(monkeypatch, monitor.scheduler)
     before = detector_skips(registry)
 
-    # Funding after the last trade lies past every held candidate's
-    # window: zero-risk and common-funder cannot see it, self-trade
-    # reads no history at all.
-    mine(world, (FRESH, member))
+    # A payment *out of* a member after its last trade grows its
+    # outgoing flows: only common-exit reads them there.
+    mine(world, (member, FRESH))
     snapshot = monitor.advance()
 
     assert snapshot.reorg_depth == 0
@@ -217,6 +249,59 @@ def test_funding_after_last_trade_runs_only_common_exit(monkeypatch):
     assert on_candidate == ["common-exit"]
     assert {name for name, _ in runs} == {"common-exit"}
     assert detector_skips(registry) > before
+    _, batch = batch_over(world)
+    assert_results_match(monitor.result(), batch, ordered=True)
+
+
+def test_rows_on_candidate_free_tokens_keep_their_held_states(monkeypatch):
+    world, service, _ = caught_up_service()
+    monitor = service.monitor
+    scheduler = monitor.scheduler
+    chain = world.chain
+    owners = {}
+    for nft, state in scheduler.states.items():
+        owner = chain.state.contract_at(nft.contract).ownerOf(nft.token_id)
+        if (
+            state.stages is EMPTY_STAGES
+            and owner is not None
+            and not scheduler.tokens_with_members([owner])
+            and owner not in owners.values()
+        ):
+            owners[nft] = owner
+        if len(owners) == 3:
+            break
+    assert len(owners) == 3, "the tiny world holds candidate-free tokens"
+    held = {nft: scheduler.states[nft] for nft in owners}
+    funnel = scheduler.funnel.materialize()
+    calls = spy_scheduler(monkeypatch, scheduler)
+
+    # Each owner hands its token on to a fresh account: a path grows by
+    # one edge, so the token stays candidate-free, and no owner is a
+    # candidate member, so no other token is re-detected.
+    timestamp = chain.head_timestamp + 12
+    for index, (nft, owner) in enumerate(owners.items()):
+        recipient = f"0x{index:02x}" + "fe" * 19
+        chain.faucet(owner, 10**18)
+        chain.transact(
+            sender=owner,
+            to=nft.contract,
+            call=Call(
+                "transferFrom",
+                {"sender": owner, "to": recipient, "token_id": nft.token_id},
+            ),
+            timestamp=timestamp,
+        )
+    snapshot = monitor.advance()
+
+    assert sorted(calls["refined"]) == sorted(owners)
+    assert calls["detected"] == 0
+    assert set(snapshot.dirty_nfts) == set(owners)
+    assert snapshot.dirty_token_count == len(owners)
+    for nft, state in held.items():
+        assert scheduler.states[nft] is state
+    assert all(
+        now is before for now, before in zip(scheduler.funnel.materialize(), funnel)
+    )
     _, batch = batch_over(world)
     assert_results_match(monitor.result(), batch, ordered=True)
 
