@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import heapq
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -97,7 +98,29 @@ class WorldBuilder:
 
     # -- public API -----------------------------------------------------------------
     def build(self) -> World:
-        """Deploy the ecosystem, run the simulated history, return the world."""
+        """Deploy the ecosystem, run the simulated history, return the world.
+
+        The cyclic garbage collector is paused while the history runs.
+        Nearly everything the build allocates lives as long as the world,
+        so automatic full collections would rescan an ever larger heap,
+        free almost nothing and make the build superlinear. The caller's
+        setting is restored on the way out, also when the build
+        raises, and a caller that had the collector on gets one full
+        collection at the end, so the build pays for its own garbage.
+        """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return self._build()
+        finally:
+            if collecting:
+                # Collect before re-enabling: the allocation count kept
+                # growing while paused, and re-enabling first would let the
+                # next allocation start a second, young collection.
+                gc.collect()
+                gc.enable()
+
+    def _build(self) -> World:
         config = self.config
         rng = DeterministicRNG(config.seed)
         clock = TimeAllocator(start_timestamp=SIMULATION_EPOCH)

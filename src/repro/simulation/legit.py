@@ -28,10 +28,15 @@ class LegitInventory:
     history: Dict[Tuple[str, int], Set[str]] = field(default_factory=dict)
     #: Collection address -> number of NFTs minted so far.
     minted: Dict[str, int] = field(default_factory=dict)
+    #: Every key of ``owners`` in insertion order, kept beside the dict so
+    #: a sale draws from it without copying the keys.
+    keys: List[Tuple[str, int]] = field(default_factory=list)
 
     def add(self, collection: str, token_id: int, owner: str) -> None:
         """Register a freshly minted NFT."""
         key = (collection, token_id)
+        if key not in self.owners:
+            self.keys.append(key)
         self.owners[key] = owner
         self.history.setdefault(key, set()).add(owner)
         self.minted[collection] = self.minted.get(collection, 0) + 1
@@ -39,12 +44,18 @@ class LegitInventory:
     def move(self, collection: str, token_id: int, new_owner: str) -> None:
         """Register a sale."""
         key = (collection, token_id)
+        if key not in self.owners:
+            self.keys.append(key)
         self.owners[key] = new_owner
         self.history.setdefault(key, set()).add(new_owner)
 
     def sellable(self) -> List[Tuple[str, int]]:
-        """Every NFT currently available for a legitimate sale."""
-        return list(self.owners)
+        """Every NFT currently available for a legitimate sale.
+
+        The list is the inventory's own, in the order ``owners`` holds its
+        keys; callers must not change it.
+        """
+        return self.keys
 
 
 class LegitMarket:

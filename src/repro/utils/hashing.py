@@ -48,12 +48,11 @@ def keccak_hex(*parts: object) -> str:
 
     The digest is a SHA3-256 over the repr of the parts; it serves as a
     stand-in for Keccak-256 identifiers (transaction hashes, addresses).
+    The hashed bytes are each part's repr followed by a NUL, fed in one
+    ``update``; no parts hash the empty string.
     """
-    digest = hashlib.sha3_256()
-    for part in parts:
-        digest.update(repr(part).encode("utf-8"))
-        digest.update(b"\x00")
-    return "0x" + digest.hexdigest()
+    text = "\x00".join(map(repr, parts)) + "\x00" if parts else ""
+    return "0x" + hashlib.sha3_256(text.encode("utf-8")).hexdigest()
 
 
 def event_signature(declaration: str) -> str:

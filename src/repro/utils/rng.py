@@ -64,7 +64,7 @@ class DeterministicRNG:
 
     def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
         """Pick one element with the given relative weights."""
-        return self._random.choices(list(items), weights=list(weights), k=1)[0]
+        return self._random.choices(items, weights=weights, k=1)[0]
 
     # -- distributions used by the workload generator --------------------
     def lognormal(self, mean: float, sigma: float) -> float:

@@ -83,6 +83,23 @@ class TestLegitInventory:
         assert inventory.minted["0xc"] == 1
         assert ("0xc", 1) in inventory.sellable()
 
+    def test_sellable_keeps_the_owners_order(self):
+        """A sale draws ``rng.choice(sellable())``, which reads only the
+        length and order of the list, so it must match the dict's keys."""
+        inventory = LegitInventory()
+        inventory.add("0xc", 1, "alice")
+        inventory.add("0xd", 7, "carol")
+        inventory.add("0xc", 2, "alice")
+        assert inventory.sellable() == list(inventory.owners)
+        inventory.move("0xd", 7, "dave")
+        inventory.move("0xc", 1, "bob")
+        assert inventory.sellable() == list(inventory.owners)
+        inventory.add("0xc", 1, "erin")  # a re-add keeps the key's place
+        assert inventory.sellable() == list(inventory.owners)
+        inventory.move("0xe", 3, "frank")  # a move of a key never added
+        assert inventory.sellable() == list(inventory.owners)
+        assert len(inventory.sellable()) == 4
+
 
 class TestDistractorPlanning:
     def test_spread_over_days_conserves_total(self):

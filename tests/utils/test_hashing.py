@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from hypothesis import given, strategies as st
 
 from repro.utils.hashing import (
@@ -31,6 +33,28 @@ class TestKeccakHex:
     def test_part_boundaries_matter(self):
         # ("ab",) and ("a", "b") must not collide.
         assert keccak_hex("ab") != keccak_hex("a", "b")
+
+    def test_matches_per_part_updates(self):
+        """Every transaction hash and address on a simulated chain comes
+        from this function, so its bytes must not change."""
+
+        def reference(*parts: object) -> str:
+            digest = hashlib.sha3_256()
+            for part in parts:
+                digest.update(repr(part).encode("utf-8"))
+                digest.update(b"\x00")
+            return "0x" + digest.hexdigest()
+
+        cases = [
+            (),
+            ("tx",),
+            ("tx", 42, None),
+            ("block", 7, 1_600_000_000, ("0xab", "0xcd")),
+            ("naïve", "日本", -3, 10**30),
+            ("", 0, (), None),
+        ]
+        for parts in cases:
+            assert keccak_hex(*parts) == reference(*parts), parts
 
 
 class TestEventSignature:
