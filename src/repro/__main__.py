@@ -925,10 +925,10 @@ def run_monitor(argv: Sequence[str]) -> int:
 
 def run_serve(argv: Sequence[str]) -> int:
     """The query-service subcommand: threaded ingest + query workers."""
-    from repro.serve import ServeService, serving_parity_mismatches
+    from repro.serve import ServeService
     from repro.serve.load import LoadGenerator
+    from repro.serve.parity import live_parity_mismatches
     from repro.stream import StreamingMonitor
-    from repro.verify import reference, result_mismatches
 
     args = build_serve_parser().parse_args(argv)
     config = PRESETS[args.preset]()
@@ -1065,28 +1065,18 @@ def run_serve(argv: Sequence[str]) -> int:
                 file=sys.stderr,
             )
         if args.verify and not interrupted.is_set():
-            oracle = reference(
-                world,
-                to_block=monitor.processed_block,
-                enabled_methods=_enabled_methods(args),
+            checks = live_parity_mismatches(
+                service, world, enabled_methods=_enabled_methods(args)
             )
-            mismatches = result_mismatches(result, oracle)
-            mismatches += serving_parity_mismatches(query, oracle)
+            mismatches = checks["stream-vs-batch"] + checks["serve-vs-batch"]
             if mismatches:
                 for mismatch in mismatches:
                     print(f"parity mismatch: {mismatch}", file=sys.stderr)
                 status = 2
             elif not args.quiet:
                 print("serving parity vs batch build: OK")
-            if args.listen is not None:
-                # The same bar through the socket: every wire answer must
-                # equal the in-process answer at the pinned version.
-                from repro.serve.wire import WireClient, wire_parity_mismatches
-
-                with WireClient(*service.wire.address) as wire_client:
-                    wire_mismatches = wire_parity_mismatches(
-                        wire_client, query, service.wire.lookup_version
-                    )
+            wire_mismatches = checks.get("wire-vs-in-process")
+            if wire_mismatches is not None:
                 if wire_mismatches:
                     for mismatch in wire_mismatches:
                         print(f"wire parity mismatch: {mismatch}", file=sys.stderr)

@@ -15,7 +15,7 @@ mark                  placed by
                       trace is minted
 ``publish``           the serve index after the new version commits
 ``fanout_enqueue``    the wire server when the version notification
-                      enqueues the tick's alerts to subscribers
+                      wakes the subscription pushers
 ``socket_write``      the wire pusher thread after each alert frame is
                       written to a subscriber socket
 ====================  =====================================================

@@ -11,27 +11,67 @@ confirmed listing (including its pagination), point lookups, account
 profiles, funnel statistics and both rollup families -- and returns a
 human-readable description of every divergence (empty list = parity).
 Shared by ``tests/serve``, ``benchmarks/bench_serve_load.py`` and
-``perfbench``, and exposed to operators through
-``python -m repro serve --verify``.
+``perfbench``.  :func:`live_parity_mismatches` is the end-of-run battery
+that ``python -m repro serve --verify`` and the scenario runner both run.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.activity import RecordKey, WashTradingActivity, record_key
+from repro.core.activity import (
+    DetectionMethod,
+    RecordKey,
+    WashTradingActivity,
+    record_key,
+)
 from repro.core.detectors.pipeline import PipelineResult
 from repro.serve.model import OFF_MARKET, ServeVersion
 from repro.serve.query import QueryService
+from repro.serve.wire.client import WireClient
+from repro.serve.wire.parity import wire_parity_mismatches
 from repro.stream.alerts import Alert, AlertKind
-from repro.verify import activity_fingerprint
+from repro.verify import activity_fingerprint, reference, result_mismatches
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.serve.service import ServeService
 
 
 def _venue_of(activity: WashTradingActivity) -> str:
     venue = activity.component.dominant_marketplace()
     return venue if venue is not None else OFF_MARKET
+
+
+def live_parity_mismatches(
+    service: "ServeService",
+    world,
+    enabled_methods: Optional[Iterable[DetectionMethod]] = None,
+) -> Dict[str, List[str]]:
+    """The live parity battery at the service's processed block; every
+    list empty = parity.
+
+    ``stream-vs-batch`` compares the monitor's result with the legacy
+    oracle, ``serve-vs-batch`` every query answer with it and, when the
+    service serves the wire, ``wire-vs-in-process`` every wire answer
+    with the in-process answer at the same pinned version.
+    """
+    oracle = reference(
+        world,
+        to_block=service.monitor.processed_block,
+        enabled_methods=enabled_methods,
+    )
+    checks = {
+        "stream-vs-batch": result_mismatches(service.result(), oracle),
+        "serve-vs-batch": serving_parity_mismatches(service.query, oracle),
+    }
+    if service.wire is not None:
+        with WireClient(*service.wire.address) as client:
+            checks["wire-vs-in-process"] = wire_parity_mismatches(
+                client, service.query, service.wire.lookup_version
+            )
+    return checks
 
 
 def serving_parity_mismatches(

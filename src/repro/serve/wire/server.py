@@ -18,14 +18,14 @@ Three protocol decisions worth knowing:
   LRU (oldest evicted first); querying an evicted or never-pinned number
   is a typed ``unknown-version`` error, never a silently different
   snapshot.
-* **Subscriptions replay, then stream, exactly once.**  ``subscribe``
-  with ``since_seq`` first replays the append-only alert log from that
-  cursor, then hands over to live pushes -- the two phases are stitched
-  by alert sequence number, so the stream never skips and never repeats
-  even while ingest is publishing concurrently.
-* **Slow subscribers get a typed error, not an unbounded buffer.**
-  Live alerts are fanned out through a bounded per-connection queue; a
-  consumer that cannot keep up is sent one final
+* **Subscriptions read the published log, exactly once.**  A
+  ``subscribe`` pusher reads the append-only alert log from its
+  ``since_seq`` cursor and sleeps until the next published version once
+  caught up: replay and live delivery are one loop over one record, so
+  the stream never skips and never repeats.
+* **Slow subscribers get a typed error, not an unbounded backlog.**  A
+  subscriber that leaves more than ``subscriber_queue_size`` alerts
+  published since it subscribed unsent is sent one final
   ``subscriber-overflow`` event carrying the last sequence number it
   was actually sent, then disconnected.  Reconnecting with that cursor
   resumes exactly where delivery stopped.
@@ -44,7 +44,6 @@ and the ingest thread are never affected.
 
 from __future__ import annotations
 
-import queue
 import socket
 import socketserver
 import threading
@@ -63,15 +62,15 @@ from repro.serve.wire.framing import (
     FrameDecodeError,
     FrameTooLargeError,
     TruncatedFrameError,
+    encode_frame,
     read_frame,
-    write_frame,
 )
 
-#: How many alerts a subscription pusher replays per log read.
+#: How many alerts a subscription pusher reads and writes at once.
 REPLAY_BATCH = 256
 
-#: Default bound of the live-alert queue between the fan-out and one
-#: subscribed connection; beyond it the subscriber is overflowed.
+#: Default bound on the alerts published since it subscribed that one
+#: connection may leave unsent; beyond it the subscriber is overflowed.
 DEFAULT_SUBSCRIBER_QUEUE = 1024
 
 #: Default size of the per-connection pinned-version LRU.
@@ -113,14 +112,25 @@ def _optional(params: Dict[str, Any], name: str, kind, kind_name: str):
 
 
 class _Subscriber:
-    """Live-delivery state of one subscribed connection."""
+    """Delivery state of one subscribed connection.
 
-    def __init__(self, since_seq: int, queue_size: int) -> None:
-        self.queue: "queue.Queue" = queue.Queue(maxsize=queue_size)
+    ``position`` is the last seq sent and ``horizon`` the published
+    ``last_seq`` at subscribe time, so replaying an old backlog never
+    counts as lag.  ``wake`` is set by every published version and by
+    teardown.
+    """
+
+    def __init__(self, since_seq: int, horizon: int) -> None:
         self.position = since_seq
+        self.horizon = horizon
         self.overflowed = False
         self.stopping = threading.Event()
+        self.wake = threading.Event()
         self.thread: Optional[threading.Thread] = None
+
+    def lag(self, last_seq: int) -> int:
+        """Alerts published since subscribing, up to ``last_seq``, unsent."""
+        return last_seq - max(self.position, self.horizon)
 
 
 class WireConnectionHandler(socketserver.StreamRequestHandler):
@@ -226,10 +236,13 @@ class WireConnectionHandler(socketserver.StreamRequestHandler):
             self.busy.clear()
 
     # -- sending -----------------------------------------------------------
-    def _send(self, payload: Dict[str, Any]) -> bool:
+    def _send(self, *payloads: Dict[str, Any]) -> bool:
+        """Write ``payloads`` as consecutive frames in one write."""
         try:
+            data = b"".join(encode_frame(payload) for payload in payloads)
             with self.send_lock:
-                write_frame(self.wfile, payload)
+                self.wfile.write(data)
+                self.wfile.flush()
             return True
         except (OSError, ValueError):
             return False
@@ -479,19 +492,18 @@ class WireConnectionHandler(socketserver.StreamRequestHandler):
         since_seq = -1 if since_seq is None else since_seq
         last_seq = self.server.index.last_seq
         if since_seq > last_seq:
-            # A cursor from some other server (or a typo) would make the
-            # seq-stitched delivery silently drop everything until the
-            # log catches up to the bogus position; refuse it instead.
+            # A cursor from some other server (or a typo) would make
+            # delivery silently skip everything until the log catches up
+            # to the bogus position; refuse it instead.
             raise RequestError(
                 "cursor-above-horizon",
                 f"since_seq {since_seq} is beyond the newest alert "
                 f"({last_seq}); resubscribe with a cursor the server "
                 f"actually issued",
             )
-        subscriber = _Subscriber(since_seq, self.server.subscriber_queue_size)
-        # Register for live fan-out *before* the replay starts so no
-        # alert can fall between the phases; duplicates are dropped by
-        # sequence number in the pusher.
+        subscriber = _Subscriber(since_seq, horizon=last_seq)
+        # Registering only arms the fan-out's wakeups and lag bound: the
+        # pusher reads every alert from the log itself.
         self._subscriber = subscriber
         self.server._register_subscriber(subscriber)
         return {"subscribed": True, "since_seq": since_seq}
@@ -538,38 +550,28 @@ class WireConnectionHandler(socketserver.StreamRequestHandler):
         subscriber.thread.start()
 
     def _push_alerts(self, subscriber: _Subscriber) -> None:
-        """Replay from the cursor, then stream live -- exactly once."""
+        """Send the published log from the cursor on, exactly once.  The
+        wake flag is cleared *before* the stop checks and the read, so a
+        teardown, overflow or version landing after them always ends the
+        next wait."""
         index = self.server.index
         try:
-            # Phase 1: catch up from the append-only log.  Live alerts
-            # published meanwhile land in the queue too; the sequence
-            # check below deduplicates the overlap.
-            while not subscriber.stopping.is_set():
+            while True:
+                subscriber.wake.clear()
+                if subscriber.stopping.is_set() or subscriber.overflowed:
+                    break
                 batch = index.alerts_since(subscriber.position, REPLAY_BATCH)
                 if not batch:
-                    break
-                for alert in batch:
-                    if not self._push_alert_frame(alert):
-                        return
-                    subscriber.position = alert.seq
-            # Phase 2: live queue.
-            while not subscriber.stopping.is_set():
-                if subscriber.overflowed and subscriber.queue.empty():
-                    break
-                try:
-                    alert = subscriber.queue.get(timeout=0.05)
-                except queue.Empty:
-                    continue
-                if alert is None or alert.seq <= subscriber.position:
-                    continue
-                if not self._push_alert_frame(alert):
+                    subscriber.wake.wait()
+                elif self._push_alert_frames(batch):
+                    subscriber.position = batch[-1].seq
+                else:
                     return
-                subscriber.position = alert.seq
             if subscriber.overflowed and not subscriber.stopping.is_set():
                 # One typed goodbye carrying the resume cursor, then the
-                # connection is closed: the queue stays bounded, no silent gaps.
+                # connection is closed: no backlog kept, no silent gaps.
                 self.server._count("overflows")
-                self._send_event(
+                self._send(
                     {
                         "event": "error",
                         "error": {
@@ -586,23 +588,23 @@ class WireConnectionHandler(socketserver.StreamRequestHandler):
         finally:
             self.server._unregister_subscriber(subscriber)
 
-    def _send_event(self, payload: Dict[str, Any]) -> bool:
-        return self._send(payload)
-
-    def _push_alert_frame(self, alert) -> bool:
-        """Write one alert event; server-stamps the tick's trace id on
-        the frame and closes the latency ledger after the write."""
-        payload: Dict[str, Any] = {
-            "event": "alert",
-            "alert": codec.alert_fragment(alert),
-        }
-        if alert.trace:
-            payload["trace"] = alert.trace
-        if not self._send_event(payload):
+    def _push_alert_frames(self, batch) -> bool:
+        """Write one alert event per alert in one write; server-stamps
+        each tick's trace id on its frames and closes the latency ledger
+        per frame after the write."""
+        payloads = []
+        for alert in batch:
+            payload = {"event": "alert", "alert": codec.alert_fragment(alert)}
+            if alert.trace:
+                payload["trace"] = alert.trace
+            payloads.append(payload)
+        if not self._send(*payloads):
             return False
-        # The end of the measured pipeline: the frame reached the
+        # The end of the measured pipeline: the frames reached the
         # subscriber's socket.  Re-observes deliver/total per frame.
-        self.server.registry.latency.mark(alert.trace, "socket_write")
+        ledger = self.server.registry.latency
+        for alert in batch:
+            ledger.mark(alert.trace, "socket_write")
         return True
 
     def _teardown_subscription(self) -> None:
@@ -611,6 +613,7 @@ class WireConnectionHandler(socketserver.StreamRequestHandler):
             return
         self._subscriber = None
         subscriber.stopping.set()
+        subscriber.wake.set()
         self.server._unregister_subscriber(subscriber)
         if (
             subscriber.thread is not None
@@ -689,9 +692,9 @@ class WireServer(socketserver.ThreadingTCPServer):
         self._pin_registry: "OrderedDict[int, ServeVersion]" = OrderedDict()
         self._serve_thread: Optional[threading.Thread] = None
         super().__init__((host, port), WireConnectionHandler)
-        # Live alerts flow to subscribers on the publishing (ingest)
-        # thread; the index isolates subscriber exceptions, so a wire
-        # failure can never abort a tick.
+        # Each published version wakes the pushers from the publishing
+        # (ingest) thread; the index isolates subscriber exceptions, so
+        # a wire failure can never abort a tick.
         self.index.subscribe_versions(self._fan_out)
 
     # -- lifecycle ---------------------------------------------------------
@@ -751,18 +754,15 @@ class WireServer(socketserver.ThreadingTCPServer):
         return snapshot
 
     def subscriber_queue_pressure(self) -> float:
-        """Worst-case fullness of any live subscriber queue (0..1).
+        """Worst subscriber lag as a share of the overflow bound (0..1).
 
         The health surface's early-warning signal: a subscriber at 1.0
         is about to be overflowed and disconnected.
         """
+        last_seq = self.index.last_seq
         with self._lock:
-            subscribers = list(self._subscribers)
-        pressure = 0.0
-        for subscriber in subscribers:
-            size = subscriber.queue.maxsize or 1
-            pressure = max(pressure, subscriber.queue.qsize() / size)
-        return pressure
+            worst = max((s.lag(last_seq) for s in self._subscribers), default=0)
+        return min(1.0, worst / (self.subscriber_queue_size or 1))
 
     def health_stats(self) -> Dict[str, Any]:
         """The wire slice of the health surface."""
@@ -846,31 +846,21 @@ class WireServer(socketserver.ThreadingTCPServer):
                 self._subscribers.remove(subscriber)
 
     def _fan_out(self, version: ServeVersion) -> None:
-        """Push this tick's alerts to every live subscriber queue."""
-        batch = self.index.alerts_since(self._fanout_position)
-        if not batch:
+        """Wake every pusher for this version's alerts, which they read
+        from the log themselves; overflow any lagging beyond the bound."""
+        if version.last_seq == self._fanout_position:
             return
-        self._fanout_position = batch[-1].seq
-        ledger = self.registry.latency
-        marked: set = set()
-        for alert in batch:
-            if alert.trace and alert.trace not in marked:
-                marked.add(alert.trace)
-                ledger.mark(alert.trace, "fanout_enqueue")
+        self._fanout_position = version.last_seq
+        # A version's new alerts are one tick's, so they share its trace.
+        self.registry.latency.mark(
+            self.index.monitor.alerts[version.last_seq].trace, "fanout_enqueue"
+        )
         with self._lock:
             subscribers = list(self._subscribers)
         for subscriber in subscribers:
-            if subscriber.overflowed:
-                continue
-            for alert in batch:
-                try:
-                    subscriber.queue.put_nowait(alert)
-                except queue.Full:
-                    # Stop feeding this subscriber: what is queued stays a
-                    # contiguous prefix, everything after it is dropped
-                    # and the pusher sends the typed overflow goodbye.
-                    subscriber.overflowed = True
-                    break
+            if subscriber.lag(version.last_seq) > self.subscriber_queue_size:
+                subscriber.overflowed = True
+            subscriber.wake.set()
 
     def handle_error(self, request, client_address) -> None:
         # A handler-thread crash is already surfaced as an internal-error

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SLOEngine, latency_objective
-from repro.serve.parity import serving_parity_mismatches
+from repro.serve.parity import live_parity_mismatches
 from repro.serve.service import ServeService
 from repro.simulation.reorg import apply_random_reorg
 from repro.simulation.scenarios.clock import SimulatedClock
@@ -47,7 +47,6 @@ from repro.simulation.scenarios.spec import (
 )
 from repro.stream.alerts import AlertKind
 from repro.utils.rng import DeterministicRNG
-from repro.verify import reference, result_mismatches
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import; a real
     # one would close the builder <-> scenarios package cycle (the
@@ -421,39 +420,8 @@ def run_scenario(
 
         if options.verify_parity:
             say("verifying parity against the legacy oracle...")
-            oracle = reference(world, to_block=service.monitor.processed_block)
-            report.parity.append(
-                ParityCheck(
-                    "stream-vs-batch",
-                    tuple(result_mismatches(service.result(), oracle)),
-                )
-            )
-            report.parity.append(
-                ParityCheck(
-                    "serve-vs-batch",
-                    tuple(serving_parity_mismatches(service.query, oracle)),
-                )
-            )
-            if options.wire:
-                from repro.serve.wire import (
-                    WireClient,
-                    wire_parity_mismatches,
-                )
-
-                host, port = service.wire.address
-                with WireClient(host, port) as parity_client:
-                    report.parity.append(
-                        ParityCheck(
-                            "wire-vs-in-process",
-                            tuple(
-                                wire_parity_mismatches(
-                                    parity_client,
-                                    service.query,
-                                    service.wire.lookup_version,
-                                )
-                            ),
-                        )
-                    )
+            for name, mismatches in live_parity_mismatches(service, world).items():
+                report.parity.append(ParityCheck(name, tuple(mismatches)))
     finally:
         if stream is not None:
             stream.close()

@@ -107,9 +107,6 @@ class StreamingMonitor:
         self._snapshot_subscribers: List[SnapshotCallback] = []
         #: Trace id of the most recent tick ("" before the first).
         self.current_trace = ""
-        #: Operator alerts queued for the next tick's stream position
-        #: (kind, slo, budget_used, detail) -- see publish_operator_alert.
-        self._pending_operator: List[tuple] = []
         self._slo_engine = None
 
         self._metric_ticks = self.registry.counter(
@@ -189,21 +186,6 @@ class StreamingMonitor:
         breaches become SLO_BREACH operator alerts on the stream."""
         self._slo_engine = engine
 
-    def publish_operator_alert(
-        self,
-        kind: AlertKind,
-        slo: str = "",
-        budget_used: float = 0.0,
-        detail: str = "",
-    ) -> None:
-        """Queue an operator event for the current/next tick's stream.
-
-        Operator alerts ride the ordinary append-only alert bus (gapless
-        seqs, replayable over the wire) but are appended *after* the
-        tick's detection alerts, so detection ordering is untouched.
-        """
-        self._pending_operator.append((kind, slo, budget_used, detail))
-
     @property
     def flagged_nfts(self):
         """NFTs currently carrying at least one confirmed activity."""
@@ -247,16 +229,8 @@ class StreamingMonitor:
                 self.tick_count += 1
                 alerts = self._alerts_for(tick, report, trace)
                 if self._slo_engine is not None:
-                    for breach in self._evaluate_slo():
-                        self.publish_operator_alert(
-                            AlertKind.SLO_BREACH,
-                            slo=breach.objective.name,
-                            budget_used=breach.budget_used,
-                            detail=breach.detail,
-                        )
-                if self._pending_operator:
                     alerts.extend(
-                        self._operator_alerts(trace, len(self.alerts) + len(alerts))
+                        self._slo_alerts(trace, len(self.alerts) + len(alerts))
                     )
                 tick_span.annotate(
                     dirty=len(report.dirty_nfts), alerts=len(alerts)
@@ -296,39 +270,38 @@ class StreamingMonitor:
             trace=trace,
         )
 
-    def _evaluate_slo(self):
-        """Run the attached SLO engine; a raising engine cannot fail a
-        tick (operator tooling must never abort detection)."""
+    def _slo_alerts(self, trace: str, base_seq: int) -> List[Alert]:
+        """One SLO_BREACH alert per breach the attached engine reports,
+        numbered from ``base_seq``.
+
+        Operator alerts ride the ordinary append-only alert bus (gapless
+        seqs, replayable over the wire) *after* the tick's detection
+        alerts, so detection ordering is untouched; a quiet tick (no
+        confirmations, retractions or reorg) still publishes them.  A
+        raising engine cannot fail a tick: operator tooling must never
+        abort detection.
+        """
         try:
-            return self._slo_engine.evaluate()
+            breaches = self._slo_engine.evaluate()
         except Exception:  # noqa: BLE001 -- isolation is the point
             return []
-
-    def _operator_alerts(self, trace: str, base_seq: int) -> List[Alert]:
-        """Drain queued operator alerts onto the stream at ``base_seq``.
-
-        Separate from _alerts_for on purpose: a quiet tick (no
-        confirmations, retractions or reorg) still publishes its pending
-        operator events.
-        """
+        if not breaches:
+            return []
         block = min(self.cursor.processed_block, self.node.block_number)
         timestamp = self.node.get_block(block).timestamp if block >= 0 else 0
-        alerts: List[Alert] = []
-        for kind, slo, budget_used, detail in self._pending_operator:
-            alerts.append(
-                Alert(
-                    kind=kind,
-                    block=block,
-                    timestamp=timestamp,
-                    seq=base_seq + len(alerts),
-                    trace=trace,
-                    slo=slo,
-                    budget_used=budget_used,
-                    detail=detail,
-                )
+        return [
+            Alert(
+                kind=AlertKind.SLO_BREACH,
+                block=block,
+                timestamp=timestamp,
+                seq=base_seq + offset,
+                trace=trace,
+                slo=breach.objective.name,
+                budget_used=breach.budget_used,
+                detail=breach.detail,
             )
-        self._pending_operator.clear()
-        return alerts
+            for offset, breach in enumerate(breaches)
+        ]
 
     def _deliver(self, callback, event) -> None:
         """Deliver one event to one subscriber, isolating failures.

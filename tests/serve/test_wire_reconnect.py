@@ -6,19 +6,26 @@ Two satellites of ISSUE 5 live here:
   last ``seq`` receives every confirmation and retraction exactly once,
   in order, across the reconnect -- while ingest keeps ticking and the
   chain keeps reorganizing in between;
-* a subscriber that cannot keep up is not buffered without bound: the
-  server sends one typed ``subscriber-overflow`` event carrying the
+* a subscriber that cannot keep up is not left lagging without bound:
+  the server sends one typed ``subscriber-overflow`` event carrying the
   last delivered ``seq`` and closes, and resubscribing from that cursor
   resumes with no gap and no duplicate.
+
+Replaying a backlog is not lag: only alerts published after the
+subscribe count against the bound.  And an idle pusher sleeps on a
+wake flag that teardown sets, so unsubscribing never waits on a poll.
 """
 
 from __future__ import annotations
 
 import random
+import socket
 import time
 from collections import Counter
 
 from repro.serve import ServeService, WireClient, record_key
+from repro.serve.wire import read_frame, write_frame
+from repro.serve.wire import server as server_module
 from repro.serve.wire.server import WireServer
 from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
@@ -128,17 +135,17 @@ def test_slow_subscriber_gets_typed_overflow_and_resumes_cleanly():
         subscriber = handler._subscriber
 
         with handler.send_lock:
-            # Ingest outruns the frozen subscriber: the bounded queue
-            # fills and the fan-out marks it overflowed instead of
-            # buffering without limit.
+            # Ingest outruns the frozen subscriber: once more than 4
+            # alerts published since it subscribed are unsent, the
+            # fan-out marks it overflowed instead of letting it lag on.
             deadline = time.perf_counter() + 30
             while not subscriber.overflowed:
                 assert time.perf_counter() < deadline, "overflow never tripped"
                 storm_tick(world, service, rng)
-            assert subscriber.queue.qsize() <= 4
+            assert subscriber.lag(service.index.last_seq) > 4
 
-        # Released: the pusher drains what was queued, sends the typed
-        # goodbye and closes the connection.
+        # Released: the pusher writes the batch it already read, sends
+        # the typed goodbye and closes the connection.
         assert stream.closed.wait(timeout=30)
         assert stream.overflow_seq is not None
         delivered = stream.poll()
@@ -160,3 +167,84 @@ def test_slow_subscriber_gets_typed_overflow_and_resumes_cleanly():
     finally:
         server.close()
         service.shutdown()
+
+
+def test_replaying_a_backlog_longer_than_the_bound_is_not_overflow(
+    settled_wire, monkeypatch
+):
+    service, _ = settled_wire
+    # Small log reads, so the replay spans several of them.
+    monkeypatch.setattr(server_module, "REPLAY_BATCH", 8)
+    server = WireServer(service.query, subscriber_queue_size=4).start()
+    try:
+        last_seq = service.index.last_seq
+        assert last_seq + 1 > 4 * 8, "the log must outgrow bound and batch"
+        stream = WireClient(*server.address).connect().subscribe(-1)
+        received = collect_until(stream, last_seq)
+        assert [alert.seq for alert in received] == list(range(last_seq + 1))
+        assert stream.next(timeout=0.2) is None
+        assert not stream.closed.is_set() and stream.overflow_seq is None
+        assert server.stats()["overflows"] == 0
+        assert server.subscriber_queue_pressure() == 0.0
+        stream.close()
+    finally:
+        server.close()
+
+
+def test_only_alerts_published_after_subscribing_count_as_lag():
+    world = build_default_world(SimulationConfig.tiny())
+    service = ServeService.for_world(world)
+    service.advance(world.node.block_number // 2)
+    server = WireServer(service.query, subscriber_queue_size=4)
+    try:
+        # A subscriber from -1 with no pusher: it sends nothing, so the
+        # whole published log stays unsent.
+        horizon = service.index.last_seq
+        assert horizon + 1 > 4
+        subscriber = server_module._Subscriber(-1, horizon=horizon)
+        server._register_subscriber(subscriber)
+        while service.index.last_seq == horizon:
+            service.advance(service.monitor.processed_block + 1)
+        published = service.index.last_seq - horizon
+        assert 0 < published <= 4, "pick a tick that stays inside the bound"
+        assert subscriber.lag(service.index.last_seq) == published
+        assert not subscriber.overflowed and subscriber.wake.is_set()
+        assert server.subscriber_queue_pressure() == published / 4
+    finally:
+        server.close()
+        service.shutdown()
+
+
+def test_unsubscribe_joins_an_idle_pusher_at_once(settled_wire):
+    service, server = settled_wire
+    sock = socket.create_connection(server.address, 10)
+    sock.settimeout(10)
+    rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
+    try:
+        # Subscribed at the head of a settled log: nothing to send, so
+        # the pusher sleeps until a version or teardown wakes it.
+        since = service.index.last_seq
+        write_frame(wfile, {"id": 1, "verb": "subscribe", "params": {"since_seq": since}})
+        assert read_frame(rfile)["result"]["subscribed"]
+        pusher = None
+        deadline = time.perf_counter() + 10
+        while pusher is None and time.perf_counter() < deadline:
+            with server._lock:
+                for connection in server._connections:
+                    subscriber = connection._subscriber
+                    if (
+                        connection.client_address == sock.getsockname()
+                        and subscriber is not None
+                    ):
+                        pusher = subscriber.thread
+            time.sleep(0.01)
+        assert pusher is not None and pusher.is_alive()
+
+        started = time.perf_counter()
+        write_frame(wfile, {"id": 2, "verb": "unsubscribe"})
+        assert read_frame(rfile)["result"]["unsubscribed"]
+        pusher.join(timeout=1.0)
+        assert not pusher.is_alive()
+        assert time.perf_counter() - started < 1.0
+    finally:
+        sock.close()
